@@ -28,6 +28,12 @@ EXIT_VALIDATION = 1
 EXIT_MISMATCH = 2
 EXIT_NONINTEGRAL = 3
 
+# Largest Hecke level n the SL(2,Z) commands accept.  The cost grows about
+# linearly in n, driven by the roughly 9n elliptic classes the assembler sums
+# over: at n = 2000 one compare or preset assembly takes 1-2 s and the
+# weight-12 oracle 0.2 s (Python 3.11, one core of a shared 2-vCPU host).
+MAX_SL2Z_LEVEL = 2000
+
 
 class CliError(Exception):
     pass
@@ -44,6 +50,11 @@ def _emit(report: dict, out_path: str | None) -> None:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
+
+
+def _check_sl2z_level(n: int) -> None:
+    if n > MAX_SL2Z_LEVEL:
+        raise CliError(f"--n {n} is above the SL(2,Z) level bound {MAX_SL2Z_LEVEL}")
 
 
 def _parse_mu(text: str) -> Weight:
@@ -98,6 +109,7 @@ def _cmd_assemble(args) -> int:
             raise CliError(f"unknown preset {args.preset!r}")
         if args.n is None:
             raise CliError("--preset sl2z requires --n")
+        _check_sl2z_level(args.n)
         group = args.group or "sl2r"
         rs = build_root_system(GroupDescriptor.from_name(group))
         geom = sl2.build_geom_sl2z(args.n)
@@ -135,6 +147,7 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_sl2_oracle(args) -> int:
+    _check_sl2z_level(args.n)
     try:
         trace = sl2.eichler_selberg(args.k, args.n)
     except ValueError as exc:
@@ -149,6 +162,7 @@ def _cmd_sl2_oracle(args) -> int:
 
 
 def _cmd_sl2_compare(args) -> int:
+    _check_sl2z_level(args.n)
     try:
         rep = sl2.compare(args.k, args.n, args.interpretation)
     except ValueError as exc:

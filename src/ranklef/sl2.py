@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
+from operator import add, sub
 
 from .lefschetz import (
     CentralClass,
@@ -140,15 +141,6 @@ def hecke_reps(n: int) -> HeckeCosetSet:
     return HeckeCosetSet(n=n, reps=tuple(reps))
 
 
-def left_equivalent(x: IntegerMatrix, y: IntegerMatrix) -> bool:
-    """Whether x Gamma = y Gamma, by exact divisibility of y * adj(x)."""
-    n = x.det
-    if n <= 0 or y.det != n:
-        raise ValueError("matrices must share a positive determinant")
-    g = y.mul(x.adjugate())
-    return all(e % n == 0 for e in g.entries())
-
-
 def classify_element(m: IntegerMatrix) -> ClassTag:
     """Semisimple taxonomy of a determinant-n integer matrix.
 
@@ -189,7 +181,7 @@ def hurwitz_class_number(N: int) -> Fraction:
         return Fraction(-1, 12)
     if N % 4 in (1, 2):
         return Fraction(0)
-    total = Fraction(0)
+    sixths = 0
     a = 1
     while 3 * a * a <= N:
         for b in range(-a, a + 1):
@@ -202,120 +194,43 @@ def hurwitz_class_number(N: int) -> Fraction:
             if b < 0 and (a == c or -b == a):
                 continue
             if a == b == c:
-                total += Fraction(1, 3)
+                sixths += 2
             elif a == c and b == 0:
-                total += Fraction(1, 2)
+                sixths += 3
             else:
-                total += 1
+                sixths += 6
         a += 1
-    return total
+    return Fraction(sixths, 6)
 
 
 # ---------------------------------------------------------------------------
-# Gamma-conjugacy classes of elliptic elements, by bounded search
+# Gamma-conjugacy classes of elliptic elements, from reduced forms
 
 
-def _universe(n: int, t: int, bound: int) -> list[tuple[int, int, int, int]]:
-    out = []
-    for a in range(-bound, bound + 1):
-        d = t - a
-        if abs(d) > bound:
-            continue
-        bc = a * d - n
-        if bc == 0:
-            continue
-        for b in range(-bound, bound + 1):
-            if b == 0 or bc % b != 0:
-                continue
-            c = bc // b
-            if abs(c) <= bound:
-                out.append((a, b, c, d))
-    return out
+def _reduced_forms(D: int):
+    """Reduced positive forms (A, B, C) of discriminant -D, with the order of
+    their automorphism group in SL(2,Z): (A, B, C, |Aut|).
 
-
-def _conj_moves(m: tuple[int, int, int, int]) -> tuple[tuple[int, int, int, int], ...]:
-    a, b, c, d = m
-    return (
-        (d, -c, -b, a),  # by S
-        (a + c, b + d - a - c, c, d - c),  # by T
-        (a - c, a + b - c - d, c, c + d),  # by T^-1
-    )
-
-
-def _component_count(n: int, t: int, core_bound: int, work_factor: int = 6):
-    core = set(_universe(n, t, core_bound))
-    work = set(_universe(n, t, work_factor * core_bound))
-    index = {m: i for i, m in enumerate(sorted(work))}
-    parent = list(range(len(index)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    for m, i in index.items():
-        for mm in _conj_moves(m):
-            j = index.get(mm)
-            if j is not None:
-                union(i, j)
-    reps: dict[int, tuple[int, int, int, int]] = {}
-    for m in core:
-        r = find(index[m])
-        if r not in reps or m < reps[r]:
-            reps[r] = m
-    return sorted(reps.values())
-
-
-def centralizer_order(m: IntegerMatrix) -> int:
-    """Order of the SL(2,Z) centralizer of an elliptic, non-scalar matrix.
-
-    The centralizer is { xI + yM } with integer entries and determinant
-    x^2 + t x y + n y^2 = 1, a positive-definite condition, so the count is
-    an exact finite enumeration over y in (1/g)Z with g = gcd(b, c, a-d).
+    |B| <= A <= C and B >= 0 whenever |B| = A or A = C; non-primitive forms
+    are included.  |Aut| is 6 for (A,A,A), 4 for (A,0,A) and 2 otherwise.
     """
-    t, n = m.trace, m.det
-    D = 4 * n - t * t
-    if D <= 0:
-        raise ValueError("centralizer_order applies to elliptic matrices")
-    if m.is_scalar():
-        raise ValueError("scalar matrices are central")
-    g = gcd(gcd(abs(m.b), abs(m.c)), abs(m.a - m.d))
-    count = 0
-    jmax = isqrt(4 * g * g // D)
-    for j in range(-jmax - 1, jmax + 2):
-        y = Fraction(j, g)
-        disc = 4 - D * y * y
-        if disc < 0:
-            continue
-        root = _fraction_sqrt(disc)
-        if root is None:
-            continue
-        for sgn in ((1,) if root == 0 else (1, -1)):
-            x = (-t * y + sgn * root) / 2
-            entries_integral = (
-                (x + y * m.a).denominator == 1
-                and (x + y * m.d).denominator == 1
-                and (y * m.b).denominator == 1
-                and (y * m.c).denominator == 1
-            )
-            if entries_integral:
-                count += 1
-    return count
-
-
-def _fraction_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
+    A = 1
+    while 3 * A * A <= D:
+        # B^2 = -D mod 4 fixes the parity of B; B = -A is never reduced
+        for B in range(-A + 2 - (A + D) % 2, A + 1, 2):
+            rem = B * B + D
+            if rem % (4 * A) != 0:
+                continue
+            C = rem // (4 * A)
+            if C < A or (B < 0 and C == A):
+                continue
+            if A == B == C:
+                yield A, B, C, 6
+            elif A == C and B == 0:
+                yield A, B, C, 4
+            else:
+                yield A, B, C, 2
+        A += 1
 
 
 @dataclass(frozen=True)
@@ -326,37 +241,25 @@ class EllipticClassGroup:
 
 
 @lru_cache(maxsize=None)
-def elliptic_classes(n: int, bound: int | None = None) -> tuple[EllipticClassGroup, ...]:
+def elliptic_classes(n: int) -> tuple[EllipticClassGroup, ...]:
     """Conjugacy classes of elliptic determinant-n matrices, grouped by
     (trace, centralizer order).
 
-    Classes come from bounded conjugation-graph components with a doubling
-    stabilization check, then are gated against the independent reduced-form
-    count: sum of 1/|centralizer| over the classes of trace t must equal
-    H(4n - t^2) exactly.
+    M = [[a,b],[c,d]] corresponds to the form c x^2 + (d-a) xy - b y^2 of
+    discriminant t^2 - 4n: SL(2,Z)-conjugation of M is equivalence of forms,
+    and the centralizer of M is the automorphism group of its form.  The
+    form is positive definite for c > 0 and negative definite for c < 0, one
+    orientation each, so every reduced positive form of discriminant
+    t^2 - 4n stands for two classes (Cohen, GTM 138, section 5.3).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    base = bound if bound is not None else max(8, 2 * n)
     groups: list[EllipticClassGroup] = []
     tmax = isqrt(4 * n - 1)
     for t in range(-tmax, tmax + 1):
-        reps_small = _component_count(n, t, base)
-        reps_big = _component_count(n, t, 2 * base)
-        if len(reps_small) != len(reps_big):
-            raise RuntimeError(
-                f"class count for trace {t} did not stabilize; increase bound"
-            )
-        orders = [centralizer_order(IntegerMatrix(*m)) for m in reps_big]
-        weight = sum(Fraction(1, w) for w in orders)
-        if weight != hurwitz_class_number(4 * n - t * t):
-            raise RuntimeError(
-                f"class enumeration for trace {t} disagrees with the "
-                "reduced-form count; increase bound"
-            )
         by_order: dict[int, int] = {}
-        for w in orders:
-            by_order[w] = by_order.get(w, 0) + 1
+        for _, _, _, aut in _reduced_forms(4 * n - t * t):
+            by_order[aut] = by_order.get(aut, 0) + 2
         for w in sorted(by_order):
             groups.append(EllipticClassGroup(t, by_order[w], w))
     return tuple(groups)
@@ -370,44 +273,28 @@ def delta_coeffs(N: int) -> list[int]:
     """tau(1..N): coefficients of q prod_{m>=1} (1 - q^m)^24, exactly."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    euler = [0] * N
-    euler[0] = 1
+    # the nonzero terms (j, +-1) of prod (1 - q^m): Euler's pentagonal numbers
+    euler = [(0, 1)]
     m = 1
-    while True:
-        p1 = m * (3 * m - 1) // 2
-        p2 = m * (3 * m + 1) // 2
-        if p1 >= N and p2 >= N:
-            break
+    while m * (3 * m - 1) // 2 < N:
         s = -1 if m % 2 else 1
-        if p1 < N:
-            euler[p1] += s
-        if p2 < N:
-            euler[p2] += s
+        for p in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2):
+            if p < N:
+                euler.append((p, s))
         m += 1
     power = [1] + [0] * (N - 1)
     for _ in range(24):
         power = _poly_mul_trunc(power, euler, N)
-    return power[:N]  # tau(j+1) = power[j] after the q-shift
+    return power  # tau(j+1) = power[j] after the q-shift
 
 
-def _poly_mul_trunc(p: list[int], q: list[int], N: int) -> list[int]:
+def _poly_mul_trunc(p: list[int], terms: list[tuple[int, int]], N: int) -> list[int]:
+    """p (length N) times the sparse series sum s q^j over ``terms`` (j, s = +-1),
+    truncated below q^N."""
     out = [0] * N
-    for i, pi in enumerate(p):
-        if pi == 0:
-            continue
-        for j in range(min(len(q), N - i)):
-            if q[j]:
-                out[i + j] += pi * q[j]
+    for j, s in terms:
+        out[j:] = map(add if s > 0 else sub, out[j:], p[: N - j])
     return out
-
-
-def sigma(n: int, k: int = 1) -> int:
-    return sum(d ** k for d in range(1, n + 1) if n % d == 0)
-
-
-def eisenstein_e4(N: int) -> list[int]:
-    """Coefficients a_0..a_{N-1} of 1 + 240 sum sigma_3(m) q^m."""
-    return [1] + [240 * sigma(m, 3) for m in range(1, N)]
 
 
 def dim_cusp_forms(k: int) -> int:
@@ -436,20 +323,23 @@ def eichler_selberg(k: int, n: int) -> int:
         raise ValueError("weight must be even and >= 4")
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = Fraction(0)
-    tmax = isqrt(4 * n)
-    for t in range(-tmax, tmax + 1):
-        N = 4 * n - t * t
-        H = hurwitz_class_number(N)
-        if H == 0:
-            continue
-        total -= Fraction(1, 2) * trace_polynomial(k, t, n) * H
-    for d in range(1, n + 1):
+    # 24 times the trace, in integers: the denominator of H(N) divides 12
+    # (it is 12 only for H(0) = -1/12).  P_k(t, n) is even in t for even k,
+    # so t and -t contribute alike.
+    total24 = 0
+    for t in range(isqrt(4 * n) + 1):
+        H = hurwitz_class_number(4 * n - t * t)
+        if H:
+            twelve_h = 12 // H.denominator * H.numerator
+            total24 -= (2 if t else 1) * twelve_h * trace_polynomial(k, t, n)
+    # boundary term: each divisor pair d * (n/d) = n with d < n/d counts twice
+    r = isqrt(n)
+    for d in range(1, r + 1):
         if n % d == 0:
-            total -= Fraction(1, 2) * min(d, n // d) ** (k - 1)
-    if total.denominator != 1:
+            total24 -= (12 if d * d == n else 24) * d ** (k - 1)
+    if total24 % 24 != 0:
         raise AssertionError("Eichler-Selberg trace must be an integer")
-    return int(total)
+    return total24 // 24
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +440,6 @@ def build_geom_sl2z(n: int, extra_class_reps: tuple[IntegerMatrix, ...] = ()) ->
 
     elliptic: list[EllipticClass] = []
     for grp in elliptic_classes(n):
-        if grp.class_count % 2 != 0:
-            raise AssertionError("orientation classes must pair up")
         q = _elliptic_rep_angle(grp.trace, n)
         for oriented_q in (q, -q):
             for _ in range(grp.class_count // 2):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from ranklef import cli, sl2
 
 
@@ -103,6 +105,27 @@ def test_sl2_oracle(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["eichler_selberg"] == 4830 and data["tau"] == 4830
+
+
+SL2Z_LEVEL_COMMANDS = (
+    ["sl2", "compare", "--k", "12", "--n"],
+    ["sl2", "oracle", "--k", "12", "--n"],
+    ["lefschetz", "assemble", "--preset", "sl2z", "--k", "12", "--n"],
+)
+
+
+@pytest.mark.parametrize("argv", SL2Z_LEVEL_COMMANDS, ids=lambda a: "-".join(a[:2]))
+def test_sl2z_level_at_bound(capsys, argv):
+    code, out, err = run(capsys, argv + [str(cli.MAX_SL2Z_LEVEL)])
+    assert code == 0, err
+    assert json.loads(out)
+
+
+@pytest.mark.parametrize("argv", SL2Z_LEVEL_COMMANDS, ids=lambda a: "-".join(a[:2]))
+def test_sl2z_level_above_bound_exit_one(capsys, argv):
+    code, out, err = run(capsys, argv + [str(cli.MAX_SL2Z_LEVEL + 1)])
+    assert code == 1 and out == ""
+    assert f"above the SL(2,Z) level bound {cli.MAX_SL2Z_LEVEL}" in err
 
 
 def test_epstein_const_cli(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -12,25 +13,36 @@ from ranklef.sl2 import (
     EllipticClassGroup,
     IntegerMatrix,
     build_geom_sl2z,
-    centralizer_order,
     classify_element,
     compare,
     coset_classification,
     delta_coeffs,
     dim_cusp_forms,
     eichler_selberg,
-    eisenstein_e4,
     elliptic_classes,
     hecke_reps,
     hurwitz_class_number,
-    left_equivalent,
     lefschetz_sl2z,
     trace_polynomial,
 )
 
 
-def sigma1(n):
-    return sum(d for d in range(1, n + 1) if n % d == 0)
+def sigma(n, k=1):
+    return sum(d ** k for d in range(1, n + 1) if n % d == 0)
+
+
+def eisenstein_series(N, weight, scale):
+    """Coefficients a_0..a_{N-1} of 1 + scale sum sigma_{weight-1}(m) q^m."""
+    return [1] + [scale * sigma(m, weight - 1) for m in range(1, N)]
+
+
+def left_equivalent(x, y):
+    """Whether x Gamma = y Gamma, by exact divisibility of y * adj(x)."""
+    n = x.det
+    if n <= 0 or y.det != n:
+        raise ValueError("matrices must share a positive determinant")
+    g = y.mul(x.adjugate())
+    return all(e % n == 0 for e in g.entries())
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +53,7 @@ def test_hecke_reps_counts():
     assert hecke_reps(1).count == 1
     assert hecke_reps(1).reps[0] == IntegerMatrix(1, 0, 0, 1)
     for n in range(1, 13):
-        assert hecke_reps(n).count == sigma1(n)
+        assert hecke_reps(n).count == sigma(n)
 
 
 def test_hecke_reps_n2_explicit():
@@ -102,7 +114,7 @@ def test_classify_examples():
 def test_classification_is_a_partition():
     for n in (1, 2, 4, 6):
         counts = coset_classification(n)
-        assert sum(counts.values()) == sigma1(n)
+        assert sum(counts.values()) == sigma(n)
 
 
 def test_hyperbolic_bucket_reported():
@@ -114,6 +126,125 @@ def test_hyperbolic_bucket_reported():
 
 # ---------------------------------------------------------------------------
 # Hurwitz class numbers and elliptic classes
+
+
+# Independent check of elliptic_classes: Gamma-conjugacy classes as the
+# components of the conjugation graph under S, T and T^-1 on a bounded box of
+# matrices, with exact centralizer orders.
+
+
+def _universe(n, t, bound):
+    out = []
+    for a in range(-bound, bound + 1):
+        d = t - a
+        if abs(d) > bound:
+            continue
+        bc = a * d - n
+        if bc == 0:
+            continue
+        for b in range(-bound, bound + 1):
+            if b == 0 or bc % b != 0:
+                continue
+            c = bc // b
+            if abs(c) <= bound:
+                out.append((a, b, c, d))
+    return out
+
+
+def _conj_moves(m):
+    a, b, c, d = m
+    return (
+        (d, -c, -b, a),  # by S
+        (a + c, b + d - a - c, c, d - c),  # by T
+        (a - c, a + b - c - d, c, c + d),  # by T^-1
+    )
+
+
+def _component_count(n, t, core_bound, work_factor=6):
+    """One representative per component that meets the core box, with the
+    components computed on a box work_factor times larger."""
+    core = set(_universe(n, t, core_bound))
+    work = set(_universe(n, t, work_factor * core_bound))
+    index = {m: i for i, m in enumerate(sorted(work))}
+    parent = list(range(len(index)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for m, i in index.items():
+        for mm in _conj_moves(m):
+            j = index.get(mm)
+            if j is not None:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    reps = {}
+    for m in core:
+        r = find(index[m])
+        if r not in reps or m < reps[r]:
+            reps[r] = m
+    return sorted(reps.values())
+
+
+def _fraction_sqrt(q):
+    if q < 0:
+        return None
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def centralizer_order(m):
+    """Order of the SL(2,Z) centralizer of an elliptic, non-scalar matrix.
+
+    The centralizer is { xI + yM } with integer entries and determinant
+    x^2 + t x y + n y^2 = 1, a positive-definite condition, so the count is
+    an exact finite enumeration over y in (1/g)Z with g = gcd(b, c, a-d).
+    """
+    t, n = m.trace, m.det
+    D = 4 * n - t * t
+    assert D > 0 and not m.is_scalar()
+    g = math.gcd(math.gcd(abs(m.b), abs(m.c)), abs(m.a - m.d))
+    count = 0
+    jmax = math.isqrt(4 * g * g // D)
+    for j in range(-jmax - 1, jmax + 2):
+        y = Fraction(j, g)
+        root = _fraction_sqrt(4 - D * y * y)
+        if root is None:
+            continue
+        for sgn in ((1,) if root == 0 else (1, -1)):
+            x = (-t * y + sgn * root) / 2
+            entries_integral = (
+                (x + y * m.a).denominator == 1
+                and (x + y * m.d).denominator == 1
+                and (y * m.b).denominator == 1
+                and (y * m.c).denominator == 1
+            )
+            if entries_integral:
+                count += 1
+    return count
+
+
+def graph_search_classes(n):
+    """elliptic_classes(n) by conjugation-graph search; the class count of
+    every trace must be the same on a box twice as large."""
+    base = max(8, 2 * n)
+    groups = []
+    tmax = math.isqrt(4 * n - 1)
+    for t in range(-tmax, tmax + 1):
+        reps = _component_count(n, t, base)
+        assert len(reps) == len(_component_count(n, t, 2 * base)), (n, t)
+        by_order = {}
+        for m in reps:
+            w = centralizer_order(IntegerMatrix(*m))
+            by_order[w] = by_order.get(w, 0) + 1
+        for w in sorted(by_order):
+            groups.append(EllipticClassGroup(t, by_order[w], w))
+    return tuple(groups)
 
 
 def test_hurwitz_small_table():
@@ -162,6 +293,13 @@ def test_centralizer_spot_checks():
     assert centralizer_order(IntegerMatrix(0, -2, 1, 0)) == 2  # disc -8
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_elliptic_classes_match_graph_search(n):
+    # n <= 10 reaches the non-primitive forms (2,2,2), (2,0,2) and (3,3,3)
+    # at discriminants -12, -16 and -27
+    assert elliptic_classes(n) == graph_search_classes(n)
+
+
 def test_trace_zero_classes_have_order_four_reps():
     for g in elliptic_classes(1):
         if g.trace == 0:
@@ -177,6 +315,49 @@ def test_delta_coefficients():
     assert tau[0] == 1 and tau[1] == -24 and tau[2] == 252
     assert tau[4] == 4830 and tau[6] == -16744
     assert tau[1] * tau[2] == tau[5]  # tau(2) tau(3) = tau(6)
+
+
+def _series_mul(a, b):
+    return [sum(x * y for x, y in zip(a[: m + 1], reversed(b[: m + 1]))) for m in range(len(a))]
+
+
+@lru_cache(maxsize=None)
+def tau_from_eisenstein(N):
+    """tau(1..N) from Delta = (E4^3 - E6^2) / 1728: a route to tau that
+    shares no code with delta_coeffs or eichler_selberg."""
+    e4 = eisenstein_series(N + 1, 4, 240)
+    e6 = eisenstein_series(N + 1, 6, -504)
+    num = [x - y for x, y in zip(_series_mul(_series_mul(e4, e4), e4), _series_mul(e6, e6))]
+    assert num[0] == 0 and all(c % 1728 == 0 for c in num)
+    return tuple(c // 1728 for c in num[1:])
+
+
+TAU_LITERATURE = {1: 1, 2: -24, 3: 252, 4: -1472, 5: 4830,
+                  10: -115920, 11: 534612, 12: -370944, 13: -577738}
+TAU_N = 30 * 29  # reaches every product of coprime m, n <= 30
+
+
+def test_tau_reference_literature_hecke_and_multiplicativity():
+    tau = (None,) + tau_from_eisenstein(TAU_N)
+    for n, value in TAU_LITERATURE.items():
+        assert tau[n] == value, n
+    for p in (2, 3, 5, 7):
+        assert tau[p * p] == tau[p] ** 2 - p ** 11
+    for m in range(2, 31):
+        for n in range(m + 1, 31):
+            if math.gcd(m, n) == 1:
+                assert tau[m * n] == tau[m] * tau[n], (m, n)
+
+
+@pytest.mark.parametrize("oracle", ["delta_coeffs", "eichler_selberg"])
+def test_tau_oracles_match_reference(oracle):
+    # the two oracles are checked against each other elsewhere; an error they
+    # shared would pass that check but not this one
+    if oracle == "delta_coeffs":
+        got = delta_coeffs(TAU_N)
+    else:
+        got = [eichler_selberg(12, n) for n in range(1, TAU_N + 1)]
+    assert tuple(got) == tau_from_eisenstein(TAU_N)
 
 
 def test_dim_cusp_forms_table():
@@ -211,7 +392,7 @@ def test_eichler_selberg_matches_delta():
 def test_eichler_selberg_weight16_from_qexpansion():
     # weight-16 form = E4 * Delta; its q-expansion product gives the traces
     N = 10
-    e4 = eisenstein_e4(N)
+    e4 = eisenstein_series(N, 4, 240)
     tau = delta_coeffs(N)
     coeffs = [sum(e4[i] * tau[m - 1 - i] for i in range(m)) for m in range(1, N + 1)]
     assert eichler_selberg(16, 2) == coeffs[1] == 216
