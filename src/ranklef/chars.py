@@ -19,25 +19,25 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
 from .rootsys import (
+    Matrix,
     Regularity,
     Root,
     RootKind,
     RootSystem,
     Weight,
     WeightClass,
-    WeylElement,
-    _identity,
     _mat_mul,
-    _reflection_matrix,
     classify_weight,
     coroot_pairing,
+    exact_dot,
     inner,
+    reflection_closure,
     weyl_group,
 )
 
@@ -53,10 +53,17 @@ class SingularElementError(ValueError):
 
 @dataclass(frozen=True)
 class HCParameter:
-    """Harish-Chandra parameter lambda = mu + rho_k with its regularity tag."""
+    """Harish-Chandra parameter lambda = mu + rho_k with its regularity tag.
+
+    ``_tables`` holds the Weyl data of lambda (``_WeylTables``) per root
+    system, built on first use, so every class of one assembly reads one copy.
+    It is keyed by ``id(rs)``: hashing a RootSystem costs far more than a
+    class does.
+    """
 
     lam: Weight
     regularity: WeightClass
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def hc_parameter(rs: RootSystem, mu: Weight) -> HCParameter:
@@ -122,6 +129,8 @@ class CharacterValue:
 
 
 def _dot(coords: Sequence[Fraction], q: Sequence[Angle]) -> Angle:
+    if all(type(a) is Fraction for a in q):
+        return exact_dot(coords, q)
     acc: Angle = 0
     exact = True
     for c, a in zip(coords, q):
@@ -136,8 +145,8 @@ def _dot(coords: Sequence[Fraction], q: Sequence[Angle]) -> Angle:
 def _phase(x: Angle) -> complex:
     """exp(2 pi i x), with an exact mod-1 reduction on rational input."""
     if isinstance(x, Fraction):
-        x = x - (x.numerator // x.denominator)
-        return cmath.exp(2j * math.pi * (x.numerator / x.denominator))
+        d = x.denominator
+        return cmath.exp(2j * math.pi * ((x.numerator % d) / d))
     return cmath.exp(2j * math.pi * x)
 
 
@@ -149,8 +158,8 @@ def character_exp(coords: Weight | Root, t: TorusElement, half: bool = False) ->
     return _phase(x)
 
 
-def _is_one(coords: Root, t: TorusElement) -> bool:
-    x = _dot(coords.coords, t.angles)
+def _is_one(x: Angle) -> bool:
+    """Whether exp(2 pi i x) = 1: exactly for rational x, to UNITY_TOL for float x."""
     if isinstance(x, Fraction):
         return x.denominator == 1
     return abs(_phase(x) - 1.0) < UNITY_TOL
@@ -167,11 +176,73 @@ def weyl_denominator_T(rs: RootSystem, t: TorusElement) -> complex:
     return out
 
 
-def _wk_numerator(rs: RootSystem, lam: Weight, t: TorusElement) -> complex:
-    total = 0.0 + 0.0j
-    for w in weyl_group(rs, "compact"):
-        total += w.sign * character_exp(w.apply(lam), t)
-    return total
+class _WeylTables:
+    """The Weyl data of one lambda on one root system, shared by every class.
+
+    ``compact`` is the W(k,t) orbit of lambda as (det w, w.lam), in the order
+    of ``weyl_group(rs, "compact")``.  ``cosets`` and ``full`` are built on
+    first use; see there.
+    """
+
+    def __init__(self, rs: RootSystem, lam: Weight):
+        self.rs = rs  # also keeps id(rs), the key in HCParameter._tables, unique
+        self.lam = lam
+        self.positive = rs.positive_roots()
+        self.compact_group = weyl_group(rs, "compact")
+        self.compact = [(w.sign, w.apply(lam)) for w in self.compact_group]
+        self._cosets: dict[tuple[int, ...], list[tuple[complex, Weight]]] = {}
+        self._full: list[tuple[int, int, float, Weight]] | None = None
+
+    def cosets(self, fixed: tuple[int, ...]) -> list[tuple[complex, Weight]]:
+        """Coset reps w of W_k / W_{k_xi} as (det(w) prod_{a in R+(xi)} <w.lam, a>, w.lam).
+
+        ``fixed`` lists the indices into ``positive`` of the roots a with
+        e^a(xi) = 1; W_{k_xi} is generated by the compact ones.  A rep is the
+        first element of its coset in W_k order.
+        """
+        table = self._cosets.get(fixed)
+        if table is None:
+            rs = self.rs
+            roots = [self.positive[i] for i in fixed]
+            subgroup = reflection_closure(rs, [r for r in roots if r.kind is RootKind.COMPACT])
+            covered: set[Matrix] = set()
+            table = []
+            for w, (sign, wl) in zip(self.compact_group, self.compact):
+                if w.matrix in covered:
+                    continue
+                covered.update(_mat_mul(w.matrix, h) for h in subgroup)
+                coeff = complex(sign)
+                for r in roots:
+                    coeff *= float(inner(rs, wl, Weight(r.coords)))
+                table.append((coeff, wl))
+            self._cosets[fixed] = table
+        return table
+
+    def full(self) -> list[tuple[int, int, float, Weight]]:
+        """The W(g,t) orbit as (det w, c_sign on H_plus, |<w.lam, beta0_v>|,
+        w.lam - rho_g), without the elements whose sign function vanishes."""
+        if self._full is None:
+            rs = self.rs
+            self._full = []
+            for w in weyl_group(rs, "full"):
+                wl = w.apply(self.lam)
+                base = c_sign(rs, wl, Chamber.H_PLUS)
+                if base:
+                    rate = abs(float(coroot_pairing(rs, wl, rs.beta0)))
+                    self._full.append((w.sign, base, rate, wl - rs.rho_g))
+        return self._full
+
+
+def _weyl_tables(rs: RootSystem, lam: HCParameter) -> _WeylTables:
+    tables = lam._tables.get(id(rs))
+    if tables is None:
+        tables = lam._tables[id(rs)] = _WeylTables(rs, lam.lam)
+    return tables
+
+
+def compact_orbit(rs: RootSystem, lam: HCParameter) -> list[tuple[int, Weight]]:
+    """The W(k,t) orbit of lambda as (det w, w.lam), built once per parameter."""
+    return _weyl_tables(rs, lam).compact
 
 
 def ds_character_Treg(rs: RootSystem, lam: HCParameter, t: TorusElement) -> CharacterValue:
@@ -181,43 +252,10 @@ def ds_character_Treg(rs: RootSystem, lam: HCParameter, t: TorusElement) -> Char
         raise SingularElementError(
             "singular torus element; use elliptic_orbital_term"
         )
-    return CharacterValue(value=_wk_numerator(rs, lam.lam, t) / den, is_regular_point=True)
-
-
-def _vanishing_roots(rs: RootSystem, t: TorusElement) -> list[Root]:
-    return [r for r in rs.positive_roots() if _is_one(r, t)]
-
-
-def _compact_subgroup_of(rs: RootSystem, roots: list[Root]) -> set:
-    """Subgroup of W_k generated by reflections in the compact roots listed."""
-    gens = [
-        _reflection_matrix(rs, r) for r in roots if r.kind is RootKind.COMPACT
-    ]
-    ident = _identity(rs.dim)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gens:
-                prod = _mat_mul(g, m)
-                if prod not in seen:
-                    seen.add(prod)
-                    new.append(prod)
-        frontier = new
-    return seen
-
-
-def _coset_reps(rs: RootSystem, xi: TorusElement) -> tuple[list[WeylElement], list[Root]]:
-    fixed = _vanishing_roots(rs, xi)
-    subgroup = _compact_subgroup_of(rs, fixed)
-    reps, covered = [], set()
-    for w in weyl_group(rs, "compact"):
-        if w.matrix in covered:
-            continue
-        reps.append(w)
-        covered.update(_mat_mul(w.matrix, h) for h in subgroup)
-    return reps, fixed
+    num = 0.0 + 0.0j
+    for sign, wl in compact_orbit(rs, lam):
+        num += sign * character_exp(wl, t)
+    return CharacterValue(value=num / den, is_regular_point=True)
 
 
 def elliptic_orbital_term(rs: RootSystem, lam: HCParameter, xi: TorusElement) -> complex:
@@ -228,21 +266,20 @@ def elliptic_orbital_term(rs: RootSystem, lam: HCParameter, xi: TorusElement) ->
             prod_{a in R+(xi)} <w.lam, a>  e^{w.lam}(xi)
           / ( e^{rho_g}(xi) prod_{b in R+ \\ R+(xi)} (1 - e^{-b}(xi)) )
     where R+(xi) collects the positive roots with e^a(xi) = 1.  For regular
-    xi this reduces to (-1)^{dim p/2} times the character at xi.
+    xi this reduces to (-1)^{dim p/2} times the character at xi.  The coset
+    reps and their coefficients come from lambda's Weyl tables.
     """
-    reps, fixed = _coset_reps(rs, xi)
-    fixed_coords = {r.coords for r in fixed}
+    tables = _weyl_tables(rs, lam)
     den = character_exp(rs.rho_g, xi)
-    for r in rs.positive_roots():
-        if r.coords in fixed_coords:
-            continue
-        den *= 1 - 1 / character_exp(r, xi)
+    fixed = []
+    for i, r in enumerate(tables.positive):
+        x = _dot(r.coords, xi.angles)
+        if _is_one(x):
+            fixed.append(i)
+        else:
+            den *= 1 - 1 / _phase(x)
     total = 0.0 + 0.0j
-    for w in reps:
-        wl = w.apply(lam.lam)
-        coeff = complex(w.sign)
-        for r in fixed:
-            coeff *= float(inner(rs, wl, Weight(r.coords)))
+    for coeff, wl in tables.cosets(tuple(fixed)):
         total += coeff * character_exp(wl, xi)
     sign = (-1) ** (rs.dim_p // 2)
     return sign * total / den
@@ -296,21 +333,18 @@ def omega(rs: RootSystem, lam: HCParameter, h: NoncompactCartanElement) -> compl
         raise ValueError("compact part dimension mismatch")
     m = TorusElement(h.compact_angles)
     t = abs(h.log_a)
+    flip = h.chamber is Chamber.H_MINUS
     total = 0.0 + 0.0j
-    for w in weyl_group(rs, "full"):
-        wl = w.apply(lam.lam)
-        c = c_sign(rs, wl, h.chamber)
-        if c == 0:
-            continue
-        pairing = coroot_pairing(rs, wl, rs.beta0)
-        radial = math.exp(-abs(float(pairing)) * t / 2.0)
-        total += w.sign * c * character_exp(wl - rs.rho_g, m) * radial
+    for sign, base, rate, shifted in _weyl_tables(rs, lam).full():
+        c = -base if flip else base
+        radial = math.exp(-rate * t / 2.0)
+        total += sign * c * character_exp(shifted, m) * radial
     return 0.5 * total
 
 
 def central_character(rs: RootSystem, lam: HCParameter, z: TorusElement) -> complex:
     """zeta_lam(z) = e^{lam - rho_g}(z) on the unit circle; z must be central."""
     for r in rs.positive_roots():
-        if not _is_one(r, z):
+        if not _is_one(_dot(r.coords, z.angles)):
             raise ValueError("element is not central: a root is nontrivial on it")
     return character_exp(lam.lam - rs.rho_g, z)

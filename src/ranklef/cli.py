@@ -30,8 +30,8 @@ EXIT_NONINTEGRAL = 3
 
 # Largest Hecke level n the SL(2,Z) commands accept.  The cost grows about
 # linearly in n, driven by the roughly 9n elliptic classes the assembler sums
-# over: at n = 2000 one compare or preset assembly takes 1-2 s and the
-# weight-12 oracle 0.2 s (Python 3.11, one core of a shared 2-vCPU host).
+# over: at n = 2000 one cold compare or preset assembly takes about 0.4 s and
+# the weight-12 oracle 0.2 s (Python 3.11, one core of a shared 2-vCPU host).
 MAX_SL2Z_LEVEL = 2000
 
 

@@ -26,12 +26,13 @@ from .chars import (
     TorusElement,
     central_character,
     character_exp,
+    compact_orbit,
     elliptic_orbital_term,
     formal_degree,
     hc_parameter,
     omega,
 )
-from .rootsys import Regularity, RootSystem, Weight, inner, weyl_group
+from .rootsys import Regularity, RootSystem, Weight, inner
 
 CENTRAL_CHARACTER_TOL = 1e-9
 DEFAULT_INTEGRALITY_TOL = 1e-6
@@ -154,8 +155,7 @@ def parabolic_I_term(
             + entry.c_eta_minus * entry.C_eta_minus
         )
         wsum = 0.0 + 0.0j
-        for w in weyl_group(rs, "compact"):
-            wl = w.apply(lam.lam)
+        for _, wl in compact_orbit(rs, lam):
             term = 1.0 + 0.0j
             if half_dim:
                 z = complex(sum(float(c) * p for c, p in zip(wl.coords, entry.z0_pairing)))
@@ -195,6 +195,23 @@ def residue_term(geom: GeometricData) -> complex:
     return -0.5 * complex(geom.residue_scalar)
 
 
+def _check_torus_dims(rs: RootSystem, geom: GeometricData) -> None:
+    """Every torus element must have one angle per coordinate of t."""
+    sections = (
+        ("central_classes", "z", [c.z.angles for c in geom.central_classes]),
+        ("elliptic_classes", "rep", [c.rep.angles for c in geom.elliptic_classes]),
+        ("parabolic_I", "eta_torus", [p.eta_torus.angles for p in geom.parabolic_I]),
+        ("parabolic_II", "eta_H.compact_angles", [p.eta_H.compact_angles for p in geom.parabolic_II]),
+    )
+    for section, field, elements in sections:
+        for i, angles in enumerate(elements):
+            if len(angles) != rs.dim:
+                raise ValueError(
+                    f"{section}[{i}].{field} has {len(angles)} angles; "
+                    f"{rs.descriptor.name()} needs dim t = {rs.dim}"
+                )
+
+
 def assemble(
     rs: RootSystem,
     mu: Weight,
@@ -207,6 +224,7 @@ def assemble(
     Singular branch: elliptic + parabolic I + residue; the central and
     weighted terms vanish identically there and are pinned to zero.
     """
+    _check_torus_dims(rs, geom)
     lam = hc_parameter(rs, mu)
     ell = elliptic_term(rs, lam, geom)
     p1 = parabolic_I_term(rs, lam, geom, interpretation)

@@ -95,12 +95,18 @@ class WeylElement:
     sign: int
 
     def apply(self, w: Weight) -> Weight:
-        return Weight(
-            tuple(
-                sum(row[j] * w.coords[j] for j in range(len(w.coords)))
-                for row in self.matrix
-            )
-        )
+        # Every supported Weyl matrix is a signed permutation: skipping the
+        # zero entries leaves one exact term per coordinate.
+        coords = w.coords
+        out = []
+        for row in self.matrix:
+            acc = None
+            for x, c in zip(row, coords):
+                if x:
+                    term = c if x == 1 else x * c
+                    acc = term if acc is None else acc + term
+            out.append(0 if acc is None else acc)
+        return Weight(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -276,18 +282,30 @@ def build_root_system(desc: GroupDescriptor) -> RootSystem:
     )
 
 
+def exact_dot(x: Sequence[Fraction | int], y: Sequence[Fraction | int]) -> Fraction:
+    """Exact coordinate dot product, summed in integers and reduced once."""
+    num, den = 0, 1
+    for a, b in zip(x, y):
+        n = a.numerator * b.numerator
+        if n:
+            d = a.denominator * b.denominator
+            if d == den:
+                num += n
+            else:
+                num, den = num * d + n * den, den * d
+    return Fraction(num, den)
+
+
 def _coroot_pairing_raw(x: Vector, alpha: Vector) -> Fraction:
     # 2<x,a>/<a,a> is independent of the form scale, so the plain dot works.
-    num = sum(a * b for a, b in zip(x, alpha))
-    den = sum(a * a for a in alpha)
-    return 2 * num / den
+    return 2 * exact_dot(x, alpha) / exact_dot(alpha, alpha)
 
 
 def inner(rs: RootSystem, a: Weight, b: Weight) -> Fraction:
     """Invariant pairing on it*, normalized so the short root has norm^2 = 2."""
     if len(a.coords) != len(b.coords) or len(a.coords) != rs.dim:
         raise ValueError("dimension mismatch")
-    return rs.form_scale * sum(x * y for x, y in zip(a.coords, b.coords))
+    return rs.form_scale * exact_dot(a.coords, b.coords)
 
 
 def coroot_pairing(rs: RootSystem, mu: Weight, alpha: Root | Weight) -> Fraction:
@@ -351,10 +369,17 @@ def _reflection_matrix(rs: RootSystem, alpha: Root) -> Matrix:
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    # Row i of the product combines the rows of b that row i of a selects;
+    # for a signed permutation that is a single row of b, kept or negated.
+    out = []
+    for row in a:
+        acc = None
+        for x, brow in zip(row, b):
+            if x:
+                term = brow if x == 1 else tuple(x * y for y in brow)
+                acc = term if acc is None else tuple(p + q for p, q in zip(acc, term))
+        out.append((0,) * len(b[0]) if acc is None else acc)
+    return tuple(out)
 
 
 def _identity(n: int) -> Matrix:
@@ -377,24 +402,27 @@ def simple_roots(rs: RootSystem, compact_only: bool = False) -> list[Root]:
     return simples
 
 
-@lru_cache(maxsize=None)
-def _weyl_group_cached(rs: RootSystem, sub: str) -> tuple[WeylElement, ...]:
-    gens = [
-        (_reflection_matrix(rs, r), -1)
-        for r in simple_roots(rs, compact_only=(sub == "compact"))
-    ]
+def reflection_closure(rs: RootSystem, roots: Iterable[Root]) -> dict[Matrix, int]:
+    """The group generated by the reflections in ``roots``, as matrix -> det."""
+    gens = [_reflection_matrix(rs, r) for r in roots]
     ident = _identity(rs.dim)
     seen: dict[Matrix, int] = {ident: 1}
     frontier = [ident]
     while frontier:
         new = []
         for m in frontier:
-            for g, gs in gens:
+            for g in gens:
                 prod = _mat_mul(g, m)
                 if prod not in seen:
-                    seen[prod] = gs * seen[m]
+                    seen[prod] = -seen[m]
                     new.append(prod)
         frontier = new
+    return seen
+
+
+@lru_cache(maxsize=None)
+def _weyl_group_cached(rs: RootSystem, sub: str) -> tuple[WeylElement, ...]:
+    seen = reflection_closure(rs, simple_roots(rs, compact_only=(sub == "compact")))
     return tuple(WeylElement(m, s) for m, s in sorted(seen.items()))
 
 
@@ -408,18 +436,3 @@ def weyl_group(rs: RootSystem, sub: str = "full") -> list[WeylElement]:
     if sub not in ("full", "compact"):
         raise ValueError("sub must be 'full' or 'compact'")
     return list(_weyl_group_cached(rs, sub))
-
-
-def weyl_vector_pairing_one(rs: RootSystem) -> bool:
-    """Check <rho_g, alpha_v> = 1 on every simple root (used in tests)."""
-    return all(
-        coroot_pairing(rs, rs.rho_g, a) == 1 for a in simple_roots(rs)
-    )
-
-
-SUPPORTED_NAMES: Sequence[str] = (
-    "sl2r",
-    "su(n,1)",
-    "so(2n,1)",
-    "sp(n,1)",
-)

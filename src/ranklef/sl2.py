@@ -100,7 +100,6 @@ class ClassKind(str, Enum):
     CENTRAL = "central"
     ELLIPTIC = "elliptic"
     HYPERBOLIC = "hyperbolic"
-    PARABOLIC_SS = "parabolic_ss"
     PARABOLIC_NSS = "parabolic_nss"
 
 
@@ -146,9 +145,8 @@ def classify_element(m: IntegerMatrix) -> ClassTag:
 
     Scalar matrices are central; otherwise the discriminant tr^2 - 4n
     decides elliptic (< 0) versus hyperbolic (> 0), and the remaining
-    tr^2 = 4n case is a nontrivial unipotent part (parabolic_nss).  A
-    semisimple element with tr^2 = 4n would be scalar, so the parabolic_ss
-    tag is reserved for schema completeness.
+    tr^2 = 4n case is a nontrivial unipotent part (parabolic_nss): a
+    semisimple element with tr^2 = 4n would be scalar.
     """
     n = m.det
     if n <= 0:
@@ -184,7 +182,8 @@ def hurwitz_class_number(N: int) -> Fraction:
     sixths = 0
     a = 1
     while 3 * a * a <= N:
-        for b in range(-a, a + 1):
+        # b^2 + N = 4ac forces b = N (mod 2)
+        for b in range(-a + (a + N) % 2, a + 1, 2):
             rem = b * b + N
             if rem % (4 * a) != 0:
                 continue

@@ -188,3 +188,70 @@ def test_assemble_singular_weight_from_geometry_file(capsys, tmp_path):
         ["lefschetz", "assemble", "--group", "sl2r", "--mu", "0,0", "--geom", str(path)],
     )
     assert code == 1 and "residue" in err
+
+
+def _geometry_file(tmp_path, dim, override=None):
+    """A regular-branch geometry file with one entry per section; ``override``
+    maps a dotted path such as ``elliptic_classes.0.rep`` to a new value."""
+    zero = [[0, 1]] * dim
+    geom = {
+        "total_vol": 1.0,
+        "central_classes": [{"tag": "e", "z": zero}],
+        "elliptic_classes": [{"rep": [[1, 3], [-1, 3]] + [[0, 1]] * (dim - 2), "vol_quotient": 0.5}],
+        "parabolic_I": [
+            {
+                "delta_flag": True,
+                "c_eta_plus": 1.0,
+                "c_eta_minus": -1.0,
+                "C_eta_plus": 0.5,
+                "C_eta_minus": 0.25,
+                "dim_n_eta1": 0,
+                "eta_torus": zero,
+            }
+        ],
+        "parabolic_II": [
+            {
+                "vol_M": 1.0,
+                "det_Ad_n": 1.0,
+                "coset_index": 1,
+                "eta_H": {"compact_angles": zero, "log_a": 0.5, "chamber": "H_plus"},
+            }
+        ],
+        "residue_scalar": {"re": 1.0, "im": 0.0},
+        "calibration": 1.0,
+    }
+    for path, value in (override or {}).items():
+        *parents, last = [int(p) if p.isdigit() else p for p in path.split(".")]
+        entry = geom
+        for p in parents:
+            entry = entry[p]
+        entry[last] = value
+    path = tmp_path / "geom.json"
+    path.write_text(json.dumps(geom))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "group, mu, dim",
+    [("sl2r", "5,-5", 2), ("su(2,1)", "1/2,1/2,-1", 3)],
+)
+@pytest.mark.parametrize(
+    "field",
+    [
+        "central_classes.0.z",
+        "elliptic_classes.0.rep",
+        "parabolic_I.0.eta_torus",
+        "parabolic_II.0.eta_H.compact_angles",
+    ],
+)
+def test_assemble_rejects_torus_element_of_wrong_dimension(capsys, tmp_path, group, mu, dim, field):
+    argv = ["lefschetz", "assemble", "--group", group, "--mu", mu]
+    code, _, _ = run(capsys, argv + ["--geom", _geometry_file(tmp_path, dim)])
+    assert code == 0
+    for angles in ([[1, 3]] * (dim - 1), [[1, 3]] * (dim + 1)):
+        code, out, err = run(capsys, argv + ["--geom", _geometry_file(tmp_path, dim, {field: angles})])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        section, index, rest = field.split(".", 2)
+        assert f"{section}[{index}].{rest} has {len(angles)} angles" in err
+        assert f"dim t = {dim}" in err

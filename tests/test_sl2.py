@@ -256,6 +256,39 @@ def test_hurwitz_small_table():
     assert hurwitz_class_number(5) == 0 and hurwitz_class_number(6) == 0
 
 
+def hurwitz_unfiltered(N):
+    """H(N) with every b in [-a, a] tried: the loop before the parity filter."""
+    if N == 0:
+        return Fraction(-1, 12)
+    if N % 4 in (1, 2):
+        return Fraction(0)
+    sixths = 0
+    a = 1
+    while 3 * a * a <= N:
+        for b in range(-a, a + 1):
+            rem = b * b + N
+            if rem % (4 * a) != 0:
+                continue
+            c = rem // (4 * a)
+            if c < a:
+                continue
+            if b < 0 and (a == c or -b == a):
+                continue
+            if a == b == c:
+                sixths += 2
+            elif a == c and b == 0:
+                sixths += 3
+            else:
+                sixths += 6
+        a += 1
+    return Fraction(sixths, 6)
+
+
+def test_hurwitz_parity_filter_matches_unfiltered_loop():
+    for N in range(4000):
+        assert hurwitz_class_number(N) == hurwitz_unfiltered(N), N
+
+
 def test_elliptic_classes_golden_n1():
     got = elliptic_classes(1)
     assert got == (
