@@ -84,9 +84,6 @@ class TorusElement:
             return TorusElement((q / 2, -q / 2))
         return TorusElement((q / 2.0, -q / 2.0))
 
-    def is_exact(self) -> bool:
-        return all(isinstance(a, Fraction) for a in self.angles)
-
 
 class Chamber(str, Enum):
     H_PLUS = "H_plus"
@@ -125,21 +122,12 @@ class NoncompactCartanElement:
 @dataclass(frozen=True)
 class CharacterValue:
     value: complex
-    is_regular_point: bool
 
 
 def _dot(coords: Sequence[Fraction], q: Sequence[Angle]) -> Angle:
     if all(type(a) is Fraction for a in q):
         return exact_dot(coords, q)
-    acc: Angle = 0
-    exact = True
-    for c, a in zip(coords, q):
-        if isinstance(a, Fraction):
-            acc += c * a
-        else:
-            exact = False
-            acc = float(acc) + float(c) * a
-    return acc if exact else float(acc)
+    return sum(float(c) * float(a) for c, a in zip(coords, q))
 
 
 def _phase(x: Angle) -> complex:
@@ -255,7 +243,7 @@ def ds_character_Treg(rs: RootSystem, lam: HCParameter, t: TorusElement) -> Char
     num = 0.0 + 0.0j
     for sign, wl in compact_orbit(rs, lam):
         num += sign * character_exp(wl, t)
-    return CharacterValue(value=num / den, is_regular_point=True)
+    return CharacterValue(value=num / den)
 
 
 def elliptic_orbital_term(rs: RootSystem, lam: HCParameter, xi: TorusElement) -> complex:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 # B_2, B_4, ..., B_24
@@ -99,11 +98,6 @@ def digamma(a: float, shift: int = 24) -> float:
     return head + out
 
 
-class HalfSpace(str, Enum):
-    PLUS = "plus"
-    MINUS = "minus"
-
-
 @dataclass(frozen=True)
 class ClassProgression:
     """One family of unipotent classes: weight w, norms {scale * (m + offset)}."""
@@ -122,7 +116,6 @@ class EpsteinSpec:
     classes: tuple[ClassProgression, ...]
     lattice_vol: float
     exponent_base: int
-    sign: HalfSpace = HalfSpace.PLUS
 
     def __post_init__(self) -> None:
         if self.lattice_vol <= 0:
@@ -132,6 +125,8 @@ class EpsteinSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "EpsteinSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"spec must be a JSON object, not {type(data).__name__}")
         classes = []
         for entry in data.get("classes", []):
             weight = float(entry["weight"])
@@ -148,7 +143,6 @@ class EpsteinSpec:
             classes=tuple(classes),
             lattice_vol=float(data.get("lattice_vol", 1.0)),
             exponent_base=int(data["exponent_base"]),
-            sign=HalfSpace(data.get("sign", "plus")),
         )
 
 

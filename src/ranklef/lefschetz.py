@@ -195,21 +195,27 @@ def residue_term(geom: GeometricData) -> complex:
     return -0.5 * complex(geom.residue_scalar)
 
 
-def _check_torus_dims(rs: RootSystem, geom: GeometricData) -> None:
-    """Every torus element must have one angle per coordinate of t."""
-    sections = (
-        ("central_classes", "z", [c.z.angles for c in geom.central_classes]),
-        ("elliptic_classes", "rep", [c.rep.angles for c in geom.elliptic_classes]),
-        ("parabolic_I", "eta_torus", [p.eta_torus.angles for p in geom.parabolic_I]),
-        ("parabolic_II", "eta_H.compact_angles", [p.eta_H.compact_angles for p in geom.parabolic_II]),
-    )
-    for section, field, elements in sections:
-        for i, angles in enumerate(elements):
-            if len(angles) != rs.dim:
-                raise ValueError(
-                    f"{section}[{i}].{field} has {len(angles)} angles; "
-                    f"{rs.descriptor.name()} needs dim t = {rs.dim}"
-                )
+def _check_dims(rs: RootSystem, geom: GeometricData) -> None:
+    """Every torus element must have one angle per coordinate of t, and so
+    must every R+(xi0) root and, when n_{eta,1} is nonzero, the Z0 pairing."""
+    vectors = [(f"central_classes[{i}].z", c.z.angles, "angles") for i, c in enumerate(geom.central_classes)]
+    vectors += [
+        (f"elliptic_classes[{i}].rep", c.rep.angles, "angles") for i, c in enumerate(geom.elliptic_classes)
+    ]
+    for i, p in enumerate(geom.parabolic_I):
+        vectors.append((f"parabolic_I[{i}].eta_torus", p.eta_torus.angles, "angles"))
+        if p.dim_n_eta1 > 0:
+            vectors.append((f"parabolic_I[{i}].Z0_pairing", p.z0_pairing, "entries"))
+        vectors += [(f"parabolic_I[{i}].Rplus_xi0[{j}]", r, "coordinates") for j, r in enumerate(p.Rplus_xi0)]
+    vectors += [
+        (f"parabolic_II[{i}].eta_H.compact_angles", p.eta_H.compact_angles, "angles")
+        for i, p in enumerate(geom.parabolic_II)
+    ]
+    for name, vector, unit in vectors:
+        if len(vector) != rs.dim:
+            raise ValueError(
+                f"{name} has {len(vector)} {unit}; {rs.descriptor.name()} needs dim t = {rs.dim}"
+            )
 
 
 def assemble(
@@ -224,7 +230,7 @@ def assemble(
     Singular branch: elliptic + parabolic I + residue; the central and
     weighted terms vanish identically there and are pinned to zero.
     """
-    _check_torus_dims(rs, geom)
+    _check_dims(rs, geom)
     lam = hc_parameter(rs, mu)
     ell = elliptic_term(rs, lam, geom)
     p1 = parabolic_I_term(rs, lam, geom, interpretation)
@@ -255,7 +261,7 @@ def assemble(
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding of the geometry and the breakdown
+# JSON encoding of the geometry
 
 
 def _angle_to_json(a: Fraction | float) -> Any:
@@ -280,11 +286,8 @@ def _torus_from_json(data: Sequence[Any]) -> TorusElement:
     return TorusElement(tuple(_angle_from_json(a) for a in data))
 
 
-def _complex_to_json(z: complex) -> dict:
-    return {"im": z.imag, "re": z.real}
-
-
 def geometry_to_dict(geom: GeometricData) -> dict:
+    residue = None if geom.residue_scalar is None else complex(geom.residue_scalar)
     return {
         "total_vol": geom.total_vol,
         "central_classes": [
@@ -326,13 +329,15 @@ def geometry_to_dict(geom: GeometricData) -> dict:
             for p in geom.parabolic_II
         ],
         "residue_scalar": (
-            None if geom.residue_scalar is None else _complex_to_json(complex(geom.residue_scalar))
+            None if residue is None else {"im": residue.imag, "re": residue.real}
         ),
         "calibration": geom.calibration,
     }
 
 
 def geometry_from_dict(data: dict) -> GeometricData:
+    if not isinstance(data, dict):
+        raise ValueError(f"geometry must be a JSON object, not {type(data).__name__}")
     central = tuple(
         CentralClass(tag=str(c.get("tag", "")), z=_torus_from_json(c["z"]))
         for c in data.get("central_classes", [])
@@ -392,21 +397,3 @@ def geometry_from_dict(data: dict) -> GeometricData:
 def load_geometry(path: str) -> GeometricData:
     with open(path, "r", encoding="utf-8") as fh:
         return geometry_from_dict(json.load(fh))
-
-
-def breakdown_to_dict(bd: LefschetzBreakdown, provenance: dict | None = None) -> dict:
-    out = {
-        "branch": bd.branch,
-        "central": _complex_to_json(bd.central),
-        "elliptic": _complex_to_json(bd.elliptic),
-        "interpretation": bd.interpretation,
-        "parabolic_I": _complex_to_json(bd.parabolic_I),
-        "parabolic_II": _complex_to_json(bd.parabolic_II),
-        "residue": _complex_to_json(bd.residue),
-        "rounded": bd.rounded,
-        "rounding_defect": bd.rounding_defect,
-        "total": _complex_to_json(bd.total),
-    }
-    if provenance:
-        out["provenance"] = provenance
-    return out

@@ -530,16 +530,3 @@ def compare(k: int, n: int, interpretation: str = "conjugate") -> OracleReport:
         normalization_exponent=label,
         interpretation=interpretation,
     )
-
-
-def oracle_report_to_dict(rep: OracleReport) -> dict:
-    return {
-        "defect": rep.defect,
-        "interpretation": rep.interpretation,
-        "k": rep.k,
-        "lefschetz_value": {"im": rep.lefschetz_value.imag, "re": rep.lefschetz_value.real},
-        "match": rep.match,
-        "n": rep.n,
-        "normalization_exponent": rep.normalization_exponent,
-        "oracle_value": rep.oracle_value,
-    }

@@ -14,7 +14,6 @@ from ranklef.lefschetz import (
     ParabolicIData,
     ParabolicIIData,
     assemble,
-    breakdown_to_dict,
     central_term,
     elliptic_term,
     geometry_from_dict,
@@ -31,6 +30,7 @@ from ranklef.chars import (
     formal_degree,
     hc_parameter,
 )
+from ranklef.cli import json_default
 from ranklef.rootsys import GroupDescriptor, Weight, build_root_system
 
 SL2 = build_root_system(GroupDescriptor.from_name("sl2r"))
@@ -256,8 +256,9 @@ def test_geometry_json_roundtrip():
 
 def test_breakdown_dict_is_stable():
     bd = assemble(SL2, MU12, empty_geom(central_classes=(CentralClass("e", IDENTITY_Z),)))
-    a = json.dumps(breakdown_to_dict(bd, {"source": "unit"}), sort_keys=True)
-    b = json.dumps(breakdown_to_dict(bd, {"source": "unit"}), sort_keys=True)
+    report = {**vars(bd), "provenance": {"source": "unit"}}
+    a = json.dumps(report, default=json_default, sort_keys=True)
+    b = json.dumps(report, default=json_default, sort_keys=True)
     assert a == b
 
 

@@ -101,7 +101,6 @@ def test_character_sl2_frozen_values():
     t = TorusElement.sl2(Fraction(1, 4))
     # e^{11a/2}(t) / (e^{a/2} - e^{-a/2})(t) = e^{11 i pi/4} / (2 i sin(pi/4))
     got = ds_character_Treg(SL2, LAM11, t)
-    assert got.is_regular_point
     assert abs(got.value - (0.5 + 0.5j)) < 1e-12
     got1 = ds_character_Treg(SL2, LAM1, t)
     assert abs(got1.value - (0.5 - 0.5j)) < 1e-12
@@ -114,6 +113,18 @@ def test_character_su21_against_permutation_oracle():
     den = weyl_denominator_T(SU21, t)
     got = ds_character_Treg(SU21, lam, t)
     assert abs(got.value - num / den) < 1e-12
+
+
+def test_mixed_element_evaluates_as_its_float_copy():
+    # one float angle makes the whole evaluation float: each rational angle
+    # enters as float(angle), exactly as in the all-float copy of the element
+    lam = _param(SU21, (3, 1, -4))
+    mixed = TorusElement((Fraction(1, 7), Fraction(1, 5), 0.3))
+    floats = TorusElement(tuple(float(a) for a in mixed.angles))
+    assert ds_character_Treg(SU21, lam, mixed).value == ds_character_Treg(SU21, lam, floats).value
+    assert elliptic_orbital_term(SU21, lam, mixed) == elliptic_orbital_term(SU21, lam, floats)
+    for root in SU21.positive_roots():
+        assert character_exp(root, mixed) == character_exp(root, floats)
 
 
 def test_character_rejects_singular_element():

@@ -1,6 +1,7 @@
 """CLI behaviour: subcommands, exit codes, byte stability."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,29 @@ def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+REPORTS = Path(__file__).parent / "reports"
+
+
+# stdout captured once per subcommand; any change to the report encoding or
+# to its numbers shows up here
+PINNED_REPORTS = {
+    "rootsys-show-sl2r.json": ["rootsys", "show", "sl2r"],
+    "sl2-compare-k12-n2.json": ["sl2", "compare", "--k", "12", "--n", "2"],
+    "sl2-oracle-k12-n2.json": ["sl2", "oracle", "--k", "12", "--n", "2"],
+    "lefschetz-assemble-sl2z-k12-n2.json": [
+        "lefschetz", "assemble", "--preset", "sl2z", "--k", "12", "--n", "2"
+    ],
+    "epstein-const.json": ["epstein", "const", "--spec", str(REPORTS / "epstein-spec.json")],
+}
+
+
+@pytest.mark.parametrize("expected", PINNED_REPORTS)
+def test_report_bytes_are_pinned(capsys, expected):
+    code, out, err = run(capsys, PINNED_REPORTS[expected])
+    assert code == 0 and err == ""
+    assert out == (REPORTS / expected).read_text(encoding="utf-8")
 
 
 def test_rootsys_show(capsys):
@@ -255,3 +279,44 @@ def test_assemble_rejects_torus_element_of_wrong_dimension(capsys, tmp_path, gro
         section, index, rest = field.split(".", 2)
         assert f"{section}[{index}].{rest} has {len(angles)} angles" in err
         assert f"dim t = {dim}" in err
+
+
+@pytest.mark.parametrize(
+    "group, mu, dim",
+    [("sl2r", "5,-5", 2), ("su(2,1)", "1/2,1/2,-1", 3)],
+)
+@pytest.mark.parametrize("field, unit", [("Z0_pairing", "entries"), ("Rplus_xi0.0", "coordinates")])
+def test_assemble_rejects_parabolic_I_vector_of_wrong_dimension(capsys, tmp_path, group, mu, dim, field, unit):
+    # with n_{eta,1} > 0 the Z0 pairing enters the term, so it needs dim t entries
+    base = {
+        "parabolic_I.0.dim_n_eta1": 2,
+        "parabolic_I.0.Z0_pairing": [0.5] * dim,
+        "parabolic_I.0.Rplus_xi0": [[1] * dim],
+    }
+    argv = ["lefschetz", "assemble", "--group", group, "--mu", mu]
+    code, _, err = run(capsys, argv + ["--geom", _geometry_file(tmp_path, dim, base)])
+    assert code == 0, err
+    for length in (dim - 1, dim + 1):
+        bad = {**base, f"parabolic_I.0.{field}": [1] * length}
+        code, out, err = run(capsys, argv + ["--geom", _geometry_file(tmp_path, dim, bad)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"parabolic_I[0].{field.replace('.0', '[0]')} has {length} {unit}" in err
+        assert f"dim t = {dim}" in err
+
+
+@pytest.mark.parametrize("value", [[], [1, 2], "geometry", 3, None])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lefschetz", "assemble", "--group", "sl2r", "--k", "12", "--geom"],
+        ["epstein", "const", "--spec"],
+    ],
+    ids=["assemble", "epstein"],
+)
+def test_top_level_json_that_is_not_an_object_exits_one(capsys, tmp_path, argv, value):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(value))
+    code, out, err = run(capsys, argv + [str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "JSON object" in err
