@@ -25,15 +25,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .rootsys import (
-    Matrix,
     Regularity,
     Root,
     RootKind,
     RootSystem,
     Weight,
     WeightClass,
-    _mat_mul,
     classify_weight,
+    compose,
     coroot_pairing,
     exact_dot,
     inner,
@@ -193,12 +192,13 @@ class _WeylTables:
             rs = self.rs
             roots = [self.positive[i] for i in fixed]
             subgroup = reflection_closure(rs, [r for r in roots if r.kind is RootKind.COMPACT])
-            covered: set[Matrix] = set()
+            covered = set()
             table = []
             for w, (sign, wl) in zip(self.compact_group, self.compact):
-                if w.matrix in covered:
+                key = (w.perm, w.signs)
+                if key in covered:
                     continue
-                covered.update(_mat_mul(w.matrix, h) for h in subgroup)
+                covered.update(compose(key, h) for h in subgroup)
                 coeff = complex(sign)
                 for r in roots:
                     coeff *= float(inner(rs, wl, Weight(r.coords)))

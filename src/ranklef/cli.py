@@ -1,7 +1,8 @@
 """Command-line interface: JSON in, JSON out, human summary on stdout.
 
 Exit codes: 0 success, 1 validation error, 2 oracle mismatch (compare only),
-3 non-integral total where integrality is contracted.
+3 non-integral total where integrality is contracted.  Every malformed input
+exits 1 with one ``error:`` line on stderr, and every report is strict JSON.
 """
 
 from __future__ import annotations
@@ -59,7 +60,10 @@ def json_default(obj):
 
 
 def _emit(report, out_path: str | None) -> None:
-    text = json.dumps(report, default=json_default, sort_keys=True, indent=2)
+    try:
+        text = json.dumps(report, default=json_default, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
+        raise CliError(f"the report holds a number that is not finite: {exc}") from exc
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -128,7 +132,7 @@ def _cmd_assemble(args) -> int:
         rs = build_root_system(GroupDescriptor.from_name(args.group))
         try:
             geom = lef.load_geometry(args.geom)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise CliError(f"cannot read geometry file: {exc}") from exc
         source = {"file": args.geom}
     mu = _resolve_mu(args, rs)
@@ -176,7 +180,7 @@ def _cmd_epstein_const(args) -> int:
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = EpsteinSpec.from_dict(json.load(fh))
         lc = zeta_constant_terms(spec)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"bad Epstein spec: {exc}") from exc
     _emit(lc, args.out)
     return EXIT_OK
@@ -243,6 +247,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ArithmeticError as exc:
+        # A finite input so large or small that a float overflows, or
+        # underflows into a division by zero, part-way through a computation.
+        print(f"error: out of floating-point range: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .jsonin import Fields
+
 # B_2, B_4, ..., B_24
 _BERNOULLI = (
     Fraction(1, 6),
@@ -107,8 +109,8 @@ class ClassProgression:
     offset: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.weight <= 0 or self.scale <= 0 or self.offset <= 0:
-            raise ValueError("progression data must be positive")
+        if not all(0 < x < math.inf for x in (self.weight, self.scale, self.offset)):
+            raise ValueError("progression data must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -118,31 +120,31 @@ class EpsteinSpec:
     exponent_base: int
 
     def __post_init__(self) -> None:
-        if self.lattice_vol <= 0:
-            raise ValueError("lattice_vol must be positive")
+        if not 0 < self.lattice_vol < math.inf:
+            raise ValueError("lattice_vol must be finite and positive")
         if self.exponent_base < 1:
             raise ValueError("exponent_base must be a positive integer")
 
     @staticmethod
     def from_dict(data: dict) -> "EpsteinSpec":
-        if not isinstance(data, dict):
-            raise ValueError(f"spec must be a JSON object, not {type(data).__name__}")
+        """The spec of a decoded JSON file.  A value of the wrong type or range
+        raises ValueError naming it, e.g. ``classes[0].scale``."""
+        top = Fields(data, "", what="spec")
         classes = []
-        for entry in data.get("classes", []):
-            weight = float(entry["weight"])
-            if "scale" in entry:
-                classes.append(
-                    ClassProgression(weight, float(entry["scale"]), float(entry.get("offset", 1.0)))
-                )
-            elif "norm" in entry:
+        for entry in top.entries("classes"):
+            weight = entry.number("weight", positive=True)
+            if "scale" in entry.value:
+                scale = entry.number("scale", positive=True)
+                classes.append(ClassProgression(weight, scale, entry.number("offset", 1.0, positive=True)))
+            elif "norm" in entry.value:
                 # Shorthand: seed norm c stands for the progression {c(m+1)}.
-                classes.append(ClassProgression(weight, float(entry["norm"]), 1.0))
+                classes.append(ClassProgression(weight, entry.number("norm", positive=True), 1.0))
             else:
-                raise ValueError("class entry needs 'scale' (+'offset') or 'norm'")
+                raise ValueError(f"{entry.name} needs 'scale' (+'offset') or 'norm'")
         return EpsteinSpec(
             classes=tuple(classes),
-            lattice_vol=float(data.get("lattice_vol", 1.0)),
-            exponent_base=int(data["exponent_base"]),
+            lattice_vol=top.number("lattice_vol", 1.0, positive=True),
+            exponent_base=top.integer("exponent_base", minimum=1),
         )
 
 

@@ -13,11 +13,11 @@ frozen once on the weight-12 index datum of the SL(2,Z) preset.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
 
 from .chars import (
     Chamber,
@@ -32,6 +32,7 @@ from .chars import (
     hc_parameter,
     omega,
 )
+from .jsonin import Fields, angles, number
 from .rootsys import Regularity, RootSystem, Weight, inner
 
 CENTRAL_CHARACTER_TOL = 1e-9
@@ -245,6 +246,8 @@ def assemble(
         res = residue_term(geom)
         branch = "singular"
     total = cen + ell + p1 + p2 + res
+    if not cmath.isfinite(total):
+        raise ValueError(f"the total {total} is not finite")
     rounded = round(total.real)
     return LefschetzBreakdown(
         central=complex(cen),
@@ -261,136 +264,68 @@ def assemble(
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding of the geometry
-
-
-def _angle_to_json(a: Fraction | float) -> Any:
-    if isinstance(a, Fraction):
-        return [a.numerator, a.denominator]
-    return float(a)
-
-
-def _angle_from_json(a: Any) -> Fraction | float:
-    if isinstance(a, (list, tuple)):
-        return Fraction(int(a[0]), int(a[1]))
-    if isinstance(a, str):
-        return Fraction(a)
-    return float(a)
-
-
-def _torus_to_json(t: TorusElement) -> list:
-    return [_angle_to_json(a) for a in t.angles]
-
-
-def _torus_from_json(data: Sequence[Any]) -> TorusElement:
-    return TorusElement(tuple(_angle_from_json(a) for a in data))
-
-
-def geometry_to_dict(geom: GeometricData) -> dict:
-    residue = None if geom.residue_scalar is None else complex(geom.residue_scalar)
-    return {
-        "total_vol": geom.total_vol,
-        "central_classes": [
-            {"tag": c.tag, "z": _torus_to_json(c.z)} for c in geom.central_classes
-        ],
-        "elliptic_classes": [
-            {
-                "rep": _torus_to_json(c.rep),
-                "vol_quotient": c.vol_quotient,
-                "d_xi": c.d_xi,
-            }
-            for c in geom.elliptic_classes
-        ],
-        "parabolic_I": [
-            {
-                "delta_flag": p.delta_flag,
-                "c_eta_plus": p.c_eta_plus,
-                "c_eta_minus": p.c_eta_minus,
-                "C_eta_plus": p.C_eta_plus,
-                "C_eta_minus": p.C_eta_minus,
-                "dim_n_eta1": p.dim_n_eta1,
-                "eta_torus": _torus_to_json(p.eta_torus),
-                "Rplus_xi0": [[_angle_to_json(c) for c in coords] for coords in p.Rplus_xi0],
-                "Z0_pairing": list(p.z0_pairing),
-            }
-            for p in geom.parabolic_I
-        ],
-        "parabolic_II": [
-            {
-                "vol_M": p.vol_M,
-                "det_Ad_n": p.det_Ad_n,
-                "coset_index": p.coset_index,
-                "eta_H": {
-                    "compact_angles": _torus_to_json(TorusElement(p.eta_H.compact_angles)),
-                    "log_a": p.eta_H.log_a,
-                    "chamber": p.eta_H.chamber.value,
-                },
-            }
-            for p in geom.parabolic_II
-        ],
-        "residue_scalar": (
-            None if residue is None else {"im": residue.imag, "re": residue.real}
-        ),
-        "calibration": geom.calibration,
-    }
+# Reading a geometry file
 
 
 def geometry_from_dict(data: dict) -> GeometricData:
-    if not isinstance(data, dict):
-        raise ValueError(f"geometry must be a JSON object, not {type(data).__name__}")
+    """The geometry of a decoded JSON file.  A value of the wrong type or
+    range raises ValueError naming it, e.g. ``elliptic_classes[0].d_xi``."""
+    top = Fields(data, "", what="geometry")
     central = tuple(
-        CentralClass(tag=str(c.get("tag", "")), z=_torus_from_json(c["z"]))
-        for c in data.get("central_classes", [])
+        CentralClass(tag=c.string("tag", ""), z=TorusElement(c.angles("z")))
+        for c in top.entries("central_classes")
     )
     elliptic = tuple(
         EllipticClass(
-            rep=_torus_from_json(c["rep"]),
-            vol_quotient=float(c["vol_quotient"]),
-            d_xi=float(c.get("d_xi", 1.0)),
+            rep=TorusElement(c.angles("rep")),
+            vol_quotient=c.number("vol_quotient", positive=True),
+            d_xi=c.number("d_xi", 1.0, positive=True),
         )
-        for c in data.get("elliptic_classes", [])
+        for c in top.entries("elliptic_classes")
     )
     para1 = tuple(
         ParabolicIData(
-            delta_flag=bool(p["delta_flag"]),
-            c_eta_plus=float(p.get("c_eta_plus", 0.0)),
-            c_eta_minus=float(p.get("c_eta_minus", 0.0)),
-            C_eta_plus=float(p.get("C_eta_plus", 0.0)),
-            C_eta_minus=float(p.get("C_eta_minus", 0.0)),
-            dim_n_eta1=int(p.get("dim_n_eta1", 0)),
-            eta_torus=_torus_from_json(p["eta_torus"]),
-            Rplus_xi0=tuple(
-                tuple(Fraction(_angle_from_json(c)) for c in coords)
-                for coords in p.get("Rplus_xi0", [])
-            ),
-            z0_pairing=tuple(float(x) for x in p.get("Z0_pairing", [])),
+            delta_flag=p.boolean("delta_flag"),
+            c_eta_plus=p.number("c_eta_plus", 0.0),
+            c_eta_minus=p.number("c_eta_minus", 0.0),
+            C_eta_plus=p.number("C_eta_plus", 0.0),
+            C_eta_minus=p.number("C_eta_minus", 0.0),
+            dim_n_eta1=p.integer("dim_n_eta1", 0, minimum=0),
+            eta_torus=TorusElement(p.angles("eta_torus")),
+            Rplus_xi0=tuple(tuple(Fraction(a) for a in angles(r, name)) for r, name in p.items("Rplus_xi0")),
+            z0_pairing=tuple(number(x, name) for x, name in p.items("Z0_pairing")),
         )
-        for p in data.get("parabolic_I", [])
+        for p in top.entries("parabolic_I")
     )
-    para2 = tuple(
-        ParabolicIIData(
-            vol_M=float(p["vol_M"]),
-            det_Ad_n=float(p["det_Ad_n"]),
-            coset_index=int(p["coset_index"]),
-            eta_H=NoncompactCartanElement(
-                compact_angles=_torus_from_json(p["eta_H"]["compact_angles"]).angles,
-                log_a=float(p["eta_H"]["log_a"]),
-                chamber=Chamber(p["eta_H"]["chamber"]),
-            ),
+    para2 = []
+    for p in top.entries("parabolic_II"):
+        eta = p.fields("eta_H")
+        compact_angles, log_a = eta.angles("compact_angles"), eta.number("log_a")
+        chamber = Chamber(eta.string("chamber", choices=tuple(c.value for c in Chamber)))
+        try:
+            eta_H = NoncompactCartanElement(compact_angles, log_a, chamber)
+        except ValueError as exc:  # log_a on the wrong side of 0 for the chamber
+            raise ValueError(f"{eta.name}: {exc}") from None
+        para2.append(
+            ParabolicIIData(
+                vol_M=p.number("vol_M", positive=True),
+                det_Ad_n=p.number("det_Ad_n", positive=True),
+                coset_index=p.integer("coset_index", minimum=1),
+                eta_H=eta_H,
+            )
         )
-        for p in data.get("parabolic_II", [])
-    )
-    residue = data.get("residue_scalar")
-    if residue is not None:
-        residue = complex(float(residue["re"]), float(residue["im"]))
+    residue = None
+    if top.get("residue_scalar", None) is not None:
+        r = top.fields("residue_scalar")
+        residue = complex(r.number("re"), r.number("im"))
     return GeometricData(
-        total_vol=float(data["total_vol"]),
+        total_vol=top.number("total_vol", positive=True),
         central_classes=central,
         elliptic_classes=elliptic,
         parabolic_I=para1,
-        parabolic_II=para2,
+        parabolic_II=tuple(para2),
         residue_scalar=residue,
-        calibration=float(data.get("calibration", 1.0)),
+        calibration=top.number("calibration", 1.0, positive=True),
     )
 
 

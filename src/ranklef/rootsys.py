@@ -22,8 +22,8 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
-# Weyl matrices are signed permutations; entries stay exact (int or Fraction).
-Matrix = tuple[tuple[Fraction | int, ...], ...]
+# A signed permutation (perm, signs): coordinate i of w.x is signs[i] * x[perm[i]].
+SignedPerm = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class Family(str, Enum):
@@ -91,22 +91,16 @@ class Weight:
 
 @dataclass(frozen=True)
 class WeylElement:
-    matrix: Matrix
+    """A Weyl element as the signed permutation it is in every supported
+    family: coordinate i of w.x is ``signs[i] * x[perm[i]]``; ``sign`` is det w."""
+
+    perm: tuple[int, ...]
+    signs: tuple[int, ...]
     sign: int
 
     def apply(self, w: Weight) -> Weight:
-        # Every supported Weyl matrix is a signed permutation: skipping the
-        # zero entries leaves one exact term per coordinate.
-        coords = w.coords
-        out = []
-        for row in self.matrix:
-            acc = None
-            for x, c in zip(row, coords):
-                if x:
-                    term = c if x == 1 else x * c
-                    acc = term if acc is None else acc + term
-            out.append(0 if acc is None else acc)
-        return Weight(tuple(out))
+        x = w.coords
+        return Weight(tuple(x[j] if s == 1 else -x[j] for j, s in zip(self.perm, self.signs)))
 
 
 @dataclass(frozen=True)
@@ -313,15 +307,6 @@ def coroot_pairing(rs: RootSystem, mu: Weight, alpha: Root | Weight) -> Fraction
     return _coroot_pairing_raw(mu.coords, coords)
 
 
-def is_integral(rs: RootSystem, mu: Weight) -> bool:
-    """Membership test for the weight lattice: all coroot pairings integral."""
-    return all(
-        coroot_pairing(rs, mu, r).denominator == 1
-        for r, p in zip(rs.roots, rs.positive)
-        if p
-    )
-
-
 def classify_weight(rs: RootSystem, mu: Weight) -> WeightClass:
     """Regular/singular split of lambda = mu + rho_k against R+(g,t).
 
@@ -351,39 +336,23 @@ def spinor_dims(rs: RootSystem) -> tuple[int, int]:
     return (half, half)
 
 
-def _as_int(x: Fraction):
-    return x.numerator if x.denominator == 1 else x
-
-
-def _reflection_matrix(rs: RootSystem, alpha: Root) -> Matrix:
+def _reflection(rs: RootSystem, alpha: Root) -> SignedPerm:
+    """s_alpha as a signed permutation: s_alpha(e_i) = e_i - <e_i, alpha_v> alpha
+    is s e_j for every supported family, so coordinate j of s_alpha.x is s x_i."""
     dim = rs.dim
-    cols = []
+    perm, signs = [0] * dim, [0] * dim
     for i in range(dim):
-        e = Weight(_unit(dim, i))
-        c = coroot_pairing(rs, e, alpha)
-        cols.append(tuple(e.coords[j] - c * alpha.coords[j] for j in range(dim)))
-    # cols[i] is the image of e_i; transpose into row-major form.  Entries are
-    # integers for every supported family (signed permutation matrices), so
-    # coerce them for fast exact products.
-    return tuple(tuple(_as_int(cols[j][i]) for j in range(dim)) for i in range(dim))
+        c = _coroot_pairing_raw(_unit(dim, i), alpha.coords)
+        image = [(k == i) - c * a for k, a in enumerate(alpha.coords)]
+        (j,) = [k for k, x in enumerate(image) if x]
+        perm[j], signs[j] = i, int(image[j])
+    return tuple(perm), tuple(signs)
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    # Row i of the product combines the rows of b that row i of a selects;
-    # for a signed permutation that is a single row of b, kept or negated.
-    out = []
-    for row in a:
-        acc = None
-        for x, brow in zip(row, b):
-            if x:
-                term = brow if x == 1 else tuple(x * y for y in brow)
-                acc = term if acc is None else tuple(p + q for p, q in zip(acc, term))
-        out.append((0,) * len(b[0]) if acc is None else acc)
-    return tuple(out)
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def compose(a: SignedPerm, b: SignedPerm) -> SignedPerm:
+    """The signed permutation a.b: apply b, then a."""
+    (pa, sa), (pb, sb) = a, b
+    return tuple(pb[j] for j in pa), tuple(s * sb[j] for j, s in zip(pa, sa))
 
 
 def simple_roots(rs: RootSystem, compact_only: bool = False) -> list[Root]:
@@ -402,17 +371,17 @@ def simple_roots(rs: RootSystem, compact_only: bool = False) -> list[Root]:
     return simples
 
 
-def reflection_closure(rs: RootSystem, roots: Iterable[Root]) -> dict[Matrix, int]:
-    """The group generated by the reflections in ``roots``, as matrix -> det."""
-    gens = [_reflection_matrix(rs, r) for r in roots]
-    ident = _identity(rs.dim)
-    seen: dict[Matrix, int] = {ident: 1}
+def reflection_closure(rs: RootSystem, roots: Iterable[Root]) -> dict[SignedPerm, int]:
+    """The group generated by the reflections in ``roots``, as signed permutation -> det."""
+    gens = [_reflection(rs, r) for r in roots]
+    ident = (tuple(range(rs.dim)), (1,) * rs.dim)
+    seen = {ident: 1}
     frontier = [ident]
     while frontier:
         new = []
         for m in frontier:
             for g in gens:
-                prod = _mat_mul(g, m)
+                prod = compose(g, m)
                 if prod not in seen:
                     seen[prod] = -seen[m]
                     new.append(prod)
@@ -423,7 +392,12 @@ def reflection_closure(rs: RootSystem, roots: Iterable[Root]) -> dict[Matrix, in
 @lru_cache(maxsize=None)
 def _weyl_group_cached(rs: RootSystem, sub: str) -> tuple[WeylElement, ...]:
     seen = reflection_closure(rs, simple_roots(rs, compact_only=(sub == "compact")))
-    return tuple(WeylElement(m, s) for m, s in sorted(seen.items()))
+    # The order of the dense matrices, row by row: a row with entry s in
+    # column j sorts as s * (dim - j).  It fixes the float summation order
+    # downstream and which coset rep comes first.
+    dim = rs.dim
+    order = sorted(seen, key=lambda m: [s * (dim - j) for j, s in zip(*m)])
+    return tuple(WeylElement(perm, signs, seen[perm, signs]) for perm, signs in order)
 
 
 def weyl_group(rs: RootSystem, sub: str = "full") -> list[WeylElement]:
@@ -431,7 +405,8 @@ def weyl_group(rs: RootSystem, sub: str = "full") -> list[WeylElement]:
 
     ``sub`` is "full" for W(g,t) or "compact" for the subgroup generated by
     reflections in compact roots.  Elements come back in a deterministic
-    order (sorted by matrix entries); the closure is cached per root system.
+    order (sorted by the entries of their matrices); the closure is cached
+    per root system.
     """
     if sub not in ("full", "compact"):
         raise ValueError("sub must be 'full' or 'compact'")

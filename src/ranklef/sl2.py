@@ -71,17 +71,6 @@ class IntegerMatrix:
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
-    def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        return IntegerMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def adjugate(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.d, -self.b, -self.c, self.a)
-
     def is_scalar(self) -> bool:
         return self.b == 0 and self.c == 0 and self.a == self.d
 

@@ -21,7 +21,7 @@ from ranklef.chars import (
     weyl_denominator_T,
 )
 from ranklef.epstein import ClassProgression, EpsteinSpec, hurwitz_zeta, zeta_constant_terms
-from ranklef.lefschetz import GeometricData, assemble, geometry_to_dict
+from ranklef.lefschetz import GeometricData, assemble
 from ranklef.rootsys import (
     GroupDescriptor,
     Regularity,
@@ -30,6 +30,7 @@ from ranklef.rootsys import (
     build_root_system,
     inner,
     spinor_dims,
+    simple_roots,
     weyl_group,
 )
 from ranklef.sl2 import (
@@ -41,6 +42,7 @@ from ranklef.sl2 import (
     eichler_selberg,
     lefschetz_sl2z,
 )
+from reference import dense, geometry_to_dict, mat_mul, reflection_matrix
 
 
 def report(num: int, ok: bool, text: str) -> None:
@@ -136,8 +138,6 @@ def test_criterion_4_character_consistency():
 
 def test_criterion_5_root_system_invariants():
     t0 = time.time()
-    from ranklef.rootsys import _mat_mul, _reflection_matrix, simple_roots
-
     names = [
         "su(1,1)", "su(2,1)", "su(3,1)",
         "so(2,1)", "so(4,1)", "so(6,1)",
@@ -147,14 +147,14 @@ def test_criterion_5_root_system_invariants():
         rs = build_root_system(GroupDescriptor.from_name(name))
         assert rs.rho_g == rs.rho_k + rs.rho_p
         group = weyl_group(rs, "full")
-        mats = {w.matrix for w in group}
+        mats = {dense(w) for w in group}
         # closure idempotence: one more generator round adds nothing
-        gens = [_reflection_matrix(rs, r) for r in simple_roots(rs)]
-        for w in group:
+        gens = [reflection_matrix(rs, r) for r in simple_roots(rs)]
+        for m in mats:
             for g in gens:
-                assert _mat_mul(g, w.matrix) in mats
+                assert mat_mul(g, m) in mats
         if len(group) <= 50:  # full multiplication table on the small groups
-            assert {_mat_mul(a.matrix, b.matrix) for a in group for b in group} == mats
+            assert {mat_mul(a, b) for a in mats for b in mats} == mats
         a, b = spinor_dims(rs)
         assert a == b
     elapsed = time.time() - t0

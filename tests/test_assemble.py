@@ -17,7 +17,6 @@ from ranklef.lefschetz import (
     central_term,
     elliptic_term,
     geometry_from_dict,
-    geometry_to_dict,
     parabolic_I_term,
     parabolic_II_term,
     residue_term,
@@ -32,6 +31,7 @@ from ranklef.chars import (
 )
 from ranklef.cli import json_default
 from ranklef.rootsys import GroupDescriptor, Weight, build_root_system
+from reference import geometry_to_dict
 
 SL2 = build_root_system(GroupDescriptor.from_name("sl2r"))
 SP11 = build_root_system(GroupDescriptor.from_name("sp(1,1)"))

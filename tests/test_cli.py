@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from ranklef import cli, sl2
+from reference import geometry_to_dict
 
 
 def run(capsys, argv):
@@ -93,8 +94,6 @@ def test_assemble_requires_one_geometry_source(capsys):
 
 
 def test_assemble_geometry_file(capsys, tmp_path):
-    from ranklef.lefschetz import geometry_to_dict
-
     geom = sl2.build_geom_sl2z(2)
     path = tmp_path / "geom.json"
     path.write_text(json.dumps(geometry_to_dict(geom)))
@@ -320,3 +319,218 @@ def test_top_level_json_that_is_not_an_object_exits_one(capsys, tmp_path, argv, 
     code, out, err = run(capsys, argv + [str(path)])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "JSON object" in err
+
+
+# ---------------------------------------------------------------------------
+# Every malformed leaf: exit 0 or 1, strict JSON or an error line, never a traceback
+
+FUZZ_GEOMETRY = {
+    "total_vol": 1.25,
+    "central_classes": [{"tag": "1", "z": [[0, 1], [0, 1], [0, 1]]}],
+    "elliptic_classes": [
+        {"rep": [[1, 3], [1, 3], [-2, 3]], "vol_quotient": 0.25, "d_xi": 2.0},
+        {"rep": [0.21, 0.47, -0.68], "vol_quotient": 0.5, "d_xi": 1.0},
+    ],
+    "parabolic_I": [
+        {
+            "delta_flag": True,
+            "c_eta_plus": 1.1,
+            "c_eta_minus": -0.7,
+            "C_eta_plus": 0.3,
+            "C_eta_minus": -0.4,
+            "dim_n_eta1": 0,
+            "eta_torus": [[1, 2], [1, 4], [0, 1]],
+            "Rplus_xi0": [],
+            "Z0_pairing": [0.2, -0.5, 0.9],
+        },
+        {
+            "delta_flag": True,
+            "c_eta_plus": 0.6,
+            "c_eta_minus": -1.2,
+            "C_eta_plus": -0.8,
+            "C_eta_minus": 0.5,
+            "dim_n_eta1": 2,
+            "eta_torus": [[1, 3], [2, 3], [1, 6]],
+            "Rplus_xi0": [[[1, 1], [0, 1], [-1, 1]]],
+            "Z0_pairing": [-0.3, 0.7, 0.1],
+        },
+        {
+            "delta_flag": False,
+            "c_eta_plus": 0.9,
+            "c_eta_minus": -0.6,
+            "C_eta_plus": 0.2,
+            "C_eta_minus": -0.9,
+            "dim_n_eta1": 2,
+            "eta_torus": [[3, 4], [0, 1], [5, 6]],
+            "Rplus_xi0": [[[0, 1], [1, 1], [-1, 1]], [[1, 1], [-1, 1], [0, 1]]],
+            "Z0_pairing": [0.4, 0.4, -0.8],
+        },
+    ],
+    "parabolic_II": [
+        {
+            "vol_M": 0.5,
+            "det_Ad_n": 2.0,
+            "coset_index": 3,
+            "eta_H": {"compact_angles": [[0, 1], [1, 2], [1, 2]], "log_a": 0.0, "chamber": "a_equals_1"},
+        },
+        {
+            "vol_M": 0.75,
+            "det_Ad_n": 1.5,
+            "coset_index": 1,
+            "eta_H": {"compact_angles": [[1, 4], [3, 4], [0, 1]], "log_a": 0.7, "chamber": "H_plus"},
+        },
+        {
+            "vol_M": 0.3,
+            "det_Ad_n": 3.0,
+            "coset_index": 2,
+            "eta_H": {"compact_angles": [[1, 6], [5, 6], [1, 3]], "log_a": -0.4, "chamber": "H_minus"},
+        },
+        {
+            "vol_M": 0.9,
+            "det_Ad_n": 0.5,
+            "coset_index": 6,
+            "eta_H": {"compact_angles": [[2, 3], [1, 3], [1, 2]], "log_a": 1.3, "chamber": "H_plus"},
+        },
+    ],
+    "residue_scalar": {"re": 0.8, "im": 0.0},
+    "calibration": 0.4,
+}
+
+FUZZ_SPEC = {
+    "classes": [
+        {"weight": 1.5, "scale": 0.7, "offset": 0.5},
+        {"weight": 0.5, "norm": 2.0},
+    ],
+    "lattice_vol": 1.2,
+    "exponent_base": 1,
+}
+
+DELETED = object()  # the key or list entry is removed instead
+BAD_LEAVES = (None, "x", [], {}, [1], -1, 0, float("nan"), float("inf"), 10**400, DELETED)
+
+
+def _key_paths(value, prefix=()):
+    """Every key path below the top level of a JSON value, parents first."""
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+def _replaced(value, path, leaf):
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    if len(path) == 1 and leaf is DELETED:
+        del copy[path[0]]
+    else:
+        copy[path[0]] = leaf if len(path) == 1 else _replaced(value[path[0]], path[1:], leaf)
+    return copy
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "base, argv",
+    [
+        (FUZZ_GEOMETRY, ["lefschetz", "assemble", "--group", "su(2,1)", "--mu", "1/2,1/2,-1", "--geom"]),
+        (FUZZ_SPEC, ["epstein", "const", "--spec"]),
+    ],
+    ids=["assemble", "epstein"],
+)
+def test_every_bad_leaf_exits_zero_or_one(capsys, tmp_path, base, argv):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(base))
+    code, out, err = run(capsys, argv + [str(path)])
+    assert code == 0 and err == ""
+    _strict_json(out)
+    failures = []
+    for key_path in _key_paths(base):
+        for leaf in BAD_LEAVES:
+            path.write_text(json.dumps(_replaced(base, key_path, leaf)))
+            case = f"{'.'.join(map(str, key_path))} = {'deleted' if leaf is DELETED else repr(leaf)[:10]}"
+            try:
+                code, out, err = run(capsys, argv + [str(path)])
+            except Exception as exc:  # noqa: BLE001 - any escape is the failure under test
+                failures.append(f"{case}: raised {type(exc).__name__}: {exc}")
+                continue
+            if code not in (0, 1):
+                failures.append(f"{case}: exit {code}")
+            elif code == 1 and (out or not err.startswith("error: ") or err.count("\n") != 1):
+                failures.append(f"{case}: exit 1 with stdout {out[:40]!r}, stderr {err[:80]!r}")
+            elif code == 0:
+                try:
+                    _strict_json(out)
+                except ValueError as exc:
+                    failures.append(f"{case}: exit 0 with a report that is not strict JSON: {exc}")
+    assert not failures, f"{len(failures)} failures:\n" + "\n".join(failures[:40])
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("elliptic_classes",), [1], "elliptic_classes[0] must be a JSON object, not a number"),
+        (("elliptic_classes", 0, "vol_quotient"), "1", "elliptic_classes[0].vol_quotient must be a number"),
+        (("elliptic_classes", 0, "d_xi"), 0, "elliptic_classes[0].d_xi must be positive"),
+        (("elliptic_classes", 0, "rep"), [[1], [-1, 3], [0, 1]], "elliptic_classes[0].rep[0] must be a [numerator"),
+        (("central_classes",), [[0, 0]], "central_classes[0] must be a JSON object, not a list"),
+        (("parabolic_II", 0, "eta_H"), 5, "parabolic_II[0].eta_H must be a JSON object, not a number"),
+        (("parabolic_II", 1, "eta_H", "log_a"), -1, "parabolic_II[1].eta_H: chamber H_plus requires log_a > 0"),
+        (("total_vol",), float("inf"), "total_vol must be a finite number"),
+        (("calibration",), float("nan"), "calibration must be a finite number"),
+    ],
+)
+def test_bad_geometry_entry_is_named(capsys, tmp_path, path, value, message):
+    geom = tmp_path / "geom.json"
+    geom.write_text(json.dumps(_replaced(FUZZ_GEOMETRY, path, value)))
+    code, out, err = run(capsys, ["lefschetz", "assemble", "--group", "su(2,1)", "--mu", "1/2,1/2,-1", "--geom", str(geom)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read geometry file: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("lattice_vol",), float("nan"), "lattice_vol must be a finite number"),
+        (("classes", 1, "norm"), -2.0, "classes[1].norm must be positive"),
+        (("exponent_base",), 1.5, "exponent_base must be an integer, not 1.5"),
+    ],
+)
+def test_bad_spec_entry_is_named(capsys, tmp_path, path, value, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_replaced(FUZZ_SPEC, path, value)))
+    code, out, err = run(capsys, ["epstein", "const", "--spec", str(spec)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad Epstein spec: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "base, changes, message",
+    [
+        # finite inputs whose results leave the float range
+        (FUZZ_SPEC, {("lattice_vol",): 1e308, ("classes", 0, "scale"): 1e-300}, "not finite"),
+        (FUZZ_SPEC, {("exponent_base",): 2, ("classes", 0, "offset"): 1e-300}, "floating-point range"),
+        (FUZZ_GEOMETRY, {("total_vol",): 1e308, ("calibration",): 1e308}, "the total (inf"),
+        (
+            FUZZ_GEOMETRY,
+            {("parabolic_I", 1, "dim_n_eta1"): 4000, ("parabolic_I", 1, "Z0_pairing"): [3.0, 1.0, 1.0]},
+            "floating-point range",
+        ),
+    ],
+    ids=["epstein-report", "epstein-hurwitz", "assemble-total", "assemble-parabolic-I"],
+)
+def test_results_out_of_float_range_exit_one(capsys, tmp_path, base, changes, message):
+    for key_path, value in changes.items():
+        base = _replaced(base, key_path, value)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(base))
+    if "total_vol" in base:
+        argv = ["lefschetz", "assemble", "--group", "su(2,1)", "--mu", "1/2,1/2,-1", "--geom", str(path)]
+    else:
+        argv = ["epstein", "const", "--spec", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err

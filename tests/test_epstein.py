@@ -211,6 +211,17 @@ def test_spec_from_dict_progression_and_shorthand():
         EpsteinSpec.from_dict({"classes": [{"weight": 1.0}], "exponent_base": 1})
 
 
+def test_non_finite_spec_data_rejected():
+    nan, inf = float("nan"), float("inf")
+    for bad in (nan, inf):
+        with pytest.raises(ValueError):
+            ClassProgression(weight=bad, scale=1.0)
+        with pytest.raises(ValueError):
+            ClassProgression(weight=1.0, scale=1.0, offset=bad)
+        with pytest.raises(ValueError):
+            EpsteinSpec(classes=(), lattice_vol=bad, exponent_base=1)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ClassProgression(weight=-1.0, scale=1.0)

@@ -24,11 +24,11 @@ from ranklef.rootsys import (
     classify_weight,
     coroot_pairing,
     inner,
-    is_integral,
     simple_roots,
     spinor_dims,
     weyl_group,
 )
+from reference import dense, dense_closure, identity, is_integral, mat_mul, reflection_matrix
 
 ALL_SMALL = [
     "su(1,1)", "su(2,1)", "su(3,1)",
@@ -282,23 +282,21 @@ def test_weyl_orders(name):
 @pytest.mark.parametrize("name", ["su(2,1)", "so(4,1)", "sp(1,1)", "sp(2,1)"])
 def test_weyl_closure_against_all_reflections(name):
     # Brute-force recomputation: closure over reflections in *all* roots.
-    from ranklef.rootsys import _identity, _mat_mul, _reflection_matrix
-
     rs = build_root_system(GroupDescriptor.from_name(name))
-    gens = [_reflection_matrix(rs, r) for r, p in zip(rs.roots, rs.positive) if p]
-    seen = {_identity(rs.dim)}
+    gens = [reflection_matrix(rs, r) for r, p in zip(rs.roots, rs.positive) if p]
+    seen = {identity(rs.dim)}
     frontier = list(seen)
     while frontier:
         new = []
         for m in frontier:
             for g in gens:
-                prod = _mat_mul(g, m)
+                prod = mat_mul(g, m)
                 if prod not in seen:
                     seen.add(prod)
                     new.append(prod)
         frontier = new
     group = weyl_group(rs, "full")
-    assert {w.matrix for w in group} == seen
+    assert {dense(w) for w in group} == seen
 
 
 @pytest.mark.parametrize("name", ["su(2,1)", "sp(1,1)"])
@@ -310,10 +308,8 @@ def test_weyl_elements_permute_roots_and_multiply_signs(name):
         assert {w.apply(Weight(c)).coords for c in coords} == coords
     for w1 in group[:6]:
         for w2 in group[:6]:
-            from ranklef.rootsys import _mat_mul
-
-            prod = _mat_mul(w1.matrix, w2.matrix)
-            match = next(w for w in group if w.matrix == prod)
+            prod = mat_mul(dense(w1), dense(w2))
+            match = next(w for w in group if dense(w) == prod)
             assert match.sign == w1.sign * w2.sign
 
 
@@ -369,11 +365,27 @@ def test_weight_lattice_integrality():
 
 def test_closure_idempotent():
     rs = build_root_system(GroupDescriptor.from_name("so(4,1)"))
-    from ranklef.rootsys import _mat_mul
-
     group = weyl_group(rs, "full")
-    mats = {w.matrix for w in group}
-    assert {_mat_mul(a.matrix, b.matrix) for a in group for b in group} == mats
+    mats = {dense(w) for w in group}
+    assert {mat_mul(a, b) for a in mats for b in mats} == mats
+
+
+WEYL_GROUPS = [
+    "sl2r", "su(2,1)", "su(3,1)", "su(4,1)",
+    "so(2,1)", "so(4,1)", "so(6,1)", "so(8,1)",
+    "sp(1,1)", "sp(2,1)", "sp(3,1)",
+]
+
+
+@pytest.mark.parametrize("sub", ["full", "compact"])
+@pytest.mark.parametrize("name", WEYL_GROUPS)
+def test_weyl_group_order_is_the_dense_order(name, sub):
+    # Downstream float sums and the first-in-W_k coset reps follow this order,
+    # which is the sort order of the dense matrices; the signs are the dets.
+    rs = build_root_system(GroupDescriptor.from_name(name))
+    group = weyl_group(rs, sub)
+    reference = dense_closure(rs, simple_roots(rs, compact_only=(sub == "compact")))
+    assert [(dense(w), w.sign) for w in group] == sorted(reference.items())
 
 
 def test_regularity_stable_on_dominance_preserving_orbit():

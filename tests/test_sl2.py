@@ -6,7 +6,6 @@ from functools import lru_cache
 
 import pytest
 
-from ranklef.lefschetz import geometry_to_dict
 from ranklef.chars import Chamber
 from ranklef.sl2 import (
     ClassKind,
@@ -25,6 +24,7 @@ from ranklef.sl2 import (
     lefschetz_sl2z,
     trace_polynomial,
 )
+from reference import adjugate, geometry_to_dict, int_mat_mul
 
 
 def sigma(n, k=1):
@@ -41,7 +41,7 @@ def left_equivalent(x, y):
     n = x.det
     if n <= 0 or y.det != n:
         raise ValueError("matrices must share a positive determinant")
-    g = y.mul(x.adjugate())
+    g = int_mat_mul(y, adjugate(x))
     return all(e % n == 0 for e in g.entries())
 
 

@@ -2,11 +2,12 @@
 
 ``elliptic_orbital_term``, ``omega`` and ``parabolic_I_term`` read the Weyl
 orbit of lambda, its signs and the coset reps of each vanishing-root pattern
-from tables built once per HC parameter, and ``WeylElement.apply`` /
-``_mat_mul`` skip zero matrix entries.  The reference below is the earlier
-code, which rebuilt everything per class with dense Fraction products: dense
-``apply`` and ``_mat_mul``, ``_compact_subgroup_of`` and ``_coset_reps``, the
-per-class orbital term and the per-w Omega and parabolic-I loops.  Every term
+from tables built once per HC parameter, and Weyl elements act and compose
+as signed permutations.  The reference below is the earlier code, which
+rebuilt everything per class with dense Fraction products: dense ``apply``
+and matrix products (from ``reference``), ``_compact_subgroup_of`` and
+``_coset_reps``, the per-class orbital term and the per-w Omega and
+parabolic-I loops.  Every term
 must agree with it exactly (``==``), not just to a tolerance: each sum runs
 its floating-point operations in the same order.
 """
@@ -39,13 +40,12 @@ from ranklef.rootsys import (
     RootKind,
     Weight,
     WeylElement,
-    _identity,
-    _mat_mul,
-    _reflection_matrix,
     build_root_system,
+    compose,
     simple_roots,
     weyl_group,
 )
+from reference import dense, dense_apply, dense_closure, mat_mul, reflection_matrix
 
 GROUPS = ["sl2r", "su(2,1)", "su(3,1)", "so(6,1)", "so(8,1)", "sp(2,1)", "sp(3,1)"]
 RATIONAL_ANGLES = tuple(
@@ -56,20 +56,6 @@ UNITY_TOL = 1e-9
 
 # ---------------------------------------------------------------------------
 # Reference: the per-class implementation with dense Fraction products
-
-
-def dense_apply(w, weight):
-    return Weight(
-        tuple(
-            sum(row[j] * weight.coords[j] for j in range(len(weight.coords)))
-            for row in w.matrix
-        )
-    )
-
-
-def dense_mat_mul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
 def ref_dot(coords, q):
@@ -117,20 +103,7 @@ def ref_vanishing_roots(rs, t):
 
 
 def ref_compact_subgroup_of(rs, roots):
-    gens = [_reflection_matrix(rs, r) for r in roots if r.kind is RootKind.COMPACT]
-    ident = _identity(rs.dim)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gens:
-                prod = dense_mat_mul(g, m)
-                if prod not in seen:
-                    seen.add(prod)
-                    new.append(prod)
-        frontier = new
-    return seen
+    return set(dense_closure(rs, [r for r in roots if r.kind is RootKind.COMPACT]))
 
 
 def ref_coset_reps(rs, xi):
@@ -138,10 +111,10 @@ def ref_coset_reps(rs, xi):
     subgroup = ref_compact_subgroup_of(rs, fixed)
     reps, covered = [], set()
     for w in weyl_group(rs, "compact"):
-        if w.matrix in covered:
+        if dense(w) in covered:
             continue
         reps.append(w)
-        covered.update(dense_mat_mul(w.matrix, h) for h in subgroup)
+        covered.update(mat_mul(dense(w), h) for h in subgroup)
     return reps, fixed
 
 
@@ -155,7 +128,7 @@ def ref_elliptic_orbital_term(rs, lam, xi):
         den *= 1 - 1 / ref_character_exp(r, xi)
     total = 0.0 + 0.0j
     for w in reps:
-        wl = dense_apply(w, lam.lam)
+        wl = dense_apply(dense(w), lam.lam)
         coeff = complex(w.sign)
         for r in fixed:
             coeff *= float(ref_inner(rs, wl, Weight(r.coords)))
@@ -175,7 +148,7 @@ def ref_omega(rs, lam, h):
     t = abs(h.log_a)
     total = 0.0 + 0.0j
     for w in weyl_group(rs, "full"):
-        wl = dense_apply(w, lam.lam)
+        wl = dense_apply(dense(w), lam.lam)
         c = ref_c_sign(rs, wl, h.chamber)
         if c == 0:
             continue
@@ -202,7 +175,7 @@ def ref_parabolic_I_term(rs, lam, geom, interpretation):
         pref = entry.c_eta_plus * entry.C_eta_plus + entry.c_eta_minus * entry.C_eta_minus
         wsum = 0.0 + 0.0j
         for w in weyl_group(rs, "compact"):
-            wl = dense_apply(w, lam.lam)
+            wl = dense_apply(dense(w), lam.lam)
             term = 1.0 + 0.0j
             if half_dim:
                 z = complex(sum(float(c) * p for c, p in zip(wl.coords, entry.z0_pairing)))
@@ -336,13 +309,15 @@ def test_terms_equal_the_per_class_reference_exactly(name):
 def test_sparse_products_equal_the_dense_ones(name):
     rs = _rs(name)
     group = weyl_group(rs, "full")
-    gens = [_reflection_matrix(rs, r) for r in simple_roots(rs)]
+    by_matrix = {dense(w): w for w in group}
+    gens = [by_matrix[reflection_matrix(rs, r)] for r in simple_roots(rs)]
     weights = [rs.rho_g, Weight(tuple(Fraction(3 * i + 1, i + 2) for i in range(rs.dim)))]
     for i, w in enumerate(group):
         for v in weights:
-            assert w.apply(v) == dense_apply(w, v)
-        for other in gens + [w.matrix, group[(i + 1) % len(group)].matrix]:
-            assert _mat_mul(w.matrix, other) == dense_mat_mul(w.matrix, other)
+            assert w.apply(v) == dense_apply(dense(w), v)
+        for other in gens + [w, group[(i + 1) % len(group)]]:
+            product = compose((w.perm, w.signs), (other.perm, other.signs))
+            assert dense(product) == mat_mul(dense(w), dense(other))
 
 
 # ---------------------------------------------------------------------------
