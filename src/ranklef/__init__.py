@@ -41,11 +41,9 @@ from .lefschetz import (
     residue_term,
 )
 from .sl2 import (
-    HeckeCosetSet,
     IntegerMatrix,
     OracleReport,
     build_geom_sl2z,
-    classify_element,
     compare,
     delta_coeffs,
     dim_cusp_forms,

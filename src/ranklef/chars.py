@@ -32,11 +32,9 @@ from .rootsys import (
     Weight,
     WeightClass,
     classify_weight,
-    compose,
     coroot_pairing,
     exact_dot,
     inner,
-    reflection_closure,
     weyl_group,
 )
 
@@ -75,13 +73,6 @@ class TorusElement:
     """t = exp(2 pi i diag(q)) for a coordinate vector q over the epsilon basis."""
 
     angles: tuple[Angle, ...]
-
-    @staticmethod
-    def sl2(q: Angle) -> "TorusElement":
-        """su(1,1) helper: the element with e^alpha(t) = exp(2 pi i q)."""
-        if isinstance(q, Fraction):
-            return TorusElement((q / 2, -q / 2))
-        return TorusElement((q / 2.0, -q / 2.0))
 
 
 class Chamber(str, Enum):
@@ -175,34 +166,32 @@ class _WeylTables:
         self.rs = rs  # also keeps id(rs), the key in HCParameter._tables, unique
         self.lam = lam
         self.positive = rs.positive_roots()
-        self.compact_group = weyl_group(rs, "compact")
-        self.compact = [(w.sign, w.apply(lam)) for w in self.compact_group]
+        self.compact = [(w.sign, w.apply(lam)) for w in weyl_group(rs, "compact")]
         self._cosets: dict[tuple[int, ...], list[tuple[complex, Weight]]] = {}
         self._full: list[tuple[int, int, float, Weight]] | None = None
 
     def cosets(self, fixed: tuple[int, ...]) -> list[tuple[complex, Weight]]:
-        """Coset reps w of W_k / W_{k_xi} as (det(w) prod_{a in R+(xi)} <w.lam, a>, w.lam).
+        """Coset reps w of W_{k_xi} \\ W_k as (det(w) prod_{a in R+(xi)} <w.lam, a>, w.lam).
 
         ``fixed`` lists the indices into ``positive`` of the roots a with
-        e^a(xi) = 1; W_{k_xi} is generated by the compact ones.  A rep is the
-        first element of its coset in W_k order.
+        e^a(xi) = 1; W_{k_xi} is generated by the compact ones.  lambda is
+        strictly dominant for the compact roots, so each right coset
+        W_{k_xi} w holds exactly one w with <w.lam, a> > 0 for every compact
+        a in R+(xi), and that w is its rep.  The summand is constant on right
+        cosets, so the sum is a class function of xi.
         """
         table = self._cosets.get(fixed)
         if table is None:
             rs = self.rs
             roots = [self.positive[i] for i in fixed]
-            subgroup = reflection_closure(rs, [r for r in roots if r.kind is RootKind.COMPACT])
-            covered = set()
+            compact = [r.coords for r in roots if r.kind is RootKind.COMPACT]
             table = []
-            for w, (sign, wl) in zip(self.compact_group, self.compact):
-                key = (w.perm, w.signs)
-                if key in covered:
-                    continue
-                covered.update(compose(key, h) for h in subgroup)
-                coeff = complex(sign)
-                for r in roots:
-                    coeff *= float(inner(rs, wl, Weight(r.coords)))
-                table.append((coeff, wl))
+            for sign, wl in self.compact:
+                if all(exact_dot(wl.coords, a) > 0 for a in compact):
+                    coeff = complex(sign)
+                    for r in roots:
+                        coeff *= float(inner(rs, wl, Weight(r.coords)))
+                    table.append((coeff, wl))
             self._cosets[fixed] = table
         return table
 
@@ -250,7 +239,7 @@ def elliptic_orbital_term(rs: RootSystem, lam: HCParameter, xi: TorusElement) ->
     """Orbital value of the index kernel at an elliptic element, up to d_xi.
 
     Evaluates
-        (-1)^{dim p / 2} sum_{w in W_k / W_{k_xi}} det(w)
+        (-1)^{dim p / 2} sum_{w in W_{k_xi} \\ W_k} det(w)
             prod_{a in R+(xi)} <w.lam, a>  e^{w.lam}(xi)
           / ( e^{rho_g}(xi) prod_{b in R+ \\ R+(xi)} (1 - e^{-b}(xi)) )
     where R+(xi) collects the positive roots with e^a(xi) = 1.  For regular

@@ -131,7 +131,8 @@ def _cmd_assemble(args) -> int:
             raise CliError("--geom requires --group")
         rs = build_root_system(GroupDescriptor.from_name(args.group))
         try:
-            geom = lef.load_geometry(args.geom)
+            with open(args.geom, "r", encoding="utf-8") as fh:
+                geom = lef.geometry_from_dict(json.load(fh))
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot read geometry file: {exc}") from exc
         source = {"file": args.geom}

@@ -40,20 +40,30 @@ _BERNOULLI = (
 
 EULER_GAMMA = 0.5772156649015328606
 
+# Minimum number of directly summed head terms before the Euler-Maclaurin tail.
+_HEAD_TERMS = 24
+
+# Largest accepted exponent_base, the dimension d of a nilpotent piece.  Every
+# group whose Weyl group can be enumerated has d far below it (dim n is 7 on
+# so(8,1) and 11 on sp(3,1)), and hurwitz_zeta sums about 3d head terms, so a
+# huge d from a spec file would only spend time.
+MAX_EXPONENT_BASE = 100
+
 
 class HurwitzPoleError(ValueError):
     pass
 
 
-def hurwitz_zeta(s: complex, a: float, shift: int = 24) -> complex:
+def hurwitz_zeta(s: complex, a: float) -> complex:
     """Analytic continuation of sum_{m>=0} (m+a)^{-s} by Euler-Maclaurin.
 
-    ``shift`` sets the minimum number of directly summed head terms; the
-    tail beyond m + a is expanded with the Bernoulli corrections, truncated
-    at the smallest term of the asymptotic series.  Right of the imaginary
-    axis the relative error is below 1e-10 throughout |s| <= 10; for deeply
-    negative Re(s) the head/tail cancellation limits double precision to the
-    scale of the largest intermediate, which no shift choice can beat.
+    At least ``_HEAD_TERMS`` head terms are summed directly; the tail beyond
+    m + a is expanded with the Bernoulli corrections, truncated at the
+    smallest term of the asymptotic series.  Right of the imaginary axis the
+    relative error is below 1e-10 throughout |s| <= 10 and on the real axis
+    up to s = MAX_EXPONENT_BASE; for deeply negative Re(s) the head/tail
+    cancellation limits double precision to the scale of the largest
+    intermediate, which no head length can beat.
     """
     if a <= 0:
         raise ValueError("hurwitz_zeta requires a > 0")
@@ -61,7 +71,7 @@ def hurwitz_zeta(s: complex, a: float, shift: int = 24) -> complex:
     if abs(s - 1.0) < 1e-14:
         raise HurwitzPoleError("hurwitz_zeta has a pole at s = 1")
     if s.real >= -0.5:
-        m = max(shift, 3 * int(abs(s)) + 16)
+        m = max(_HEAD_TERMS, 3 * int(abs(s)) + 16)
     else:
         # keep intermediates small; the asymptotic tail is truncated optimally
         m = max(10, int(abs(s.imag)) + 12)
@@ -84,14 +94,14 @@ def hurwitz_zeta(s: complex, a: float, shift: int = 24) -> complex:
     return head + tail
 
 
-def digamma(a: float, shift: int = 24) -> float:
+def digamma(a: float) -> float:
     """psi(a) for a > 0, Euler-Maclaurin with the same Bernoulli table."""
     if a <= 0:
         raise ValueError("digamma requires a > 0")
     head = 0.0
-    for j in range(shift):
+    for j in range(_HEAD_TERMS):
         head -= 1.0 / (a + j)
-    x = a + shift
+    x = a + _HEAD_TERMS
     out = math.log(x) - 0.5 / x
     xp = x * x
     for r, b in enumerate(_BERNOULLI, start=1):
@@ -122,8 +132,8 @@ class EpsteinSpec:
     def __post_init__(self) -> None:
         if not 0 < self.lattice_vol < math.inf:
             raise ValueError("lattice_vol must be finite and positive")
-        if self.exponent_base < 1:
-            raise ValueError("exponent_base must be a positive integer")
+        if not 1 <= self.exponent_base <= MAX_EXPONENT_BASE:
+            raise ValueError(f"exponent_base must be an integer from 1 to {MAX_EXPONENT_BASE}")
 
     @staticmethod
     def from_dict(data: dict) -> "EpsteinSpec":

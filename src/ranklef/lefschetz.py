@@ -14,7 +14,6 @@ frozen once on the weight-12 index datum of the SL(2,Z) preset.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -327,8 +326,3 @@ def geometry_from_dict(data: dict) -> GeometricData:
         residue_scalar=residue,
         calibration=top.number("calibration", 1.0, positive=True),
     )
-
-
-def load_geometry(path: str) -> GeometricData:
-    with open(path, "r", encoding="utf-8") as fh:
-        return geometry_from_dict(json.load(fh))

@@ -394,7 +394,7 @@ def _weyl_group_cached(rs: RootSystem, sub: str) -> tuple[WeylElement, ...]:
     seen = reflection_closure(rs, simple_roots(rs, compact_only=(sub == "compact")))
     # The order of the dense matrices, row by row: a row with entry s in
     # column j sorts as s * (dim - j).  It fixes the float summation order
-    # downstream and which coset rep comes first.
+    # downstream.
     dim = rs.dim
     order = sorted(seen, key=lambda m: [s * (dim - j) for j, s in zip(*m)])
     return tuple(WeylElement(perm, signs, seen[perm, signs]) for perm, signs in order)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -76,30 +75,6 @@ class IntegerMatrix:
 
 
 @dataclass(frozen=True)
-class HeckeCosetSet:
-    n: int
-    reps: tuple[IntegerMatrix, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.reps)
-
-
-class ClassKind(str, Enum):
-    CENTRAL = "central"
-    ELLIPTIC = "elliptic"
-    HYPERBOLIC = "hyperbolic"
-    PARABOLIC_NSS = "parabolic_nss"
-
-
-@dataclass(frozen=True)
-class ClassTag:
-    kind: ClassKind
-    trace: int
-    disc: int
-
-
-@dataclass(frozen=True)
 class OracleReport:
     k: int
     n: int
@@ -111,7 +86,7 @@ class OracleReport:
     interpretation: str
 
 
-def hecke_reps(n: int) -> HeckeCosetSet:
+def hecke_reps(n: int) -> tuple[IntegerMatrix, ...]:
     """Left-coset representatives [[a,b],[0,d]], ad = n, 0 <= b < d.
 
     Deterministic lexicographic order on (a, b).  Pairwise inequivalence
@@ -120,34 +95,12 @@ def hecke_reps(n: int) -> HeckeCosetSet:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    reps = []
-    for a in sorted(d for d in range(1, n + 1) if n % d == 0):
-        d = n // a
-        for b in range(d):
-            reps.append(IntegerMatrix(a, b, 0, d))
-    reps.sort(key=lambda m: (m.a, m.b))
-    return HeckeCosetSet(n=n, reps=tuple(reps))
-
-
-def classify_element(m: IntegerMatrix) -> ClassTag:
-    """Semisimple taxonomy of a determinant-n integer matrix.
-
-    Scalar matrices are central; otherwise the discriminant tr^2 - 4n
-    decides elliptic (< 0) versus hyperbolic (> 0), and the remaining
-    tr^2 = 4n case is a nontrivial unipotent part (parabolic_nss): a
-    semisimple element with tr^2 = 4n would be scalar.
-    """
-    n = m.det
-    if n <= 0:
-        raise ValueError("classification needs det > 0")
-    disc = m.trace * m.trace - 4 * n
-    if m.is_scalar():
-        return ClassTag(ClassKind.CENTRAL, m.trace, disc)
-    if disc < 0:
-        return ClassTag(ClassKind.ELLIPTIC, m.trace, disc)
-    if disc > 0:
-        return ClassTag(ClassKind.HYPERBOLIC, m.trace, disc)
-    return ClassTag(ClassKind.PARABOLIC_NSS, m.trace, disc)
+    return tuple(
+        IntegerMatrix(a, b, 0, n // a)
+        for a in range(1, n + 1)
+        if n % a == 0
+        for b in range(n // a)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +327,6 @@ def _elliptic_rep_angle(t: int, n: int):
     return phi / (2.0 * math.pi)
 
 
-def coset_classification(
-    n: int, extra: tuple[IntegerMatrix, ...] = ()
-) -> dict[str, int]:
-    """Tag census of the Hecke coset representatives (plus injected extras)."""
-    counts: dict[str, int] = {kind.value: 0 for kind in ClassKind}
-    for m in hecke_reps(n).reps + tuple(extra):
-        counts[classify_element(m).kind.value] += 1
-    return counts
-
-
 def _cusp_epstein_constant(n: int) -> float:
     """Laurent constant of the cusp zeta attached to eta = +-sqrt(n) I.
 
@@ -402,21 +345,21 @@ def _cusp_epstein_constant(n: int) -> float:
 def build_geom_sl2z(n: int, extra_class_reps: tuple[IntegerMatrix, ...] = ()) -> GeometricData:
     """Geometric data of the level-1 Hecke set at n, in calibration units.
 
-    Hyperbolic class representatives (enumerated or injected through
-    ``extra_class_reps``) are routed to a discarded bucket and leave the
-    data untouched; injecting central or elliptic extras is rejected since
-    the preset enumerates those itself.
+    The geometry has no slot for hyperbolic or non-semisimple classes, so
+    representatives injected through ``extra_class_reps`` leave the data
+    untouched; injecting central or elliptic extras (scalar, or t^2 < 4 det)
+    is rejected since the preset enumerates those itself.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     for m in extra_class_reps:
-        tag = classify_element(m)
-        if tag.kind in (ClassKind.CENTRAL, ClassKind.ELLIPTIC):
+        if m.det <= 0:
+            raise ValueError("extra class reps need det > 0")
+        if m.is_scalar() or m.trace * m.trace < 4 * m.det:
             raise ValueError(
                 "preset enumerates semisimple classes itself; extras must be "
                 "hyperbolic or non-semisimple"
             )
-        # hyperbolic / parabolic_nss: discarded by construction
 
     central: list[CentralClass] = []
     r = isqrt(n)
@@ -458,7 +401,9 @@ def build_geom_sl2z(n: int, extra_class_reps: tuple[IntegerMatrix, ...] = ()) ->
             )
 
     parabolic_II: list[ParabolicIIData] = []
-    for a in sorted(d for d in range(1, n + 1) if n % d == 0):
+    for a in range(1, n + 1):
+        if n % a:
+            continue
         d = n // a
         log_a = math.log(a / d) if a != d else 0.0
         for angles in ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(-1, 2))):

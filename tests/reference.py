@@ -6,14 +6,19 @@
   multiplied entry by entry, so they share no product or closure code with
   the package.  Integral entries are kept as ints, which multiply far faster
   than Fractions.
+* The elliptic orbital term as a full-W_k average, without coset reps.
 * ``geometry_to_dict``, the inverse of ``lefschetz.geometry_from_dict``.
 * 2x2 integer matrix products and adjugates, and weight-lattice membership.
+* ``torus_sl2``, the su(1,1) torus element with a given root angle.
 """
 
+import cmath
+import functools
+import math
 from fractions import Fraction
 
 from ranklef.chars import TorusElement
-from ranklef.rootsys import Weight, WeylElement, coroot_pairing
+from ranklef.rootsys import RootKind, Weight, WeylElement, coroot_pairing
 from ranklef.sl2 import IntegerMatrix
 
 # ---------------------------------------------------------------------------
@@ -71,6 +76,56 @@ def dense_closure(rs, roots):
                     new.append(prod)
         frontier = new
     return seen
+
+
+# ---------------------------------------------------------------------------
+# Elliptic orbital term as a full-W_k average
+
+_closure = functools.lru_cache(maxsize=None)(dense_closure)
+
+
+@functools.lru_cache(maxsize=None)
+def _compact_orbit(rs, lam):
+    group = _closure(rs, tuple(rs.positive_roots(RootKind.COMPACT)))
+    return [(det, dense_apply(m, lam).coords) for m, det in group.items()]
+
+
+def _dot(x, y):
+    return sum((a * b for a, b in zip(x, y)), Fraction(0))
+
+
+def _phase(x):
+    if isinstance(x, Fraction):
+        x = x % 1
+    return cmath.exp(2j * math.pi * float(x))
+
+
+def full_average_orbital_term(rs, lam, xi):
+    """The elliptic orbital term at a rational xi, summed over all of W_k:
+
+        (-1)^{dim p/2} (1/|W_{k_xi}|) sum_{w in W_k} det(w)
+            prod_{a in R+(xi)} <w.lam, a> e^{w.lam}(xi)
+          / ( e^{rho_g}(xi) prod_{b in R+ \\ R+(xi)} (1 - e^{-b}(xi)) ).
+
+    The summand is constant on right cosets W_{k_xi} w, so this equals the
+    sum over one rep per coset without choosing any.  Both groups are closed
+    from dense reflection matrices.
+    """
+    positive = rs.positive_roots()
+    pairing = {r.coords: _dot(r.coords, xi.angles) for r in positive}
+    fixed = [r for r in positive if pairing[r.coords].denominator == 1]
+    den = _phase(_dot(rs.rho_g.coords, xi.angles))
+    for r in positive:
+        if r not in fixed:
+            den *= 1 - 1 / _phase(pairing[r.coords])
+    subgroup = _closure(rs, tuple(r for r in fixed if r.kind is RootKind.COMPACT))
+    total = 0.0 + 0.0j
+    for det, wl in _compact_orbit(rs, lam.lam):
+        coeff = Fraction(det)
+        for r in fixed:
+            coeff *= rs.form_scale * _dot(wl, r.coords)
+        total += float(coeff) * _phase(_dot(wl, xi.angles))
+    return (-1) ** (rs.dim_p // 2) * total / (len(subgroup) * den)
 
 
 # ---------------------------------------------------------------------------
@@ -160,3 +215,10 @@ def is_integral(rs, mu):
         for r, p in zip(rs.roots, rs.positive)
         if p
     )
+
+
+def torus_sl2(q):
+    """The su(1,1) torus element with e^alpha(t) = exp(2 pi i q)."""
+    if isinstance(q, Fraction):
+        return TorusElement((q / 2, -q / 2))
+    return TorusElement((q / 2.0, -q / 2.0))

@@ -31,7 +31,7 @@ from ranklef.chars import (
 )
 from ranklef.cli import json_default
 from ranklef.rootsys import GroupDescriptor, Weight, build_root_system
-from reference import geometry_to_dict
+from reference import geometry_to_dict, torus_sl2
 
 SL2 = build_root_system(GroupDescriptor.from_name("sl2r"))
 SP11 = build_root_system(GroupDescriptor.from_name("sp(1,1)"))
@@ -72,7 +72,7 @@ def test_central_counts_classes():
 def test_elliptic_empty_and_single_class():
     lam = hc_parameter(SL2, MU12)
     assert elliptic_term(SL2, lam, empty_geom()) == 0
-    rep = TorusElement.sl2(Fraction(1, 4))
+    rep = torus_sl2(Fraction(1, 4))
     geom = empty_geom(elliptic_classes=(EllipticClass(rep, vol_quotient=0.25, d_xi=2.0),))
     theta = ds_character_Treg(SL2, lam, rep).value
     want = 0.25 / 2.0 * (-1) * theta
@@ -195,8 +195,8 @@ def test_assemble_regular_residue_identically_zero():
 
 
 def test_assemble_additive_over_class_lists():
-    rep = TorusElement.sl2(Fraction(1, 4))
-    rep2 = TorusElement.sl2(Fraction(1, 3))
+    rep = torus_sl2(Fraction(1, 4))
+    rep2 = torus_sl2(Fraction(1, 3))
     h = NoncompactCartanElement.from_log_a((Fraction(0), Fraction(0)), math.log(2.0))
     g1 = empty_geom(
         central_classes=(CentralClass("e", IDENTITY_Z),),
@@ -242,7 +242,7 @@ def test_geometry_json_roundtrip():
     h = NoncompactCartanElement.from_log_a((Fraction(1, 2), Fraction(-1, 2)), -0.75)
     geom = empty_geom(
         central_classes=(CentralClass("e", IDENTITY_Z),),
-        elliptic_classes=(EllipticClass(TorusElement.sl2(Fraction(1, 4)), 0.25, 1.0),),
+        elliptic_classes=(EllipticClass(torus_sl2(Fraction(1, 4)), 0.25, 1.0),),
         parabolic_I=(_para1_entry(Rplus_xi0=((Fraction(1), Fraction(-1)),)),),
         parabolic_II=(ParabolicIIData(0.5, 0.5, 3, h),),
         residue_scalar=1.5 + 0.25j,

@@ -7,6 +7,7 @@ limit), not with the module under test.
 """
 
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -39,6 +40,7 @@ from ranklef.rootsys import (
     inner,
     weyl_group,
 )
+from reference import full_average_orbital_term, torus_sl2
 
 SL2 = build_root_system(GroupDescriptor.from_name("sl2r"))
 SU21 = build_root_system(GroupDescriptor.from_name("su(2,1)"))
@@ -58,7 +60,7 @@ LAM1 = _param(SL2, (Fraction(1, 2), Fraction(-1, 2)))
 
 
 def test_denominator_sl2_quarter_angle():
-    t = TorusElement.sl2(Fraction(1, 4))
+    t = torus_sl2(Fraction(1, 4))
     val = weyl_denominator_T(SL2, t)
     assert abs(val - 2j * math.sin(math.pi / 4)) < 1e-14
 
@@ -98,7 +100,7 @@ def _exact_numerator(rs, lam, t):
 
 
 def test_character_sl2_frozen_values():
-    t = TorusElement.sl2(Fraction(1, 4))
+    t = torus_sl2(Fraction(1, 4))
     # e^{11a/2}(t) / (e^{a/2} - e^{-a/2})(t) = e^{11 i pi/4} / (2 i sin(pi/4))
     got = ds_character_Treg(SL2, LAM11, t)
     assert abs(got.value - (0.5 + 0.5j)) < 1e-12
@@ -207,7 +209,7 @@ def test_elliptic_orbital_consistency_regular(name):
 def test_elliptic_orbital_sl2_frozen_value():
     # (-1)^{dim p/2} Theta at the quarter-angle element; frozen from the
     # character value (1+i)/2 computed above.
-    t = TorusElement.sl2(Fraction(1, 4))
+    t = torus_sl2(Fraction(1, 4))
     got = elliptic_orbital_term(SL2, LAM11, t)
     assert abs(got - (-0.5 - 0.5j)) < 1e-12
 
@@ -261,6 +263,74 @@ def test_elliptic_orbital_coset_invariance():
         wl = w.apply(lam.lam)
         full += w.sign * float(inner(SU21, wl, a1)) * character_exp(wl, xi)
     assert abs(elliptic_orbital_term(SU21, lam, xi) - full / (2 * den)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# elliptic terms are class functions
+
+CLASS_FUNCTION_GROUPS = [
+    "sl2r", "so(2,1)", "su(2,1)", "su(3,1)", "su(4,1)", "so(4,1)", "so(6,1)", "so(8,1)",
+    "sp(1,1)", "sp(2,1)", "sp(3,1)",
+]
+# Angles k/12.  On each group above they give every W_k-orbit of vanishing
+# patterns that angles with denominators up to 12 give; 1/12 is there for a
+# regular element of sp(3,1).
+TWELFTHS = (0, 6, 4, 8, 3, 9, 2, 10, 1)
+
+
+def _pattern_reps(rs):
+    """One rational xi per W_k-orbit of vanishing patterns {a : e^a(xi) = 1}
+    among the elements with angles in TWELFTHS / 12."""
+    group = weyl_group(rs, "compact")
+    roots = [tuple(int(c) for c in r.coords) for r in rs.roots]
+    free = rs.dim - 1 if rs.descriptor.family.value == "su" else rs.dim
+    seen, reps = set(), []
+    for ks in itertools.product(TWELFTHS, repeat=free):
+        ks = list(ks) + [-sum(ks)] * (rs.dim - free)  # su(n,1): coordinate sum 0
+        pattern = frozenset(r for r in roots if sum(i * k for i, k in zip(r, ks)) % 12 == 0)
+        if pattern not in seen:
+            reps.append(TorusElement(tuple(Fraction(k, 12) for k in ks)))
+            for w in group:  # w permutes and flips the coordinates of each root
+                seen.add(frozenset(tuple(s * r[p] for p, s in zip(w.perm, w.signs)) for r in pattern))
+    return reps
+
+
+def _regular_and_singular(rs):
+    """lambda for mu = rho_n (regular), and for the first mu = t rho_n,
+    0 <= t < 1, that gives a dominant singular lambda."""
+    rho_n = rs.rho_g - rs.rho_k
+    lams = [hc_parameter(rs, rho_n)]
+    for t in sorted({Fraction(p, q) for q in range(1, 6) for p in range(q)}):
+        try:
+            lam = hc_parameter(rs, rho_n.scale(t))
+        except ValueError:  # not dominant
+            continue
+        if lam.regularity.regularity is Regularity.SINGULAR:
+            lams.append(lam)
+            break
+    assert [lam.regularity.regularity for lam in lams] == [Regularity.REGULAR, Regularity.SINGULAR]
+    return lams
+
+
+@pytest.mark.parametrize("name", CLASS_FUNCTION_GROUPS)
+def test_elliptic_terms_are_class_functions(name):
+    # xi and w.xi (w in W_k) are K-conjugate, so the orbital term must not
+    # move; it must also equal the full-W_k average, which chooses no reps
+    rs = build_root_system(GroupDescriptor.from_name(name))
+    group = weyl_group(rs, "compact")
+    reps = _pattern_reps(rs)
+    failures = []
+    for lam in _regular_and_singular(rs):
+        for xi in reps:
+            term = elliptic_orbital_term(rs, lam, xi)
+            tol = 1e-12 * max(1.0, abs(term))
+            if not abs(term - full_average_orbital_term(rs, lam, xi)) <= tol:
+                failures.append((lam.lam.coords, xi.angles, "full-W_k average"))
+            # w.xi over all w in W_k, each distinct vector once
+            for moved in {w.apply(Weight(xi.angles)).coords for w in group}:
+                if not abs(elliptic_orbital_term(rs, lam, TorusElement(moved)) - term) <= tol:
+                    failures.append((lam.lam.coords, xi.angles, moved))
+    assert not failures, f"{len(failures)} failures, first {failures[0]}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI behaviour: subcommands, exit codes, byte stability."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -28,11 +29,20 @@ PINNED_REPORTS = {
         "lefschetz", "assemble", "--preset", "sl2z", "--k", "12", "--n", "2"
     ],
     "epstein-const.json": ["epstein", "const", "--spec", str(REPORTS / "epstein-spec.json")],
+    # exact classes with compact roots vanishing, so the coset reps matter;
+    # run from REPORTS, as the report names the geometry file
+    "lefschetz-assemble-sp21-rho-n.json": [
+        "lefschetz", "assemble", "--group", "sp(2,1)", "--mu", "1,1,0", "--geom", "geometry-sp21.json"
+    ],
+    "lefschetz-assemble-sp21-zero.json": [
+        "lefschetz", "assemble", "--group", "sp(2,1)", "--mu", "0,0,0", "--geom", "geometry-sp21.json"
+    ],
 }
 
 
 @pytest.mark.parametrize("expected", PINNED_REPORTS)
-def test_report_bytes_are_pinned(capsys, expected):
+def test_report_bytes_are_pinned(capsys, monkeypatch, expected):
+    monkeypatch.chdir(REPORTS)
     code, out, err = run(capsys, PINNED_REPORTS[expected])
     assert code == 0 and err == ""
     assert out == (REPORTS / expected).read_text(encoding="utf-8")
@@ -396,9 +406,11 @@ FUZZ_GEOMETRY = {
     "calibration": 0.4,
 }
 
+# every scale and offset >= 1, so that a huge exponent_base reaches the
+# Hurwitz sum instead of overflowing a power first
 FUZZ_SPEC = {
     "classes": [
-        {"weight": 1.5, "scale": 0.7, "offset": 0.5},
+        {"weight": 1.5, "scale": 1.4, "offset": 1.5},
         {"weight": 0.5, "norm": 2.0},
     ],
     "lattice_vol": 1.2,
@@ -406,7 +418,9 @@ FUZZ_SPEC = {
 }
 
 DELETED = object()  # the key or list entry is removed instead
-BAD_LEAVES = (None, "x", [], {}, [1], -1, 0, float("nan"), float("inf"), 10**400, DELETED)
+BAD_LEAVES = (None, "x", [], {}, [1], -1, 0, float("nan"), float("inf"), 10**7, 10**400, DELETED)
+# seconds one run may take: a huge value must be rejected, not computed with
+CASE_TIME_LIMIT = 2.0
 
 
 def _key_paths(value, prefix=()):
@@ -452,11 +466,15 @@ def test_every_bad_leaf_exits_zero_or_one(capsys, tmp_path, base, argv):
         for leaf in BAD_LEAVES:
             path.write_text(json.dumps(_replaced(base, key_path, leaf)))
             case = f"{'.'.join(map(str, key_path))} = {'deleted' if leaf is DELETED else repr(leaf)[:10]}"
+            start = time.perf_counter()
             try:
                 code, out, err = run(capsys, argv + [str(path)])
             except Exception as exc:  # noqa: BLE001 - any escape is the failure under test
                 failures.append(f"{case}: raised {type(exc).__name__}: {exc}")
                 continue
+            elapsed = time.perf_counter() - start
+            if elapsed > CASE_TIME_LIMIT:
+                failures.append(f"{case}: took {elapsed:.1f} s")
             if code not in (0, 1):
                 failures.append(f"{case}: exit {code}")
             elif code == 1 and (out or not err.startswith("error: ") or err.count("\n") != 1):

@@ -7,6 +7,7 @@ values.
 
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -16,6 +17,7 @@ from ranklef.epstein import (
     EpsteinSpec,
     HurwitzPoleError,
     LaurentConstant,
+    MAX_EXPONENT_BASE,
     digamma,
     hurwitz_zeta,
     zeta_constant_terms,
@@ -67,6 +69,14 @@ def test_hurwitz_against_mpmath_grid():
         ref = complex(mpmath.zeta(s, a))
         rel = abs(hurwitz_zeta(s, a) - ref) / max(1e-300, abs(ref))
         assert rel < 1e-10, (s, a, rel)
+    # the real axis up to the largest exponent_base a spec may give
+    for d in range(2, MAX_EXPONENT_BASE + 1):
+        for a in (0.2, 1 / 3, 0.5, 1.0, 1.5, 2.7):
+            ref = mpmath.zeta(d, a)
+            if ref > sys.float_info.max:
+                continue
+            rel = abs(hurwitz_zeta(complex(d), a) - complex(ref)) / float(ref)
+            assert rel < 1e-10, (d, a, rel)
 
 
 def test_hurwitz_pole_and_domain_errors():

@@ -1,4 +1,4 @@
-"""Hecke coset enumeration, classification, class counts, and the oracles."""
+"""Hecke coset enumeration, class counts, and the oracles."""
 
 import math
 from fractions import Fraction
@@ -8,13 +8,10 @@ import pytest
 
 from ranklef.chars import Chamber
 from ranklef.sl2 import (
-    ClassKind,
     EllipticClassGroup,
     IntegerMatrix,
     build_geom_sl2z,
-    classify_element,
     compare,
-    coset_classification,
     delta_coeffs,
     dim_cusp_forms,
     eichler_selberg,
@@ -50,20 +47,19 @@ def left_equivalent(x, y):
 
 
 def test_hecke_reps_counts():
-    assert hecke_reps(1).count == 1
-    assert hecke_reps(1).reps[0] == IntegerMatrix(1, 0, 0, 1)
+    assert hecke_reps(1) == (IntegerMatrix(1, 0, 0, 1),)
     for n in range(1, 13):
-        assert hecke_reps(n).count == sigma(n)
+        assert len(hecke_reps(n)) == sigma(n)
 
 
 def test_hecke_reps_n2_explicit():
-    got = {m.entries() for m in hecke_reps(2).reps}
+    got = {m.entries() for m in hecke_reps(2)}
     assert got == {(1, 0, 0, 2), (1, 1, 0, 2), (2, 0, 0, 1)}
 
 
 def test_hecke_reps_pairwise_inequivalent():
     for n in (2, 4, 6):
-        reps = hecke_reps(n).reps
+        reps = hecke_reps(n)
         for i, x in enumerate(reps):
             for y in reps[i + 1:]:
                 assert not left_equivalent(x, y)
@@ -91,37 +87,7 @@ def test_hecke_index_equals_orbit_count():
     # [Gamma : Gamma cap alpha Gamma alpha^{-1}], counted independently as
     # the orbit count of the coset action on the projective line mod n.
     for n in (2, 3, 5, 6, 7, 10):
-        assert hecke_reps(n).count == _projective_line_count(n)
-
-
-# ---------------------------------------------------------------------------
-# classification
-
-
-def test_classify_examples():
-    tag = classify_element(IntegerMatrix(0, -1, 1, 0))
-    assert tag.kind is ClassKind.ELLIPTIC and tag.trace == 0 and tag.disc == -4
-    tag = classify_element(IntegerMatrix(1, 1, 0, 1))
-    assert tag.kind is ClassKind.PARABOLIC_NSS
-    tag = classify_element(IntegerMatrix(2, 0, 0, 1))
-    assert tag.kind is ClassKind.HYPERBOLIC and tag.trace == 3 and tag.disc == 1
-    tag = classify_element(IntegerMatrix(-2, 0, 0, -2))
-    assert tag.kind is ClassKind.CENTRAL
-    with pytest.raises(ValueError):
-        classify_element(IntegerMatrix(1, 0, 0, -1))
-
-
-def test_classification_is_a_partition():
-    for n in (1, 2, 4, 6):
-        counts = coset_classification(n)
-        assert sum(counts.values()) == sigma(n)
-
-
-def test_hyperbolic_bucket_reported():
-    counts = coset_classification(6)
-    assert counts["hyperbolic"] > 0
-    counts2 = coset_classification(6, extra=(IntegerMatrix(7, 3, 2, 1),))
-    assert counts2["hyperbolic"] == counts["hyperbolic"] + 1
+        assert len(hecke_reps(n)) == _projective_line_count(n)
 
 
 # ---------------------------------------------------------------------------

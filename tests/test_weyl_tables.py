@@ -7,7 +7,8 @@ as signed permutations.  The reference below is the earlier code, which
 rebuilt everything per class with dense Fraction products: dense ``apply``
 and matrix products (from ``reference``), ``_compact_subgroup_of`` and
 ``_coset_reps``, the per-class orbital term and the per-w Omega and
-parabolic-I loops.  Every term
+parabolic-I loops.  The coset reps are taken from right cosets W_{k_xi} w,
+closed by dense products, whose dominant member must be unique.  Every term
 must agree with it exactly (``==``), not just to a tolerance: each sum runs
 its floating-point operations in the same order.
 """
@@ -106,20 +107,31 @@ def ref_compact_subgroup_of(rs, roots):
     return set(dense_closure(rs, [r for r in roots if r.kind is RootKind.COMPACT]))
 
 
-def ref_coset_reps(rs, xi):
+def ref_coset_reps(rs, xi, lam):
+    """One rep per right coset W_{k_xi} w, listed in W_k order: the one
+    member v of the coset with <v.lam, a> > 0 for every compact a in R+(xi)."""
     fixed = ref_vanishing_roots(rs, xi)
     subgroup = ref_compact_subgroup_of(rs, fixed)
+    compact = [r for r in fixed if r.kind is RootKind.COMPACT]
+    group = weyl_group(rs, "compact")
+    index = {dense(w): i for i, w in enumerate(group)}
     reps, covered = [], set()
-    for w in weyl_group(rs, "compact"):
+    for w in group:
         if dense(w) in covered:
             continue
-        reps.append(w)
-        covered.update(mat_mul(dense(w), h) for h in subgroup)
-    return reps, fixed
+        coset = {mat_mul(h, dense(w)) for h in subgroup}
+        covered.update(coset)
+        dominant = [
+            m for m in coset
+            if all(ref_inner(rs, dense_apply(m, lam.lam), Weight(r.coords)) > 0 for r in compact)
+        ]
+        assert len(dominant) == 1
+        reps.append(index[dominant[0]])
+    return [group[i] for i in sorted(reps)], fixed
 
 
 def ref_elliptic_orbital_term(rs, lam, xi):
-    reps, fixed = ref_coset_reps(rs, xi)
+    reps, fixed = ref_coset_reps(rs, xi, lam)
     fixed_coords = {r.coords for r in fixed}
     den = ref_character_exp(rs.rho_g, xi)
     for r in rs.positive_roots():
