@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -30,10 +31,10 @@ EXIT_VALIDATION = 1
 EXIT_MISMATCH = 2
 EXIT_NONINTEGRAL = 3
 
-# Largest Hecke level n the SL(2,Z) commands accept.  The cost grows about
-# linearly in n, driven by the roughly 9n elliptic classes the assembler sums
-# over: at n = 2000 one cold compare or preset assembly takes about 0.4 s and
-# the weight-12 oracle 0.2 s (Python 3.11, one core of a shared 2-vCPU host).
+# Largest Hecke level n the SL(2,Z) commands accept.  At n = 2000 one cold
+# compare or preset assembly takes about 0.04 s, mostly the reduced-form
+# enumeration behind its 374 elliptic entries, and the weight-12 oracle's tau
+# table 0.2 s (Python 3.11, one core of a shared 2-vCPU host).
 MAX_SL2Z_LEVEL = 2000
 
 
@@ -122,8 +123,9 @@ def _cmd_assemble(args) -> int:
         if args.n is None:
             raise CliError("--preset sl2z requires --n")
         _check_sl2z_level(args.n)
-        group = args.group or "sl2r"
-        rs = build_root_system(GroupDescriptor.from_name(group))
+        rs = build_root_system(GroupDescriptor.from_name(args.group or "sl2r"))
+        if rs.descriptor.name() != "su(1,1)":
+            raise CliError(f"--preset sl2z is a geometry for sl2r (su(1,1)), not {rs.descriptor.name()}")
         geom = sl2.build_geom_sl2z(args.n)
         source = {"n": args.n, "preset": "sl2z"}
     else:
@@ -135,7 +137,7 @@ def _cmd_assemble(args) -> int:
                 geom = lef.geometry_from_dict(json.load(fh))
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot read geometry file: {exc}") from exc
-        source = {"file": args.geom}
+        source = {"file": os.path.basename(args.geom)}
     mu = _resolve_mu(args, rs)
     bd = lef.assemble(rs, mu, geom, args.interpretation)
     provenance = {"group": rs.descriptor.name(), "mu": mu.coords, "source": source}

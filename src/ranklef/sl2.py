@@ -13,8 +13,8 @@ two independent classical oracles:
   recursion for the trace polynomial, and the divisor boundary term.
 
 Measure conventions of the preset (all volumes in one calibration unit):
-vol(Gamma\\G) = pi/3, elliptic classes carry vol(Gamma_xi\\G_xi)/d_xi =
-1/|centralizer|, the compact factor M = {+-1} carries probability Haar so
+vol(Gamma\\G) = pi/3, an elliptic entry weighs (classes in its group) /
+|centralizer|, the compact factor M = {+-1} carries probability Haar so
 finite quotients weigh 1/2, and the cusp width is the norm unit.  The
 global calibration constant is frozen on the (k=12, n=1) datum.
 """
@@ -369,18 +369,13 @@ def build_geom_sl2z(n: int, extra_class_reps: tuple[IntegerMatrix, ...] = ()) ->
             CentralClass(tag=f"-{r}I", z=TorusElement((Fraction(1, 2), Fraction(-1, 2))))
         )
 
+    # the classes of one group and orientation give equal terms: one entry each
     elliptic: list[EllipticClass] = []
     for grp in elliptic_classes(n):
         q = _elliptic_rep_angle(grp.trace, n)
+        weight = (grp.class_count // 2) / grp.centralizer_order
         for oriented_q in (q, -q):
-            for _ in range(grp.class_count // 2):
-                elliptic.append(
-                    EllipticClass(
-                        rep=TorusElement(_angle_pair(oriented_q)),
-                        vol_quotient=1.0 / grp.centralizer_order,
-                        d_xi=1.0,
-                    )
-                )
+            elliptic.append(EllipticClass(rep=TorusElement(_angle_pair(oriented_q)), vol_quotient=weight))
 
     parabolic_I: list[ParabolicIData] = []
     if r * r == n:

@@ -10,6 +10,7 @@
 * ``geometry_to_dict``, the inverse of ``lefschetz.geometry_from_dict``.
 * 2x2 integer matrix products and adjugates, and weight-lattice membership.
 * ``torus_sl2``, the su(1,1) torus element with a given root angle.
+* ``unfolded_sl2z_elliptic``, the SL(2,Z) elliptic entries one per class.
 """
 
 import cmath
@@ -18,8 +19,9 @@ import math
 from fractions import Fraction
 
 from ranklef.chars import TorusElement
+from ranklef.lefschetz import EllipticClass
 from ranklef.rootsys import RootKind, Weight, WeylElement, coroot_pairing
-from ranklef.sl2 import IntegerMatrix
+from ranklef.sl2 import IntegerMatrix, _angle_pair, _elliptic_rep_angle, elliptic_classes
 
 # ---------------------------------------------------------------------------
 # Dense Weyl matrices
@@ -222,3 +224,22 @@ def torus_sl2(q):
     if isinstance(q, Fraction):
         return TorusElement((q / 2, -q / 2))
     return TorusElement((q / 2.0, -q / 2.0))
+
+
+def unfolded_sl2z_elliptic(n):
+    """The elliptic entries of ``sl2.build_geom_sl2z(n)`` before equal classes
+    were folded: class_count // 2 copies per group and orientation, each
+    weighted 1 / |centralizer|."""
+    entries = []
+    for grp in elliptic_classes(n):
+        q = _elliptic_rep_angle(grp.trace, n)
+        for oriented_q in (q, -q):
+            for _ in range(grp.class_count // 2):
+                entries.append(
+                    EllipticClass(
+                        rep=TorusElement(_angle_pair(oriented_q)),
+                        vol_quotient=1.0 / grp.centralizer_order,
+                        d_xi=1.0,
+                    )
+                )
+    return tuple(entries)

@@ -1,0 +1,118 @@
+"""Write a fixed grid of CLI reports to a directory, to diff two source trees.
+
+    PYTHONPATH=src python tests/report_grid.py OUTDIR
+
+Each command runs through ``ranklef.cli.main`` in this process, and for each
+one the script writes ``NAME.stdout``, ``NAME.stderr`` and ``NAME.exit`` (the
+exit code) to OUTDIR.  It imports whichever ``ranklef`` comes first on
+``PYTHONPATH``, so the same script run against two trees shows every report
+that differs between them:
+
+    PYTHONPATH=/path/to/other/src python tests/report_grid.py other
+    PYTHONPATH=src python tests/report_grid.py this
+    diff -r other this
+
+The grid:
+
+* ``rootsys show`` on seven groups;
+* ``sl2 compare`` for k in {12, 24, 40} and n in 1..30, 100, 500 and 1000;
+* ``sl2 oracle`` for k = 12 and n in {1, 50, 475};
+* ``lefschetz assemble --preset sl2z --k 12`` for n in {1, 2, 6, 12};
+* the commands pinned in ``tests/reports/`` (``test_cli.PINNED_REPORTS``);
+* on the ``rank1-cli`` benchmark inputs of seeds 1-3, ``epstein const`` for
+  each group and ``lefschetz assemble --geom`` for each (group, mu) under both
+  interpretations.
+
+A command that reads a file runs from the file's directory and names it
+without a directory, so its report does not depend on where the file lies.
+"""
+
+import contextlib
+import io
+import os
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+REPORTS = HERE / "reports"
+sys.path.insert(0, str(HERE.parent / "perfbench"))
+
+from ranklef import cli  # noqa: E402
+from test_cli import PINNED_REPORTS  # noqa: E402
+from workloads import Rank1Cli  # noqa: E402  (imports no ranklef code)
+
+GROUPS = ("sl2r", "su(2,1)", "su(3,1)", "so(6,1)", "so(8,1)", "sp(2,1)", "sp(3,1)")
+SEEDS = (1, 2, 3)
+
+
+def sl2z_commands():
+    for group in GROUPS:
+        yield f"rootsys-show-{group}", ["rootsys", "show", group]
+    for k in (12, 24, 40):
+        for n in [*range(1, 31), 100, 500, 1000]:
+            yield f"sl2-compare-k{k}-n{n}", ["sl2", "compare", "--k", str(k), "--n", str(n)]
+    for n in (1, 50, 475):
+        yield f"sl2-oracle-k12-n{n}", ["sl2", "oracle", "--k", "12", "--n", str(n)]
+    for n in (1, 2, 6, 12):
+        yield f"assemble-sl2z-k12-n{n}", ["lefschetz", "assemble", "--preset", "sl2z", "--k", "12", "--n", str(n)]
+
+
+def pinned_commands():
+    for name, argv in PINNED_REPORTS.items():
+        bare = [os.path.basename(a) if a.startswith(str(REPORTS)) else a for a in argv]
+        yield f"pin-{Path(name).stem}", bare
+
+
+def rank1_commands(seed, workdir):
+    specs = {}
+    for req in Rank1Cli().make_inputs(random.Random(seed), workdir):
+        slug = Path(req.geom_path).stem.removeprefix("geom-")
+        specs[slug] = Path(req.spec_path).name
+        for interpretation in ("conjugate", "identity"):
+            argv = ["lefschetz", "assemble", "--group", req.group, "--mu", req.mu_text]
+            argv += ["--geom", Path(req.geom_path).name, "--interpretation", interpretation]
+            yield f"seed{seed}-assemble-{slug}-{req.mu_label}-{interpretation}", argv
+    for slug, spec in specs.items():
+        yield f"seed{seed}-epstein-{slug}", ["epstein", "const", "--spec", spec]
+
+
+def run(outdir, name, argv, cwd):
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        os.chdir(here)
+    (outdir / f"{name}.stdout").write_text(out.getvalue(), encoding="utf-8")
+    (outdir / f"{name}.stderr").write_text(err.getvalue(), encoding="utf-8")
+    (outdir / f"{name}.exit").write_text(f"{code}\n", encoding="utf-8")
+
+
+def main(argv):
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    outdir = Path(argv[0]).resolve()
+    outdir.mkdir(parents=True, exist_ok=True)
+    count = 0
+    for name, command in sl2z_commands():
+        run(outdir, name, command, os.getcwd())
+        count += 1
+    for name, command in pinned_commands():
+        run(outdir, name, command, REPORTS)
+        count += 1
+    for seed in SEEDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, command in rank1_commands(seed, Path(tmp)):
+                run(outdir, name, command, tmp)
+                count += 1
+    print(f"{count} reports written to {outdir}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

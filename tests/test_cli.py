@@ -17,6 +17,7 @@ def run(capsys, argv):
 
 
 REPORTS = Path(__file__).parent / "reports"
+SP21_GEOMETRY = str(REPORTS / "geometry-sp21.json")
 
 
 # stdout captured once per subcommand; any change to the report encoding or
@@ -28,21 +29,24 @@ PINNED_REPORTS = {
     "lefschetz-assemble-sl2z-k12-n2.json": [
         "lefschetz", "assemble", "--preset", "sl2z", "--k", "12", "--n", "2"
     ],
+    # n = 12 has class groups of four classes, so these guard their folding
+    "sl2-compare-k12-n12.json": ["sl2", "compare", "--k", "12", "--n", "12"],
+    "lefschetz-assemble-sl2z-k12-n12.json": [
+        "lefschetz", "assemble", "--preset", "sl2z", "--k", "12", "--n", "12"
+    ],
     "epstein-const.json": ["epstein", "const", "--spec", str(REPORTS / "epstein-spec.json")],
-    # exact classes with compact roots vanishing, so the coset reps matter;
-    # run from REPORTS, as the report names the geometry file
+    # exact classes with compact roots vanishing, so the coset reps matter
     "lefschetz-assemble-sp21-rho-n.json": [
-        "lefschetz", "assemble", "--group", "sp(2,1)", "--mu", "1,1,0", "--geom", "geometry-sp21.json"
+        "lefschetz", "assemble", "--group", "sp(2,1)", "--mu", "1,1,0", "--geom", SP21_GEOMETRY
     ],
     "lefschetz-assemble-sp21-zero.json": [
-        "lefschetz", "assemble", "--group", "sp(2,1)", "--mu", "0,0,0", "--geom", "geometry-sp21.json"
+        "lefschetz", "assemble", "--group", "sp(2,1)", "--mu", "0,0,0", "--geom", SP21_GEOMETRY
     ],
 }
 
 
 @pytest.mark.parametrize("expected", PINNED_REPORTS)
-def test_report_bytes_are_pinned(capsys, monkeypatch, expected):
-    monkeypatch.chdir(REPORTS)
+def test_report_bytes_are_pinned(capsys, expected):
     code, out, err = run(capsys, PINNED_REPORTS[expected])
     assert code == 0 and err == ""
     assert out == (REPORTS / expected).read_text(encoding="utf-8")
@@ -190,6 +194,26 @@ def test_mu_flag_for_general_groups(capsys):
     )
     assert code == 0
     assert json.loads(out)["rounded"] == 1
+
+
+def test_preset_rejects_groups_other_than_sl2r(capsys):
+    code, out, err = run(
+        capsys,
+        ["lefschetz", "assemble", "--preset", "sl2z", "--n", "2", "--group", "sp(1,1)", "--mu", "1,0"],
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "sp(1,1)" in err
+
+
+def test_report_names_the_geometry_file_however_its_path_is_spelled(capsys, monkeypatch):
+    monkeypatch.chdir(REPORTS)
+    outs = set()
+    for path in ("geometry-sp21.json", "./geometry-sp21.json", SP21_GEOMETRY):
+        code, out, _ = run(capsys, ["lefschetz", "assemble", "--group", "sp(2,1)", "--mu", "1,1,0", "--geom", path])
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
+    assert json.loads(outs.pop())["provenance"]["source"] == {"file": "geometry-sp21.json"}
 
 
 def test_assemble_singular_weight_from_geometry_file(capsys, tmp_path):

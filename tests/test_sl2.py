@@ -1,12 +1,15 @@
 """Hecke coset enumeration, class counts, and the oracles."""
 
+import dataclasses
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from ranklef.chars import Chamber
+from ranklef.chars import Chamber, elliptic_orbital_term, hc_parameter
+from ranklef.lefschetz import elliptic_term
 from ranklef.sl2 import (
     EllipticClassGroup,
     IntegerMatrix,
@@ -19,9 +22,11 @@ from ranklef.sl2 import (
     hecke_reps,
     hurwitz_class_number,
     lefschetz_sl2z,
+    mu_from_weight,
+    sl2_root_system,
     trace_polynomial,
 )
-from reference import adjugate, geometry_to_dict, int_mat_mul
+from reference import adjugate, geometry_to_dict, int_mat_mul, unfolded_sl2z_elliptic
 
 
 def sigma(n, k=1):
@@ -446,6 +451,35 @@ def test_geom_hyperbolic_injection_is_discarded():
         build_geom_sl2z(2, extra_class_reps=(IntegerMatrix(0, -1, 2, 0),))
 
 
+def test_geom_has_one_elliptic_entry_per_class_group_and_orientation():
+    for n in range(1, 31):
+        groups = elliptic_classes(n)
+        entries = build_geom_sl2z(n).elliptic_classes
+        assert len(entries) == 2 * len(groups), n
+        weights = [(g.class_count // 2) / g.centralizer_order for g in groups for _ in "+-"]
+        assert [c.vol_quotient for c in entries] == weights, n
+        # the reps of the one-entry-per-class list, each run of copies once
+        unfolded_reps = [rep for rep, _ in itertools.groupby(c.rep for c in unfolded_sl2z_elliptic(n))]
+        assert [c.rep for c in entries] == unfolded_reps, n
+
+
+@pytest.mark.parametrize("n", [6, 12, 30, 100, 1000])
+@pytest.mark.parametrize("k", [12, 24, 40])
+def test_folded_elliptic_term_matches_one_entry_per_class(k, n):
+    rs = sl2_root_system()
+    lam = hc_parameter(rs, mu_from_weight(k))
+    folded = build_geom_sl2z(n)
+    unfolded = unfolded_sl2z_elliptic(n)
+    got = elliptic_term(rs, lam, folded)
+    want = elliptic_term(rs, lam, dataclasses.replace(folded, elliptic_classes=unfolded))
+    # two recursive float sums of the same N1 and N2 products, each product
+    # rounded once, differ per component by at most (N1 + N2) u sum |w_i T_i|
+    # with u = 2^-53; the worst seen is about 2.8 N u |term| (k = 12, n = 1000)
+    mass = sum(abs(c.vol_quotient * elliptic_orbital_term(rs, lam, c.rep)) for c in unfolded)
+    bound = (len(unfolded) + len(folded.elliptic_classes)) * 2.0**-53 * mass
+    assert abs(got.real - want.real) <= bound and abs(got.imag - want.imag) <= bound
+
+
 # ---------------------------------------------------------------------------
 # comparison
 
@@ -478,3 +512,15 @@ def test_compare_interpretation_switch_agrees_here():
     b = compare(12, 2, "identity")
     assert a.match and b.match
     assert abs(a.lefschetz_value - b.lefschetz_value) < 1e-12
+
+
+# The error budget near the level bound, far inside MATCH_TOL.  With one
+# elliptic entry per class group the worst defects over these levels are
+# 3.0e-13 (k = 12), 1.7e-12 (k = 24) and 3.3e-12 (k = 40), so each bound has a
+# margin of at least 3x; with one entry per class, k = 12 reached 5.3e-12 at
+# n = 1000.
+@pytest.mark.parametrize("k, bound", [(12, 1e-12), (24, 1e-11), (40, 1e-11)])
+def test_compare_defect_near_the_level_bound(k, bound):
+    for n in (500, 750, 1000, 1500, 2000):
+        rep = compare(k, n)
+        assert rep.match and rep.defect < bound, (n, rep.defect)
