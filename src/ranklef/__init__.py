@@ -3,15 +3,14 @@
 from .rootsys import (
     Family,
     GroupDescriptor,
-    Regularity,
     Root,
     RootKind,
     RootSystem,
     Weight,
     WeylElement,
     build_root_system,
-    classify_weight,
     inner,
+    is_regular,
     spinor_dims,
     weyl_group,
 )

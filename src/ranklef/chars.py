@@ -19,22 +19,20 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
 from .rootsys import (
-    Regularity,
     Root,
     RootKind,
     RootSystem,
     Weight,
-    WeightClass,
-    classify_weight,
     coroot_pairing,
     exact_dot,
     inner,
+    is_regular,
     weyl_group,
 )
 
@@ -48,24 +46,67 @@ class SingularElementError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class HCParameter:
-    """Harish-Chandra parameter lambda = mu + rho_k with its regularity tag.
+    """Harish-Chandra parameter lambda = mu + rho_k on the root system ``rs``,
+    with its Weyl data, shared by every class of one assembly.
 
-    ``_tables`` holds the Weyl data of lambda (``_WeylTables``) per root
-    system, built on first use, so every class of one assembly reads one copy.
-    It is keyed by ``id(rs)``: hashing a RootSystem costs far more than a
-    class does.
+    ``regular`` says whether lambda pairs nonzero with every root.
+    ``compact`` is the W(k,t) orbit of lambda as (det w, w.lam), in the order
+    of ``weyl_group(rs, "compact")``.  ``cosets`` and ``full`` are built on
+    first use; see there.
     """
 
-    lam: Weight
-    regularity: WeightClass
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, rs: RootSystem, lam: Weight, regular: bool):
+        self.rs = rs
+        self.lam = lam
+        self.regular = regular
+        self.positive = rs.positive_roots()
+        self.compact = [(w.sign, w.apply(lam)) for w in weyl_group(rs, "compact")]
+        self._cosets: dict[tuple[int, ...], list[tuple[complex, Weight]]] = {}
+        self._full: list[tuple[int, int, float, Weight]] | None = None
+
+    def cosets(self, fixed: tuple[int, ...]) -> list[tuple[complex, Weight]]:
+        """Coset reps w of W_{k_xi} \\ W_k as (det(w) prod_{a in R+(xi)} <w.lam, a>, w.lam).
+
+        ``fixed`` lists the indices into ``positive`` of the roots a with
+        e^a(xi) = 1; W_{k_xi} is generated by the compact ones.  lambda is
+        strictly dominant for the compact roots, so each right coset
+        W_{k_xi} w holds exactly one w with <w.lam, a> > 0 for every compact
+        a in R+(xi), and that w is its rep.  The summand is constant on right
+        cosets, so the sum is a class function of xi.
+        """
+        table = self._cosets.get(fixed)
+        if table is None:
+            rs = self.rs
+            roots = [self.positive[i] for i in fixed]
+            compact = [r.coords for r in roots if r.kind is RootKind.COMPACT]
+            table = []
+            for sign, wl in self.compact:
+                if all(exact_dot(wl.coords, a) > 0 for a in compact):
+                    coeff = complex(sign)
+                    for r in roots:
+                        coeff *= float(inner(rs, wl, Weight(r.coords)))
+                    table.append((coeff, wl))
+            self._cosets[fixed] = table
+        return table
+
+    def full(self) -> list[tuple[int, int, float, Weight]]:
+        """The W(g,t) orbit as (det w, c_sign on H_plus, |<w.lam, beta0_v>|,
+        w.lam - rho_g), without the elements whose sign function vanishes."""
+        if self._full is None:
+            rs = self.rs
+            self._full = []
+            for w in weyl_group(rs, "full"):
+                wl = w.apply(self.lam)
+                base = c_sign(rs, wl, Chamber.H_PLUS)
+                if base:
+                    rate = abs(float(coroot_pairing(rs, wl, rs.beta0)))
+                    self._full.append((w.sign, base, rate, wl - rs.rho_g))
+        return self._full
 
 
 def hc_parameter(rs: RootSystem, mu: Weight) -> HCParameter:
-    cls = classify_weight(rs, mu)
-    return HCParameter(lam=mu + rs.rho_k, regularity=cls)
+    return HCParameter(rs, mu + rs.rho_k, is_regular(rs, mu))
 
 
 @dataclass(frozen=True)
@@ -154,74 +195,6 @@ def weyl_denominator_T(rs: RootSystem, t: TorusElement) -> complex:
     return out
 
 
-class _WeylTables:
-    """The Weyl data of one lambda on one root system, shared by every class.
-
-    ``compact`` is the W(k,t) orbit of lambda as (det w, w.lam), in the order
-    of ``weyl_group(rs, "compact")``.  ``cosets`` and ``full`` are built on
-    first use; see there.
-    """
-
-    def __init__(self, rs: RootSystem, lam: Weight):
-        self.rs = rs  # also keeps id(rs), the key in HCParameter._tables, unique
-        self.lam = lam
-        self.positive = rs.positive_roots()
-        self.compact = [(w.sign, w.apply(lam)) for w in weyl_group(rs, "compact")]
-        self._cosets: dict[tuple[int, ...], list[tuple[complex, Weight]]] = {}
-        self._full: list[tuple[int, int, float, Weight]] | None = None
-
-    def cosets(self, fixed: tuple[int, ...]) -> list[tuple[complex, Weight]]:
-        """Coset reps w of W_{k_xi} \\ W_k as (det(w) prod_{a in R+(xi)} <w.lam, a>, w.lam).
-
-        ``fixed`` lists the indices into ``positive`` of the roots a with
-        e^a(xi) = 1; W_{k_xi} is generated by the compact ones.  lambda is
-        strictly dominant for the compact roots, so each right coset
-        W_{k_xi} w holds exactly one w with <w.lam, a> > 0 for every compact
-        a in R+(xi), and that w is its rep.  The summand is constant on right
-        cosets, so the sum is a class function of xi.
-        """
-        table = self._cosets.get(fixed)
-        if table is None:
-            rs = self.rs
-            roots = [self.positive[i] for i in fixed]
-            compact = [r.coords for r in roots if r.kind is RootKind.COMPACT]
-            table = []
-            for sign, wl in self.compact:
-                if all(exact_dot(wl.coords, a) > 0 for a in compact):
-                    coeff = complex(sign)
-                    for r in roots:
-                        coeff *= float(inner(rs, wl, Weight(r.coords)))
-                    table.append((coeff, wl))
-            self._cosets[fixed] = table
-        return table
-
-    def full(self) -> list[tuple[int, int, float, Weight]]:
-        """The W(g,t) orbit as (det w, c_sign on H_plus, |<w.lam, beta0_v>|,
-        w.lam - rho_g), without the elements whose sign function vanishes."""
-        if self._full is None:
-            rs = self.rs
-            self._full = []
-            for w in weyl_group(rs, "full"):
-                wl = w.apply(self.lam)
-                base = c_sign(rs, wl, Chamber.H_PLUS)
-                if base:
-                    rate = abs(float(coroot_pairing(rs, wl, rs.beta0)))
-                    self._full.append((w.sign, base, rate, wl - rs.rho_g))
-        return self._full
-
-
-def _weyl_tables(rs: RootSystem, lam: HCParameter) -> _WeylTables:
-    tables = lam._tables.get(id(rs))
-    if tables is None:
-        tables = lam._tables[id(rs)] = _WeylTables(rs, lam.lam)
-    return tables
-
-
-def compact_orbit(rs: RootSystem, lam: HCParameter) -> list[tuple[int, Weight]]:
-    """The W(k,t) orbit of lambda as (det w, w.lam), built once per parameter."""
-    return _weyl_tables(rs, lam).compact
-
-
 def ds_character_Treg(rs: RootSystem, lam: HCParameter, t: TorusElement) -> CharacterValue:
     """Character value sum_{w in W_k} det(w) e^{w.lam}(t) / Delta_T(t) at regular t."""
     den = weyl_denominator_T(rs, t)
@@ -230,7 +203,7 @@ def ds_character_Treg(rs: RootSystem, lam: HCParameter, t: TorusElement) -> Char
             "singular torus element; use elliptic_orbital_term"
         )
     num = 0.0 + 0.0j
-    for sign, wl in compact_orbit(rs, lam):
+    for sign, wl in lam.compact:
         num += sign * character_exp(wl, t)
     return CharacterValue(value=num / den)
 
@@ -244,19 +217,18 @@ def elliptic_orbital_term(rs: RootSystem, lam: HCParameter, xi: TorusElement) ->
           / ( e^{rho_g}(xi) prod_{b in R+ \\ R+(xi)} (1 - e^{-b}(xi)) )
     where R+(xi) collects the positive roots with e^a(xi) = 1.  For regular
     xi this reduces to (-1)^{dim p/2} times the character at xi.  The coset
-    reps and their coefficients come from lambda's Weyl tables.
+    reps and their coefficients come from ``lam.cosets``.
     """
-    tables = _weyl_tables(rs, lam)
     den = character_exp(rs.rho_g, xi)
     fixed = []
-    for i, r in enumerate(tables.positive):
+    for i, r in enumerate(lam.positive):
         x = _dot(r.coords, xi.angles)
         if _is_one(x):
             fixed.append(i)
         else:
             den *= 1 - 1 / _phase(x)
     total = 0.0 + 0.0j
-    for coeff, wl in tables.cosets(tuple(fixed)):
+    for coeff, wl in lam.cosets(tuple(fixed)):
         total += coeff * character_exp(wl, xi)
     sign = (-1) ** (rs.dim_p // 2)
     return sign * total / den
@@ -268,7 +240,7 @@ def formal_degree(rs: RootSystem, lam: HCParameter) -> float:
     Scale depends on the inner-product normalization; the assembler carries a
     single calibration constant for it.
     """
-    if lam.regularity.regularity is not Regularity.REGULAR:
+    if not lam.regular:
         raise ValueError("formal degree requires a regular parameter")
     half_p = rs.dim_p // 2
     pref = 1.0 / ((2 * math.pi) ** half_p * 2 ** ((half_p - 1) / 2))
@@ -312,7 +284,7 @@ def omega(rs: RootSystem, lam: HCParameter, h: NoncompactCartanElement) -> compl
     t = abs(h.log_a)
     flip = h.chamber is Chamber.H_MINUS
     total = 0.0 + 0.0j
-    for sign, base, rate, shifted in _weyl_tables(rs, lam).full():
+    for sign, base, rate, shifted in lam.full():
         c = -base if flip else base
         radial = math.exp(-rate * t / 2.0)
         total += sign * c * character_exp(shifted, m) * radial

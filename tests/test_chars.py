@@ -32,15 +32,13 @@ from ranklef.chars import (
 )
 from ranklef.rootsys import (
     GroupDescriptor,
-    Regularity,
     RootKind,
     Weight,
-    WeightClass,
     build_root_system,
     inner,
     weyl_group,
 )
-from reference import full_average_orbital_term, torus_sl2
+from reference import full_average_orbital_term, scale, torus_sl2
 
 SL2 = build_root_system(GroupDescriptor.from_name("sl2r"))
 SU21 = build_root_system(GroupDescriptor.from_name("su(2,1)"))
@@ -48,7 +46,7 @@ SU21 = build_root_system(GroupDescriptor.from_name("su(2,1)"))
 
 def _param(rs, coords) -> HCParameter:
     # direct construction; regularity is not consulted by the evaluators
-    return HCParameter(Weight(tuple(Fraction(c) for c in coords)), WeightClass(Regularity.REGULAR))
+    return HCParameter(rs, Weight(tuple(Fraction(c) for c in coords)), True)
 
 
 LAM11 = _param(SL2, (Fraction(11, 2), Fraction(-11, 2)))
@@ -181,7 +179,7 @@ def _random_regular_lambda(rs, rng):
         lam = Weight(tuple(coords))
         pairings = [inner(rs, lam, Weight(r.coords)) for r in rs.positive_roots()]
         if all(p > 0 for p in pairings):
-            return HCParameter(lam, WeightClass(Regularity.REGULAR))
+            return HCParameter(rs, lam, True)
 
 
 def _random_regular_torus(rs, rng):
@@ -302,13 +300,13 @@ def _regular_and_singular(rs):
     lams = [hc_parameter(rs, rho_n)]
     for t in sorted({Fraction(p, q) for q in range(1, 6) for p in range(q)}):
         try:
-            lam = hc_parameter(rs, rho_n.scale(t))
+            lam = hc_parameter(rs, scale(rho_n, t))
         except ValueError:  # not dominant
             continue
-        if lam.regularity.regularity is Regularity.SINGULAR:
+        if not lam.regular:
             lams.append(lam)
             break
-    assert [lam.regularity.regularity for lam in lams] == [Regularity.REGULAR, Regularity.SINGULAR]
+    assert [lam.regular for lam in lams] == [True, False]
     return lams
 
 
@@ -358,10 +356,7 @@ def test_formal_degree_su21_positive():
 
 def test_formal_degree_rejects_singular():
     rs = SL2
-    lam = HCParameter(
-        Weight((Fraction(0), Fraction(0))),
-        WeightClass(Regularity.SINGULAR, rs.positive_roots()[0]),
-    )
+    lam = HCParameter(rs, Weight((Fraction(0), Fraction(0))), False)
     with pytest.raises(ValueError):
         formal_degree(rs, lam)
 
@@ -392,7 +387,7 @@ def test_omega_identity_vanishing_dichotomy():
         ("sl2r", False),
     ]:
         rs = build_root_system(GroupDescriptor.from_name(name))
-        lam = HCParameter(rs.rho_g, WeightClass(Regularity.REGULAR))
+        lam = HCParameter(rs, rs.rho_g, True)
         val = omega(rs, lam, _identity_h(rs))
         if vanishes:
             assert abs(val) < 1e-12, name
@@ -416,7 +411,7 @@ def test_omega_chamber_mirror_oddness():
     random.seed(23)
     for name in ("sl2r", "su(2,1)", "sp(1,1)"):
         rs = build_root_system(GroupDescriptor.from_name(name))
-        lam = HCParameter(rs.rho_g + rs.rho_g, WeightClass(Regularity.REGULAR))
+        lam = HCParameter(rs, rs.rho_g + rs.rho_g, True)
         for _ in range(10):
             ang = tuple(Fraction(random.randint(-6, 6), 12) for _ in range(rs.dim))
             t = random.uniform(0.05, 3.0)
@@ -478,4 +473,4 @@ def test_hc_parameter_wrapper():
     mu = Weight((Fraction(11, 2), Fraction(-11, 2)))
     lam = hc_parameter(SL2, mu)
     assert lam.lam == mu  # rho_k = 0 here
-    assert lam.regularity.regularity is Regularity.REGULAR
+    assert lam.regular

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ranklef import cli, sl2
+from ranklef import cli, rootsys, sl2
 from reference import geometry_to_dict
 
 
@@ -163,6 +163,37 @@ def test_sl2z_level_above_bound_exit_one(capsys, argv):
     code, out, err = run(capsys, argv + [str(cli.MAX_SL2Z_LEVEL + 1)])
     assert code == 1 and out == ""
     assert f"above the SL(2,Z) level bound {cli.MAX_SL2Z_LEVEL}" in err
+
+
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_sl2z_weight_at_bound(capsys, command):
+    code, out, err = run(capsys, ["sl2", command, "--k", str(cli.MAX_SL2Z_WEIGHT), "--n", "2"])
+    assert code == 0, err
+    assert json.loads(out)["k"] == cli.MAX_SL2Z_WEIGHT
+
+
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_sl2z_weight_above_bound_exit_one(capsys, command):
+    k = cli.MAX_SL2Z_WEIGHT + 2
+    code, out, err = run(capsys, ["sl2", command, "--k", str(k), "--n", "1"])
+    assert code == 1 and out == ""
+    assert err == f"error: --k {k} is above the SL(2,Z) weight bound {cli.MAX_SL2Z_WEIGHT}\n"
+
+
+def test_group_at_the_torus_dimension_bound(capsys):
+    code, out, _ = run(capsys, ["rootsys", "show", "su(5,1)"])
+    assert code == 0
+    assert len(json.loads(out)["rho_g"]) == rootsys.MAX_TORUS_DIM
+
+
+@pytest.mark.parametrize("group, dim", [("su(6,1)", 7), ("so(14,1)", 7), ("su(1000,1)", 1001)])
+def test_group_above_the_torus_dimension_bound_exit_one(capsys, group, dim):
+    # rejected before any root is built: su(1000,1) has about 10^6 roots
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["rootsys", "show", group])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == f"error: {group} has dim t = {dim}, above the bound {rootsys.MAX_TORUS_DIM}\n"
 
 
 def test_epstein_const_cli(capsys, tmp_path):
@@ -336,6 +367,30 @@ def test_assemble_rejects_parabolic_I_vector_of_wrong_dimension(capsys, tmp_path
         assert err.startswith("error: ") and "Traceback" not in err
         assert f"parabolic_I[0].{field.replace('.0', '[0]')} has {length} {unit}" in err
         assert f"dim t = {dim}" in err
+
+
+@pytest.mark.parametrize("mu, count", [("11/2", 1), ("11/2,-11/2,99", 3)])
+def test_assemble_rejects_mu_of_wrong_length(capsys, mu, count):
+    # a long mu was once cut to dim t, and a short one named no field
+    code, out, err = run(capsys, ["lefschetz", "assemble", "--preset", "sl2z", "--n", "1", "--mu", mu])
+    assert code == 1 and out == ""
+    assert err == f"error: mu has {count} coordinates; su(1,1) needs dim t = 2\n"
+
+
+@pytest.mark.parametrize("mu", ["1/2,1/2", "1/2,1/2,-1,0"])
+def test_assemble_rejects_mu_of_wrong_length_for_a_geometry_file(capsys, tmp_path, mu):
+    argv = ["lefschetz", "assemble", "--group", "su(2,1)", "--geom", _geometry_file(tmp_path, 3), "--mu"]
+    assert run(capsys, argv + ["1/2,1/2,-1"])[0] == 0
+    code, out, err = run(capsys, argv + [mu])
+    assert code == 1 and out == ""
+    assert err == f"error: mu has {mu.count(',') + 1} coordinates; su(2,1) needs dim t = 3\n"
+
+
+def test_assemble_has_no_tolerance_option(capsys):
+    argv = ["lefschetz", "assemble", "--preset", "sl2z", "--k", "12", "--n", "1", "--tolerance", "1e-3"]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: unrecognized arguments: --tolerance")
 
 
 @pytest.mark.parametrize("value", [[], [1, 2], "geometry", 3, None])

@@ -26,7 +26,7 @@ from ranklef.sl2 import (
     sl2_root_system,
     trace_polynomial,
 )
-from reference import adjugate, geometry_to_dict, int_mat_mul, unfolded_sl2z_elliptic
+from reference import adjugate, entries, geometry_to_dict, int_mat_mul, unfolded_sl2z_elliptic
 
 
 def sigma(n, k=1):
@@ -44,7 +44,7 @@ def left_equivalent(x, y):
     if n <= 0 or y.det != n:
         raise ValueError("matrices must share a positive determinant")
     g = int_mat_mul(y, adjugate(x))
-    return all(e % n == 0 for e in g.entries())
+    return all(e % n == 0 for e in entries(g))
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,7 @@ def test_hecke_reps_counts():
 
 
 def test_hecke_reps_n2_explicit():
-    got = {m.entries() for m in hecke_reps(2)}
+    got = {entries(m) for m in hecke_reps(2)}
     assert got == {(1, 0, 0, 2), (1, 1, 0, 2), (2, 0, 0, 1)}
 
 
