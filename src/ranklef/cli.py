@@ -36,8 +36,9 @@ EXIT_NONINTEGRAL = 3
 # enumeration behind its 374 elliptic entries, and the weight-12 oracle's tau
 # table 0.2 s (Python 3.11, one core of a shared 2-vCPU host).
 MAX_SL2Z_LEVEL = 2000
-# Largest weight k of `sl2 oracle` and `sl2 compare`: a k = 1000 trace at
-# n = 2000 has about 1650 digits, below the 4300 Python will print.
+# Largest weight k of `sl2 oracle` and `sl2 compare`, at every level: a
+# k = 1000 trace at n = 2000 has about 1650 digits, below the 4300 Python will
+# print, and `compare` scales it exactly where floats overflow.
 MAX_SL2Z_WEIGHT = 1000
 # How far the n = 1 preset total may lie from an integer (exit 3 beyond it).
 INTEGRALITY_TOL = 1e-6

@@ -424,6 +424,19 @@ def lefschetz_sl2z(k: int, n: int, interpretation: str = "conjugate") -> Lefsche
     return assemble(rs, mu_from_weight(k), build_geom_sl2z(n), interpretation)
 
 
+def _scaled_defect(total: float, oracle: int, n: int, j: float) -> float:
+    """|total - oracle * n^j| in floats, or scaled exactly (j is an integer, k
+    being even) where they overflow; inf where the scaled oracle does too."""
+    try:
+        return abs(total - oracle * n ** j)
+    except OverflowError:
+        m = int(j)
+    try:
+        return abs(total - (oracle / n ** -m if m < 0 else float(oracle * n ** m)))
+    except OverflowError:
+        return math.inf
+
+
 def compare(k: int, n: int, interpretation: str = "conjugate") -> OracleReport:
     """Lefschetz total against the Eichler-Selberg oracle.
 
@@ -441,7 +454,7 @@ def compare(k: int, n: int, interpretation: str = "conjugate") -> OracleReport:
     defects = []
     for label in _NORMALIZATION_EXPONENTS:
         j = {"-(k-2)/2": -half, "0": 0.0, "+(k-2)/2": half}[label]
-        defects.append((abs(bd.total - oracle * n ** j), label))
+        defects.append((_scaled_defect(bd.total, oracle, n, j), label))
     # several exponents can match at once (zero traces, n = 1); report the
     # first matching one in canonical order so the symbol stays constant
     matching = [(d, label) for d, label in defects if d < MATCH_TOL]

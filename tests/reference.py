@@ -1,11 +1,12 @@
 """Test-only reference code, kept apart from the package it checks.
 
-* Dense Weyl matrices.  ``ranklef.rootsys`` stores a Weyl element as a signed
-  permutation; the tests recompute the groups here as dense matrices of exact
-  entries, built from reflections e_i -> e_i - <e_i, alpha_v> alpha and
-  multiplied entry by entry, so they share no product or closure code with
-  the package.  Integral entries are kept as ints, which multiply far faster
-  than Fractions.
+* Dense Weyl matrices.  ``ranklef.rootsys`` enumerates a Weyl group as signed
+  permutations from its closed form; the tests recompute the groups here as
+  dense matrices of exact entries, closed from the reflections
+  e_i -> e_i - <e_i, alpha_v> alpha in the simple roots and multiplied entry
+  by entry, so they share no enumeration or product code with the package.
+  Integral entries are kept as ints, which multiply far faster than
+  Fractions.
 * The elliptic orbital term as a full-W_k average, without coset reps.
 * ``geometry_to_dict``, the inverse of ``lefschetz.geometry_from_dict``.
 * 2x2 integer matrix products, adjugates and entries, weight scaling, and
@@ -60,6 +61,22 @@ def dense(w):
 
 def dense_apply(m, weight):
     return Weight(tuple(sum(x * c for x, c in zip(row, weight.coords)) for row in m))
+
+
+def simple_roots(rs, compact_only=False):
+    """Indecomposable elements of the chosen positive system."""
+    pos = rs.positive_roots(RootKind.COMPACT if compact_only else None)
+    coords = {r.coords for r in pos}
+    simples = []
+    for r in pos:
+        decomposable = any(
+            tuple(x - y for x, y in zip(r.coords, s)) in coords
+            for s in coords
+            if s != r.coords
+        )
+        if not decomposable:
+            simples.append(r)
+    return simples
 
 
 def dense_closure(rs, roots):

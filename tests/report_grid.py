@@ -14,8 +14,10 @@ that differs between them:
 
 The grid:
 
-* ``rootsys show`` on seven groups;
-* ``sl2 compare`` for k in {12, 24, 40} and n in 1..30, 100, 500 and 1000;
+* ``rootsys show`` on ten groups;
+* ``sl2 compare`` for k in {12, 24, 40} and n in 1..30, 100, 500 and 1000,
+  and at three points whose scaled trace overflows a float
+  (``OVERFLOW_COMPARES``);
 * ``sl2 oracle`` for k = 12 and n in {1, 50, 475};
 * ``lefschetz assemble --preset sl2z --k 12`` for n in {1, 2, 6, 12};
 * the commands pinned in ``tests/reports/`` (``test_cli.PINNED_REPORTS``);
@@ -45,16 +47,20 @@ from ranklef import cli  # noqa: E402
 from test_cli import PINNED_REPORTS  # noqa: E402
 from workloads import Rank1Cli  # noqa: E402  (imports no ranklef code)
 
-GROUPS = ("sl2r", "su(2,1)", "su(3,1)", "so(6,1)", "so(8,1)", "sp(2,1)", "sp(3,1)")
+GROUPS = (
+    "sl2r", "su(2,1)", "su(3,1)", "su(5,1)", "so(6,1)", "so(8,1)", "so(10,1)",
+    "sp(2,1)", "sp(3,1)", "sp(4,1)",
+)
+OVERFLOW_COMPARES = ((1000, 10), (1000, 2000), (500, 2000))
 SEEDS = (1, 2, 3)
 
 
 def sl2z_commands():
     for group in GROUPS:
         yield f"rootsys-show-{group}", ["rootsys", "show", group]
-    for k in (12, 24, 40):
-        for n in [*range(1, 31), 100, 500, 1000]:
-            yield f"sl2-compare-k{k}-n{n}", ["sl2", "compare", "--k", str(k), "--n", str(n)]
+    points = [(k, n) for k in (12, 24, 40) for n in [*range(1, 31), 100, 500, 1000]]
+    for k, n in points + list(OVERFLOW_COMPARES):
+        yield f"sl2-compare-k{k}-n{n}", ["sl2", "compare", "--k", str(k), "--n", str(n)]
     for n in (1, 50, 475):
         yield f"sl2-oracle-k12-n{n}", ["sl2", "oracle", "--k", "12", "--n", str(n)]
     for n in (1, 2, 6, 12):

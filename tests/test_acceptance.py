@@ -28,7 +28,6 @@ from ranklef.rootsys import (
     build_root_system,
     inner,
     spinor_dims,
-    simple_roots,
     weyl_group,
 )
 from ranklef.sl2 import (
@@ -40,7 +39,7 @@ from ranklef.sl2 import (
     eichler_selberg,
     lefschetz_sl2z,
 )
-from reference import dense, geometry_to_dict, mat_mul, reflection_matrix
+from reference import dense, geometry_to_dict, mat_mul, reflection_matrix, simple_roots
 
 
 def report(num: int, ok: bool, text: str) -> None:

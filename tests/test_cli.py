@@ -172,6 +172,17 @@ def test_sl2z_weight_at_bound(capsys, command):
     assert json.loads(out)["k"] == cli.MAX_SL2Z_WEIGHT
 
 
+@pytest.mark.parametrize("k, n", [(1000, 10), (1000, 2000), (500, 2000)])
+def test_compare_where_the_scaled_trace_overflows_a_float(capsys, k, n):
+    # The trace times n^{(k-2)/2} is far beyond the float range here; the
+    # matching exponent divides it down, exactly.
+    code, out, err = run(capsys, ["sl2", "compare", "--k", str(k), "--n", str(n)])
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["match"] is True
+    assert data["normalization_exponent"] == "-(k-2)/2"
+
+
 @pytest.mark.parametrize("command", ["oracle", "compare"])
 def test_sl2z_weight_above_bound_exit_one(capsys, command):
     k = cli.MAX_SL2Z_WEIGHT + 2

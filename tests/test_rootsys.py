@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ranklef.chars import hc_parameter
 from ranklef.rootsys import (
     Family,
     GroupDescriptor,
@@ -23,11 +24,19 @@ from ranklef.rootsys import (
     coroot_pairing,
     inner,
     is_regular,
-    simple_roots,
     spinor_dims,
     weyl_group,
 )
-from reference import dense, dense_closure, identity, is_integral, mat_mul, reflection_matrix, scale
+from reference import (
+    dense,
+    dense_closure,
+    identity,
+    is_integral,
+    mat_mul,
+    reflection_matrix,
+    scale,
+    simple_roots,
+)
 
 ALL_SMALL = [
     "su(1,1)", "su(2,1)", "su(3,1)",
@@ -267,10 +276,13 @@ def _expected_orders(name):
         "su(1,1)": (2, 1), "su(2,1)": (6, 2), "su(3,1)": (24, 6),
         "so(2,1)": (2, 1), "so(4,1)": (8, 4), "so(6,1)": (48, 24),
         "sp(1,1)": (8, 4), "sp(2,1)": (48, 16), "sp(3,1)": (384, 96),
+        # at dim t = 6: S_6 and S_5; signed permutations of 6 coordinates and
+        # the even-sign D_6; signed permutations and W(C_5) x W(C_1)
+        "su(5,1)": (720, 120), "so(12,1)": (46080, 23040), "sp(5,1)": (46080, 7680),
     }[name]
 
 
-@pytest.mark.parametrize("name", ALL_SMALL)
+@pytest.mark.parametrize("name", ALL_SMALL + ["su(5,1)", "so(12,1)", "sp(5,1)"])
 def test_weyl_orders(name):
     rs = build_root_system(GroupDescriptor.from_name(name))
     full, compact = _expected_orders(name)
@@ -352,6 +364,24 @@ def test_regular_nondominant_rejected():
         is_regular(rs, Weight((Fraction(-3), Fraction(3))))
 
 
+def test_weight_arithmetic_rejects_unequal_lengths():
+    a = Weight((Fraction(1), Fraction(2)))
+    b = Weight((Fraction(1), Fraction(2), Fraction(3)))
+    with pytest.raises(ValueError):
+        a + b
+    with pytest.raises(ValueError):
+        b - a
+
+
+def test_too_long_weight_is_rejected_not_truncated():
+    rs = build_root_system(GroupDescriptor.from_name("sl2r"))
+    mu = Weight((Fraction(11, 2), Fraction(-11, 2), Fraction(99)))
+    with pytest.raises(ValueError):
+        hc_parameter(rs, mu)
+    with pytest.raises(ValueError):
+        is_regular(rs, mu)
+
+
 def test_weight_lattice_integrality():
     rs = build_root_system(GroupDescriptor.from_name("su(2,1)"))
     assert is_integral(rs, rs.rho_g)
@@ -366,17 +396,17 @@ def test_closure_idempotent():
 
 
 WEYL_GROUPS = [
-    "sl2r", "su(2,1)", "su(3,1)", "su(4,1)",
-    "so(2,1)", "so(4,1)", "so(6,1)", "so(8,1)",
-    "sp(1,1)", "sp(2,1)", "sp(3,1)",
+    "sl2r", "su(2,1)", "su(3,1)", "su(4,1)", "su(5,1)",
+    "so(2,1)", "so(4,1)", "so(6,1)", "so(8,1)", "so(10,1)",
+    "sp(1,1)", "sp(2,1)", "sp(3,1)", "sp(4,1)",
 ]
 
 
 @pytest.mark.parametrize("sub", ["full", "compact"])
 @pytest.mark.parametrize("name", WEYL_GROUPS)
 def test_weyl_group_order_is_the_dense_order(name, sub):
-    # Downstream float sums and the first-in-W_k coset reps follow this order,
-    # which is the sort order of the dense matrices; the signs are the dets.
+    # Downstream float sums follow this order, which is the sort order of the
+    # dense matrices; the signs are the dets.
     rs = build_root_system(GroupDescriptor.from_name(name))
     group = weyl_group(rs, sub)
     reference = dense_closure(rs, simple_roots(rs, compact_only=(sub == "compact")))
