@@ -158,7 +158,7 @@ class CharacterValue:
 def _dot(coords: Sequence[Fraction], q: Sequence[Angle]) -> Angle:
     if all(type(a) is Fraction for a in q):
         return exact_dot(coords, q)
-    return sum(float(c) * float(a) for c, a in zip(coords, q))
+    return sum(float(c) * float(a) for c, a in zip(coords, q, strict=True))
 
 
 def _phase(x: Angle) -> complex:

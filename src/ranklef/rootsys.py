@@ -3,11 +3,13 @@
 Everything here is exact: roots and weights are tuples of ``Fraction`` in the
 standard epsilon-coordinates of the complexified algebra, and the invariant
 form is a rational multiple of the coordinate dot product, normalized so the
-short root has squared length 2.  Supported families:
+short root has squared length 2.  A root system stores only its positive
+roots R+(g,t); the negative roots -R+ are implied.  Supported families, with
+R+ for i < j:
 
-    su(n,1)   in R^{n+1}, roots e_i - e_j            (sl(2,R) is su(1,1))
-    so(2n,1)  in R^n,     roots +-e_i +-e_j, +-e_i
-    sp(n,1)   in R^{n+1}, roots +-e_i +-e_j, +-2e_i  (sp(1) factor on e_{n+1})
+    su(n,1)   in R^{n+1}, R+ = e_i - e_j            (sl(2,R) is su(1,1))
+    so(2n,1)  in R^n,     R+ = e_i +- e_j, e_i
+    sp(n,1)   in R^{n+1}, R+ = e_i +- e_j, 2e_i     (sp(1) factor on e_{n+1})
 
 so(2n+1,1) has unequal rank and is rejected at construction.
 """
@@ -20,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Vector = tuple[Fraction, ...]
 # Largest dim t accepted: |W| grows factorially, and at the bound so(12,1)
@@ -105,8 +107,7 @@ class WeylElement:
 @dataclass(frozen=True)
 class RootSystem:
     descriptor: GroupDescriptor
-    roots: tuple[Root, ...]
-    positive: tuple[bool, ...]
+    positive: tuple[Root, ...]  # R+(g,t), in builder order; -R+ is implied
     rho_g: Weight
     rho_k: Weight
     rho_p: Weight
@@ -114,134 +115,62 @@ class RootSystem:
     dim_n1: int
     dim_n2: int
     form_scale: int
-    beta0: Root  # distinguished noncompact positive root (Cayley direction)
+    beta0: Root  # first noncompact positive root (Cayley direction)
 
     @property
     def dim(self) -> int:
         return len(self.rho_g.coords)
 
     def positive_roots(self, kind: RootKind | None = None) -> list[Root]:
-        out = []
-        for root, pos in zip(self.roots, self.positive):
-            if pos and (kind is None or root.kind is kind):
-                out.append(root)
-        return out
+        return [r for r in self.positive if kind is None or r.kind is kind]
 
 
-def _unit(dim: int, i: int, c: int = 1) -> Vector:
-    return tuple(Fraction(c if j == i else 0) for j in range(dim))
+def _positive_roots(family: Family, dim: int) -> tuple[Root, ...]:
+    """R+(g,t) in the order that fixes every float root sum downstream:
+    e_i - e_j (su) or e_i + e_j, e_i - e_j (so, sp) for i < j, noncompact
+    exactly when j is the last coordinate of su or sp; then the noncompact
+    e_i (so) or the compact 2e_i (sp)."""
+
+    def vec(*terms: tuple[int, int]) -> Vector:
+        coords = [Fraction(0)] * dim
+        for i, c in terms:
+            coords[i] += c
+        return tuple(coords)
+
+    signs = (-1,) if family is Family.SU else (1, -1)
+    roots = []
+    for i, j in combinations(range(dim), 2):
+        noncompact = family is not Family.SO and j == dim - 1
+        kind = RootKind.NONCOMPACT if noncompact else RootKind.COMPACT
+        roots += [Root(vec((i, 1), (j, s)), kind) for s in signs]
+    if family is Family.SO:
+        roots += [Root(vec((i, 1)), RootKind.NONCOMPACT) for i in range(dim)]
+    elif family is Family.SP:
+        roots += [Root(vec((i, 2)), RootKind.COMPACT) for i in range(dim)]
+    return tuple(roots)
 
 
-def _vadd(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vneg(a: Vector) -> Vector:
-    return tuple(-x for x in a)
-
-
-def _half_sum(roots: Iterable[Root]) -> Weight:
-    coords = None
-    for r in roots:
-        coords = r.coords if coords is None else _vadd(coords, r.coords)
-    if coords is None:
-        raise ValueError("empty root list")
-    return Weight(tuple(c / 2 for c in coords))
-
-
-def _su_roots(n: int) -> tuple[list[Root], list[bool], Root]:
-    dim = n + 1
-    roots, positive = [], []
-    for i in range(dim):
-        for j in range(dim):
-            if i == j:
-                continue
-            coords = _vadd(_unit(dim, i), _vneg(_unit(dim, j)))
-            kind = RootKind.COMPACT if (i < n and j < n) else RootKind.NONCOMPACT
-            roots.append(Root(coords, kind))
-            positive.append(i < j)
-    beta0 = Root(_vadd(_unit(dim, 0), _vneg(_unit(dim, n))), RootKind.NONCOMPACT)
-    return roots, positive, beta0
-
-
-def _so_roots(n: int) -> tuple[list[Root], list[bool], Root]:
-    roots, positive = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    coords = _vadd(_unit(n, i, si), _unit(n, j, sj))
-                    roots.append(Root(coords, RootKind.COMPACT))
-                    positive.append(si == 1)
-    for i in range(n):
-        for s in (1, -1):
-            roots.append(Root(_unit(n, i, s), RootKind.NONCOMPACT))
-            positive.append(s == 1)
-    beta0 = Root(_unit(n, 0), RootKind.NONCOMPACT)
-    return roots, positive, beta0
-
-
-def _sp_roots(n: int) -> tuple[list[Root], list[bool], Root]:
-    # sp(n) factor on coordinates 0..n-1, sp(1) factor on coordinate n.
-    dim = n + 1
-    roots, positive = [], []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    coords = _vadd(_unit(dim, i, si), _unit(dim, j, sj))
-                    kind = RootKind.NONCOMPACT if j == n else RootKind.COMPACT
-                    roots.append(Root(coords, kind))
-                    positive.append(si == 1)
-    for i in range(dim):
-        for s in (1, -1):
-            roots.append(Root(_unit(dim, i, 2 * s), RootKind.COMPACT))
-            positive.append(s == 1)
-    beta0 = Root(_vadd(_unit(dim, 0), _unit(dim, n)), RootKind.NONCOMPACT)
-    return roots, positive, beta0
+def _half_sum(roots: Sequence[Root], dim: int) -> Weight:
+    return Weight(tuple(sum((r.coords[i] for r in roots), Fraction(0)) / 2 for i in range(dim)))
 
 
 def build_root_system(desc: GroupDescriptor) -> RootSystem:
-    """Construct the full root datum of the descriptor's real form."""
+    """Construct the root datum of the descriptor's real form."""
     if desc.n < 1:
         raise ValueError("group parameter must be >= 1")
     dim = desc.n if desc.family is Family.SO else desc.n + 1
     if dim > MAX_TORUS_DIM:
         raise ValueError(f"{desc.name()} has dim t = {dim}, above the bound {MAX_TORUS_DIM}")
-    if desc.family is Family.SU:
-        roots, positive, beta0 = _su_roots(desc.n)
-        form_scale = 1
-    elif desc.family is Family.SO:
-        roots, positive, beta0 = _so_roots(desc.n)
-        form_scale = 2
-    elif desc.family is Family.SP:
-        roots, positive, beta0 = _sp_roots(desc.n)
-        form_scale = 1
-    else:  # pragma: no cover
-        raise ValueError(f"unsupported family {desc.family}")
+    positive = _positive_roots(desc.family, dim)
+    pos_k = [r for r in positive if r.kind is RootKind.COMPACT]
+    pos_p = [r for r in positive if r.kind is RootKind.NONCOMPACT]
+    beta0 = pos_p[0]
+    dim_p = 2 * len(pos_p)
 
-    roots_t = tuple(roots)
-    positive_t = tuple(positive)
-    pos_all = [r for r, p in zip(roots_t, positive_t) if p]
-    pos_k = [r for r in pos_all if r.kind is RootKind.COMPACT]
-    pos_p = [r for r in pos_all if r.kind is RootKind.NONCOMPACT]
-
-    rho_g = _half_sum(pos_all)
-    zero = Weight(tuple(Fraction(0) for _ in range(dim)))
-    rho_k = _half_sum(pos_k) if pos_k else zero
-    rho_p = _half_sum(pos_p) if pos_p else zero
-    dim_p = sum(1 for r in roots_t if r.kind is RootKind.NONCOMPACT)
-    if dim_p % 2 != 0:
-        raise ValueError("dim p must be even for an equal-rank form")
-
-    # Restricted multiplicities: pair every root against the coroot of beta0.
-    c1 = c2 = 0
-    for r in roots_t:
-        v = _coroot_pairing_raw(r.coords, beta0.coords)
-        if v == 1:
-            c1 += 1
-        elif v == 2:
-            c2 += 1
+    # Restricted multiplicities: pair the roots against the coroot of beta0;
+    # a root and its negative pair to opposite values.
+    pairings = [abs(_coroot_pairing_raw(r.coords, beta0.coords)) for r in positive]
+    c1, c2 = pairings.count(1), pairings.count(2)
     if desc.family is Family.SO:
         if c1 != 0:
             raise AssertionError("so family must have a reduced restricted system")
@@ -253,15 +182,14 @@ def build_root_system(desc: GroupDescriptor) -> RootSystem:
 
     return RootSystem(
         descriptor=desc,
-        roots=roots_t,
-        positive=positive_t,
-        rho_g=rho_g,
-        rho_k=rho_k,
-        rho_p=rho_p,
+        positive=positive,
+        rho_g=_half_sum(positive, dim),
+        rho_k=_half_sum(pos_k, dim),
+        rho_p=_half_sum(pos_p, dim),
         dim_p=dim_p,
         dim_n1=dim_n1,
         dim_n2=dim_n2,
-        form_scale=form_scale,
+        form_scale=2 if desc.family is Family.SO else 1,
         beta0=beta0,
     )
 
@@ -269,7 +197,7 @@ def build_root_system(desc: GroupDescriptor) -> RootSystem:
 def exact_dot(x: Sequence[Fraction | int], y: Sequence[Fraction | int]) -> Fraction:
     """Exact coordinate dot product, summed in integers and reduced once."""
     num, den = 0, 1
-    for a, b in zip(x, y):
+    for a, b in zip(x, y, strict=True):
         n = a.numerator * b.numerator
         if n:
             d = a.denominator * b.denominator

@@ -11,6 +11,7 @@
 * ``geometry_to_dict``, the inverse of ``lefschetz.geometry_from_dict``.
 * 2x2 integer matrix products, adjugates and entries, weight scaling, and
   weight-lattice membership.
+* ``all_roots``, the full root set R(g,t) = R+ and -R+.
 * ``torus_sl2``, the su(1,1) torus element with a given root angle.
 * ``unfolded_sl2z_elliptic``, the SL(2,Z) elliptic entries one per class.
 """
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from ranklef.chars import TorusElement
 from ranklef.lefschetz import EllipticClass
-from ranklef.rootsys import RootKind, Weight, WeylElement, coroot_pairing
+from ranklef.rootsys import Root, RootKind, Weight, WeylElement, coroot_pairing
 from ranklef.sl2 import IntegerMatrix, _angle_pair, _elliptic_rep_angle, elliptic_classes
 
 # ---------------------------------------------------------------------------
@@ -238,11 +239,13 @@ def scale(w, c):
 
 def is_integral(rs, mu):
     """Membership test for the weight lattice: all coroot pairings integral."""
-    return all(
-        coroot_pairing(rs, mu, r).denominator == 1
-        for r, p in zip(rs.roots, rs.positive)
-        if p
-    )
+    return all(coroot_pairing(rs, mu, r).denominator == 1 for r in rs.positive_roots())
+
+
+def all_roots(rs):
+    """R(g,t): the positive roots, then their negatives in the same order."""
+    negatives = [Root(tuple(-c for c in r.coords), r.kind) for r in rs.positive_roots()]
+    return rs.positive_roots() + negatives
 
 
 def torus_sl2(q):

@@ -14,7 +14,8 @@ that differs between them:
 
 The grid:
 
-* ``rootsys show`` on ten groups;
+* ``rootsys show`` on fifteen groups, so each family's root builder runs at
+  both ends of its range;
 * ``sl2 compare`` for k in {12, 24, 40} and n in 1..30, 100, 500 and 1000,
   and at three points whose scaled trace overflows a float
   (``OVERFLOW_COMPARES``);
@@ -48,8 +49,9 @@ from test_cli import PINNED_REPORTS  # noqa: E402
 from workloads import Rank1Cli  # noqa: E402  (imports no ranklef code)
 
 GROUPS = (
-    "sl2r", "su(2,1)", "su(3,1)", "su(5,1)", "so(6,1)", "so(8,1)", "so(10,1)",
-    "sp(2,1)", "sp(3,1)", "sp(4,1)",
+    "sl2r", "su(2,1)", "su(3,1)", "su(4,1)", "su(5,1)",
+    "so(2,1)", "so(6,1)", "so(8,1)", "so(10,1)", "so(12,1)",
+    "sp(1,1)", "sp(2,1)", "sp(3,1)", "sp(4,1)", "sp(5,1)",
 )
 OVERFLOW_COMPARES = ((1000, 10), (1000, 2000), (500, 2000))
 SEEDS = (1, 2, 3)

@@ -38,7 +38,7 @@ from ranklef.rootsys import (
     inner,
     weyl_group,
 )
-from reference import full_average_orbital_term, scale, torus_sl2
+from reference import all_roots, full_average_orbital_term, scale, torus_sl2
 
 SL2 = build_root_system(GroupDescriptor.from_name("sl2r"))
 SU21 = build_root_system(GroupDescriptor.from_name("su(2,1)"))
@@ -78,7 +78,7 @@ def test_denominator_matches_eigenvalue_product():
         t = TorusElement(q)
         delta = weyl_denominator_T(SU21, t)
         prod = 1.0 + 0.0j
-        for r in SU21.roots:
+        for r in all_roots(SU21):
             prod *= 1 - character_exp(r, t)
         assert abs(abs(delta) ** 2 - prod.real) < 1e-9
         assert abs(prod.imag) < 1e-9
@@ -210,6 +210,10 @@ def test_elliptic_orbital_sl2_frozen_value():
     t = torus_sl2(Fraction(1, 4))
     got = elliptic_orbital_term(SL2, LAM11, t)
     assert abs(got - (-0.5 - 0.5j)) < 1e-12
+    # a torus element with one angle too many is rejected, exact or float
+    for q in (Fraction(1, 8), 0.125):
+        with pytest.raises(ValueError):
+            elliptic_orbital_term(SL2, LAM11, TorusElement((q, -q, q)))
 
 
 def test_elliptic_orbital_singular_limit_oracle():
@@ -280,7 +284,7 @@ def _pattern_reps(rs):
     """One rational xi per W_k-orbit of vanishing patterns {a : e^a(xi) = 1}
     among the elements with angles in TWELFTHS / 12."""
     group = weyl_group(rs, "compact")
-    roots = [tuple(int(c) for c in r.coords) for r in rs.roots]
+    roots = [tuple(int(c) for c in r.coords) for r in all_roots(rs)]
     free = rs.dim - 1 if rs.descriptor.family.value == "su" else rs.dim
     seen, reps = set(), []
     for ks in itertools.product(TWELFTHS, repeat=free):

@@ -24,6 +24,10 @@ SP21_GEOMETRY = str(REPORTS / "geometry-sp21.json")
 # to its numbers shows up here
 PINNED_REPORTS = {
     "rootsys-show-sl2r.json": ["rootsys", "show", "sl2r"],
+    # one pin per family with compact roots: the root order fixes float sums
+    "rootsys-show-su31.json": ["rootsys", "show", "su(3,1)"],
+    "rootsys-show-so61.json": ["rootsys", "show", "so(6,1)"],
+    "rootsys-show-sp21.json": ["rootsys", "show", "sp(2,1)"],
     "sl2-compare-k12-n2.json": ["sl2", "compare", "--k", "12", "--n", "2"],
     "sl2-oracle-k12-n2.json": ["sl2", "oracle", "--k", "12", "--n", "2"],
     "lefschetz-assemble-sl2z-k12-n2.json": [

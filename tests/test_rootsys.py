@@ -28,6 +28,7 @@ from ranklef.rootsys import (
     weyl_group,
 )
 from reference import (
+    all_roots,
     dense,
     dense_closure,
     identity,
@@ -42,6 +43,10 @@ ALL_SMALL = [
     "su(1,1)", "su(2,1)", "su(3,1)",
     "so(2,1)", "so(4,1)", "so(6,1)",
     "sp(1,1)", "sp(2,1)", "sp(3,1)",
+]
+# every group the root builder serves, up to the bound dim t = 6
+UP_TO_THE_BOUND = ALL_SMALL + [
+    "su(4,1)", "su(5,1)", "so(8,1)", "so(10,1)", "so(12,1)", "sp(4,1)", "sp(5,1)",
 ]
 
 
@@ -190,15 +195,16 @@ def _oracle_restricted_values(roots):
     return out
 
 
-@pytest.mark.parametrize("name", ALL_SMALL)
+@pytest.mark.parametrize("name", UP_TO_THE_BOUND)
 def test_root_datum_matches_matrix_oracle(name):
     desc = GroupDescriptor.from_name(name)
     rs = build_root_system(desc)
     oracle = _oracle_roots(desc)
-    assert len(oracle) == len(rs.roots)
+    roots = all_roots(rs)
+    assert len(oracle) == len(roots)
     n_cpt = sum(1 for r in oracle if r[1] is RootKind.COMPACT)
     n_ncpt = len(oracle) - n_cpt
-    assert n_cpt == sum(1 for r in rs.roots if r.kind is RootKind.COMPACT)
+    assert n_cpt == sum(1 for r in roots if r.kind is RootKind.COMPACT)
     assert n_ncpt == rs.dim_p
     values = _oracle_restricted_values(oracle)
     reals = [round(v.real) for v in values]
@@ -249,16 +255,16 @@ def test_sl2r_alias():
     assert GroupDescriptor.from_name("sl2r") == GroupDescriptor(Family.SU, 1)
 
 
-@pytest.mark.parametrize("name", ALL_SMALL)
+@pytest.mark.parametrize("name", UP_TO_THE_BOUND)
 def test_rho_identity_exact(name):
     rs = build_root_system(GroupDescriptor.from_name(name))
     assert rs.rho_g == rs.rho_k + rs.rho_p
 
 
-@pytest.mark.parametrize("name", ALL_SMALL)
+@pytest.mark.parametrize("name", UP_TO_THE_BOUND)
 def test_inner_normalization(name):
     rs = build_root_system(GroupDescriptor.from_name(name))
-    norms = sorted({inner(rs, Weight(r.coords), Weight(r.coords)) for r in rs.roots})
+    norms = sorted({inner(rs, Weight(r.coords), Weight(r.coords)) for r in all_roots(rs)})
     assert norms[0] == 2
     assert all(coroot_pairing(rs, rs.rho_g, a) == 1 for a in simple_roots(rs))
 
@@ -269,6 +275,11 @@ def test_inner_bilinearity_and_mismatch():
     assert inner(rs, zero, rs.rho_g) == 0
     with pytest.raises(ValueError):
         inner(rs, Weight((Fraction(1),)), rs.rho_g)
+    # the coroot pairing does not truncate a too-long weight
+    sl2r = build_root_system(GroupDescriptor.from_name("sl2r"))
+    alpha = sl2r.positive_roots()[0]
+    with pytest.raises(ValueError):
+        coroot_pairing(sl2r, Weight((Fraction(11, 2), Fraction(-11, 2), Fraction(99))), alpha)
 
 
 def _expected_orders(name):
@@ -292,9 +303,10 @@ def test_weyl_orders(name):
 
 @pytest.mark.parametrize("name", ["su(2,1)", "so(4,1)", "sp(1,1)", "sp(2,1)"])
 def test_weyl_closure_against_all_reflections(name):
-    # Brute-force recomputation: closure over reflections in *all* roots.
+    # Brute-force recomputation: closure over reflections in *all* positive
+    # roots, not just the simple ones (s_{-a} = s_a covers the negatives).
     rs = build_root_system(GroupDescriptor.from_name(name))
-    gens = [reflection_matrix(rs, r) for r, p in zip(rs.roots, rs.positive) if p]
+    gens = [reflection_matrix(rs, r) for r in rs.positive_roots()]
     seen = {identity(rs.dim)}
     frontier = list(seen)
     while frontier:
@@ -314,7 +326,7 @@ def test_weyl_closure_against_all_reflections(name):
 def test_weyl_elements_permute_roots_and_multiply_signs(name):
     rs = build_root_system(GroupDescriptor.from_name(name))
     group = weyl_group(rs, "full")
-    coords = {r.coords for r in rs.roots}
+    coords = {r.coords for r in all_roots(rs)}
     for w in group:
         assert {w.apply(Weight(c)).coords for c in coords} == coords
     for w1 in group[:6]:
