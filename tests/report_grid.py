@@ -12,6 +12,12 @@ that differs between them:
     PYTHONPATH=src python tests/report_grid.py this
     diff -r other this
 
+It also writes ``grid.sha256`` to OUTDIR: one line per command, the SHA-256
+of its stdout, a NUL byte, its stderr, a NUL byte and its ``NAME.exit`` text,
+then its name.  The copy committed as ``tests/reports/grid.sha256`` is the
+manifest that ``test_report_grid`` holds every tree to; a change that moves
+report bytes on purpose refreshes it by copying the new file over it.
+
 The grid:
 
 * ``rootsys show`` on fifteen groups, so each family's root builder runs at
@@ -33,6 +39,7 @@ without a directory, so its report does not depend on where the file lies.
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import random
@@ -42,6 +49,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 REPORTS = HERE / "reports"
+MANIFEST = REPORTS / "grid.sha256"
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 
 from ranklef import cli  # noqa: E402
@@ -105,7 +113,8 @@ def rank1_commands(seed, workdir):
         yield f"seed{seed}-epstein-{slug}", ["epstein", "const", "--spec", spec]
 
 
-def run(outdir, name, argv, cwd):
+def run(argv, cwd):
+    """Run one command in this process from ``cwd``: (stdout, stderr, exit code)."""
     out, err = io.StringIO(), io.StringIO()
     here = os.getcwd()
     os.chdir(cwd)
@@ -114,9 +123,32 @@ def run(outdir, name, argv, cwd):
             code = cli.main(argv)
     finally:
         os.chdir(here)
-    (outdir / f"{name}.stdout").write_text(out.getvalue(), encoding="utf-8")
-    (outdir / f"{name}.stderr").write_text(err.getvalue(), encoding="utf-8")
-    (outdir / f"{name}.exit").write_text(f"{code}\n", encoding="utf-8")
+    return out.getvalue(), err.getvalue(), code
+
+
+def grid(workdir):
+    """Yield (name, stdout, stderr, exit code) for every grid command, in
+    order; the ``rank1-cli`` inputs are written under ``workdir``."""
+    commands = [(name, argv, os.getcwd()) for name, argv in sl2z_commands()]
+    commands += [(name, argv, REPORTS) for name, argv in pinned_commands()]
+    commands += [(f"error-{name}", argv, os.getcwd()) for name, argv in ERROR_COMMANDS.items()]
+    for seed in SEEDS:
+        seed_dir = Path(workdir) / f"seed{seed}"
+        seed_dir.mkdir()
+        commands += [(name, argv, seed_dir) for name, argv in rank1_commands(seed, seed_dir)]
+    for name, argv, cwd in commands:
+        yield (name, *run(argv, cwd))
+
+
+def digest(stdout, stderr, code):
+    text = f"{stdout}\0{stderr}\0{code}\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def read_manifest(path=MANIFEST):
+    """The manifest as {name: digest}."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return {name: value for value, name in (line.split("  ", 1) for line in lines)}
 
 
 def main(argv):
@@ -125,22 +157,15 @@ def main(argv):
         return 2
     outdir = Path(argv[0]).resolve()
     outdir.mkdir(parents=True, exist_ok=True)
-    count = 0
-    for name, command in sl2z_commands():
-        run(outdir, name, command, os.getcwd())
-        count += 1
-    for name, command in pinned_commands():
-        run(outdir, name, command, REPORTS)
-        count += 1
-    for name, command in ERROR_COMMANDS.items():
-        run(outdir, f"error-{name}", command, os.getcwd())
-        count += 1
-    for seed in SEEDS:
-        with tempfile.TemporaryDirectory() as tmp:
-            for name, command in rank1_commands(seed, Path(tmp)):
-                run(outdir, name, command, tmp)
-                count += 1
-    print(f"{count} reports written to {outdir}", file=sys.stderr)
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, out, err, code in grid(tmp):
+            (outdir / f"{name}.stdout").write_text(out, encoding="utf-8")
+            (outdir / f"{name}.stderr").write_text(err, encoding="utf-8")
+            (outdir / f"{name}.exit").write_text(f"{code}\n", encoding="utf-8")
+            lines.append(f"{digest(out, err, code)}  {name}\n")
+    (outdir / "grid.sha256").write_text("".join(lines), encoding="utf-8")
+    print(f"{len(lines)} reports written to {outdir}", file=sys.stderr)
     return 0
 
 
