@@ -60,7 +60,6 @@ class HCParameter:
         self.rs = rs
         self.lam = lam
         self.regular = regular
-        self.positive = rs.positive_roots()
         self.compact = [(w.sign, w.apply(lam)) for w in weyl_group(rs, "compact")]
         self._cosets: dict[tuple[int, ...], list[tuple[complex, Weight]]] = {}
         self._full: list[tuple[int, int, float, Weight]] | None = None
@@ -68,7 +67,7 @@ class HCParameter:
     def cosets(self, fixed: tuple[int, ...]) -> list[tuple[complex, Weight]]:
         """Coset reps w of W_{k_xi} \\ W_k as (det(w) prod_{a in R+(xi)} <w.lam, a>, w.lam).
 
-        ``fixed`` lists the indices into ``positive`` of the roots a with
+        ``fixed`` lists the indices into ``rs.positive`` of the roots a with
         e^a(xi) = 1; W_{k_xi} is generated by the compact ones.  lambda is
         strictly dominant for the compact roots, so each right coset
         W_{k_xi} w holds exactly one w with <w.lam, a> > 0 for every compact
@@ -78,30 +77,37 @@ class HCParameter:
         table = self._cosets.get(fixed)
         if table is None:
             rs = self.rs
-            roots = [self.positive[i] for i in fixed]
-            compact = [r.coords for r in roots if r.kind is RootKind.COMPACT]
+            roots = [rs.positive[i] for i in fixed]
             table = []
             for sign, wl in self.compact:
-                if all(exact_dot(wl.coords, a) > 0 for a in compact):
-                    coeff = complex(sign)
-                    for r in roots:
-                        coeff *= float(inner(rs, wl, Weight(r.coords)))
+                coeff = complex(sign)
+                for r in roots:
+                    p = exact_dot(wl.coords, r.coords)
+                    if p <= 0 and r.kind is RootKind.COMPACT:
+                        break
+                    coeff *= float(rs.form_scale * p)
+                else:
                     table.append((coeff, wl))
             self._cosets[fixed] = table
         return table
 
     def full(self) -> list[tuple[int, int, float, Weight]]:
-        """The W(g,t) orbit as (det w, c_sign on H_plus, |<w.lam, beta0_v>|,
-        w.lam - rho_g), without the elements whose sign function vanishes."""
+        """The W(g,t) orbit as (det w, c(w.lam) on H_plus, |<w.lam, beta0_v>|,
+        w.lam - rho_g), without the elements whose sign function c vanishes.
+
+        The pairing mu(i(E_l - E_{-l})) is identified with <mu, beta0_v>
+        through the Cayley transform; on H_plus, c(mu) is minus that
+        pairing's sign, and H_minus negates it.  a_equals_1 follows the
+        H_plus (one-sided) convention.
+        """
         if self._full is None:
             rs = self.rs
             self._full = []
             for w in weyl_group(rs, "full"):
                 wl = w.apply(self.lam)
-                base = c_sign(rs, wl, Chamber.H_PLUS)
-                if base:
-                    rate = abs(float(coroot_pairing(rs, wl, rs.beta0)))
-                    self._full.append((w.sign, base, rate, wl - rs.rho_g))
+                p = coroot_pairing(rs, wl, rs.beta0)
+                if p:
+                    self._full.append((w.sign, -1 if p > 0 else 1, abs(float(p)), wl - rs.rho_g))
         return self._full
 
 
@@ -221,7 +227,7 @@ def elliptic_orbital_term(rs: RootSystem, lam: HCParameter, xi: TorusElement) ->
     """
     den = character_exp(rs.rho_g, xi)
     fixed = []
-    for i, r in enumerate(lam.positive):
+    for i, r in enumerate(rs.positive):
         x = _dot(r.coords, xi.angles)
         if _is_one(x):
             fixed.append(i)
@@ -251,21 +257,6 @@ def formal_degree(rs: RootSystem, lam: HCParameter) -> float:
     for r in rs.positive_roots(RootKind.COMPACT):
         den *= inner(rs, rs.rho_k, Weight(r.coords))
     return pref * abs(float(num / den))
-
-
-def c_sign(rs: RootSystem, mu: Weight, chamber: Chamber) -> int:
-    """Sign function of the character formula on H.
-
-    The pairing mu(i(E_l - E_{-l})) is identified with <mu, beta0_v> through
-    the Cayley transform; on H_plus the sign is minus that pairing's sign,
-    and H_minus negates it.  a_equals_1 follows the H_plus (one-sided)
-    convention.
-    """
-    s = coroot_pairing(rs, mu, rs.beta0)
-    base = -1 if s > 0 else (1 if s < 0 else 0)
-    if chamber is Chamber.H_MINUS:
-        return -base
-    return base
 
 
 def omega(rs: RootSystem, lam: HCParameter, h: NoncompactCartanElement) -> complex:

@@ -38,8 +38,6 @@ _BERNOULLI = (
     Fraction(-236364091, 2730),
 )
 
-EULER_GAMMA = 0.5772156649015328606
-
 # Minimum number of directly summed head terms before the Euler-Maclaurin tail.
 _HEAD_TERMS = 24
 

@@ -13,6 +13,7 @@
   weight-lattice membership.
 * ``all_roots``, the full root set R(g,t) = R+ and -R+.
 * ``torus_sl2``, the su(1,1) torus element with a given root angle.
+* ``c_sign``, the sign function of the character formula on H.
 * ``unfolded_sl2z_elliptic``, the SL(2,Z) elliptic entries one per class.
 """
 
@@ -21,7 +22,7 @@ import functools
 import math
 from fractions import Fraction
 
-from ranklef.chars import TorusElement
+from ranklef.chars import Chamber, TorusElement
 from ranklef.lefschetz import EllipticClass
 from ranklef.rootsys import Root, RootKind, Weight, WeylElement, coroot_pairing
 from ranklef.sl2 import IntegerMatrix, _angle_pair, _elliptic_rep_angle, elliptic_classes
@@ -253,6 +254,19 @@ def torus_sl2(q):
     if isinstance(q, Fraction):
         return TorusElement((q / 2, -q / 2))
     return TorusElement((q / 2.0, -q / 2.0))
+
+
+def c_sign(rs, mu, chamber):
+    """Sign function of the character formula on H.
+
+    The pairing mu(i(E_l - E_{-l})) is identified with <mu, beta0_v> through
+    the Cayley transform; on H_plus the sign is minus that pairing's sign,
+    and H_minus negates it.  a_equals_1 follows the H_plus (one-sided)
+    convention.
+    """
+    s = sum(a * b for a, b in zip(mu.coords, rs.beta0.coords))  # the sign of <mu, beta0_v>
+    base = -1 if s > 0 else (1 if s < 0 else 0)
+    return -base if chamber is Chamber.H_MINUS else base
 
 
 def unfolded_sl2z_elliptic(n):

@@ -20,7 +20,6 @@ from ranklef.chars import (
     NoncompactCartanElement,
     SingularElementError,
     TorusElement,
-    c_sign,
     central_character,
     character_exp,
     ds_character_Treg,
@@ -38,7 +37,7 @@ from ranklef.rootsys import (
     inner,
     weyl_group,
 )
-from reference import all_roots, full_average_orbital_term, scale, torus_sl2
+from reference import all_roots, c_sign, full_average_orbital_term, scale, torus_sl2
 
 SL2 = build_root_system(GroupDescriptor.from_name("sl2r"))
 SU21 = build_root_system(GroupDescriptor.from_name("su(2,1)"))
@@ -370,12 +369,17 @@ def test_formal_degree_rejects_singular():
 
 
 def test_c_sign_cases():
-    mu_pos = Weight((Fraction(3), Fraction(-3)))  # positive beta0 pairing
-    mu_zero = Weight((Fraction(0), Fraction(0)))
-    assert c_sign(SL2, mu_pos, Chamber.H_PLUS) == -1
-    assert c_sign(SL2, mu_zero, Chamber.H_PLUS) == 0
-    for mu in (mu_pos, mu_zero, Weight((Fraction(-2), Fraction(2)))):
-        assert c_sign(SL2, mu, Chamber.H_MINUS) == -c_sign(SL2, mu, Chamber.H_PLUS)
+    """full() stores c = -1 for a positive beta0 pairing, +1 for a negative
+    one, and no entry for a zero pairing; H_minus negates c."""
+    for coords in [(3, -3), (-2, 2), (Fraction(1, 2), Fraction(-1, 2))]:
+        entries = _param(SL2, coords).full()
+        assert len(entries) == 2  # W(sl2r) = {1, s}, and s.lam = -lam
+        for _, base, rate, shifted in entries:
+            wl = shifted + SL2.rho_g
+            pairing = 2 * wl.coords[0]  # <wl, beta0_v> with beta0 = e_1 - e_2
+            assert base == (-1 if pairing > 0 else 1) and rate == abs(pairing)
+            assert base == c_sign(SL2, wl, Chamber.H_PLUS) == -c_sign(SL2, wl, Chamber.H_MINUS)
+    assert _param(SL2, (0, 0)).full() == []
 
 
 def _identity_h(rs):

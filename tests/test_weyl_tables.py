@@ -44,7 +44,7 @@ from ranklef.rootsys import (
     build_root_system,
     weyl_group,
 )
-from reference import dense, dense_apply, dense_closure, mat_mul, reflection_matrix, scale, simple_roots
+from reference import c_sign, dense, dense_apply, dense_closure, mat_mul, reflection_matrix, scale, simple_roots
 
 GROUPS = ["sl2r", "su(2,1)", "su(3,1)", "so(6,1)", "so(8,1)", "sp(2,1)", "sp(3,1)"]
 RATIONAL_ANGLES = tuple(
@@ -147,19 +147,13 @@ def ref_elliptic_orbital_term(rs, lam, xi):
     return sign * total / den
 
 
-def ref_c_sign(rs, mu, chamber):
-    s = ref_coroot_pairing(mu, rs.beta0)
-    base = -1 if s > 0 else (1 if s < 0 else 0)
-    return -base if chamber is Chamber.H_MINUS else base
-
-
 def ref_omega(rs, lam, h):
     m = TorusElement(h.compact_angles)
     t = abs(h.log_a)
     total = 0.0 + 0.0j
     for w in weyl_group(rs, "full"):
         wl = dense_apply(dense(w), lam.lam)
-        c = ref_c_sign(rs, wl, h.chamber)
+        c = c_sign(rs, wl, h.chamber)
         if c == 0:
             continue
         pairing = ref_coroot_pairing(wl, rs.beta0)
