@@ -143,7 +143,7 @@ def _cmd_assemble(args) -> int:
         try:
             with open(args.geom, "r", encoding="utf-8") as fh:
                 geom = lef.geometry_from_dict(json.load(fh))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
             raise CliError(f"cannot read geometry file: {exc}") from exc
         source = {"file": os.path.basename(args.geom)}
     mu = _resolve_mu(args, rs)
@@ -191,7 +191,7 @@ def _cmd_epstein_const(args) -> int:
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = EpsteinSpec.from_dict(json.load(fh))
         lc = zeta_constant_terms(spec)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise CliError(f"bad Epstein spec: {exc}") from exc
     _emit(lc, args.out)
     return EXIT_OK

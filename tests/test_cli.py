@@ -425,6 +425,22 @@ def test_top_level_json_that_is_not_an_object_exits_one(capsys, tmp_path, argv, 
     assert err.startswith("error: ") and "JSON object" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lefschetz", "assemble", "--group", "sl2r", "--k", "12", "--geom"],
+        ["epstein", "const", "--spec"],
+    ],
+    ids=["assemble", "epstein"],
+)
+def test_deeply_nested_json_exits_one(capsys, tmp_path, argv):
+    path = tmp_path / "input.json"
+    path.write_text("[" * 100_000)  # deeper than the JSON decoder recurses
+    code, out, err = run(capsys, argv + [str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # Every malformed leaf: exit 0 or 1, strict JSON or an error line, never a traceback
 
