@@ -156,7 +156,7 @@ def parabolic_I_term(
         for _, wl in lam.compact:
             term = 1.0 + 0.0j
             if half_dim:
-                z = complex(sum(float(c) * p for c, p in zip(wl.coords, entry.z0_pairing)))
+                z = complex(sum(float(c) * p for c, p in zip(wl.coords, entry.z0_pairing, strict=True)))
                 if interpretation == "conjugate":
                     z = z.conjugate()
                 term = z ** half_dim

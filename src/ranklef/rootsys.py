@@ -101,6 +101,8 @@ class WeylElement:
 
     def apply(self, w: Weight) -> Weight:
         x = w.coords
+        if len(x) != len(self.perm):
+            raise ValueError(f"weight has {len(x)} coordinates; the Weyl element acts on {len(self.perm)}")
         return Weight(tuple(x[j] if s == 1 else -x[j] for j, s in zip(self.perm, self.signs)))
 
 

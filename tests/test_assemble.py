@@ -115,6 +115,17 @@ def test_parabolic_I_rejects_odd_n1():
         parabolic_I_term(SL2, lam, geom)
 
 
+@pytest.mark.parametrize("count", [2, 4])
+def test_parabolic_I_rejects_z0_pairing_of_wrong_length(count):
+    su21 = build_root_system(GroupDescriptor.from_name("su(2,1)"))
+    lam = hc_parameter(su21, su21.rho_g - su21.rho_k)
+    entry = _para1_entry(
+        dim_n_eta1=2, eta_torus=TorusElement((Fraction(0),) * 3), z0_pairing=(0.5, -0.25, 0.75, 1.0)[:count]
+    )
+    with pytest.raises(ValueError):
+        parabolic_I_term(su21, lam, empty_geom(parabolic_I=(entry,)))
+
+
 def test_parabolic_I_interpretation_switch():
     lam = hc_parameter(SL2, MU12)
     entry = _para1_entry(dim_n_eta1=2, z0_pairing=(0.5j, -0.5j))

@@ -394,6 +394,14 @@ def test_too_long_weight_is_rejected_not_truncated():
         is_regular(rs, mu)
 
 
+def test_weyl_element_rejects_weight_of_wrong_length():
+    rs = build_root_system(GroupDescriptor.from_name("sl2r"))
+    for coords in [(Fraction(1),), (Fraction(1), Fraction(-1), Fraction(5))]:
+        for w in weyl_group(rs, "full"):
+            with pytest.raises(ValueError):
+                w.apply(Weight(coords))
+
+
 def test_weight_lattice_integrality():
     rs = build_root_system(GroupDescriptor.from_name("su(2,1)"))
     assert is_integral(rs, rs.rho_g)
