@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from operator import add, sub
 
 from .lefschetz import (
     CentralClass,
@@ -211,28 +210,20 @@ def delta_coeffs(N: int) -> list[int]:
     """tau(1..N): coefficients of q prod_{m>=1} (1 - q^m)^24, exactly."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    # the nonzero terms (j, +-1) of prod (1 - q^m): Euler's pentagonal numbers
-    euler = [(0, 1)]
-    m = 1
-    while m * (3 * m - 1) // 2 < N:
-        s = -1 if m % 2 else 1
-        for p in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2):
-            if p < N:
-                euler.append((p, s))
-        m += 1
+    # the nonzero terms (e, c) of prod (1 - q^m)^3 by Jacobi's identity:
+    # sum_{j>=0} (-1)^j (2j+1) q^{j(j+1)/2}; its 8th power is prod (1 - q^m)^24
+    cube = []
+    j = 0
+    while j * (j + 1) // 2 < N:
+        cube.append((j * (j + 1) // 2, (-1) ** j * (2 * j + 1)))
+        j += 1
     power = [1] + [0] * (N - 1)
-    for _ in range(24):
-        power = _poly_mul_trunc(power, euler, N)
+    for _ in range(8):
+        out = [0] * N
+        for e, c in cube:
+            out[e:] = [a + c * b for a, b in zip(out[e:], power)]
+        power = out
     return power  # tau(j+1) = power[j] after the q-shift
-
-
-def _poly_mul_trunc(p: list[int], terms: list[tuple[int, int]], N: int) -> list[int]:
-    """p (length N) times the sparse series sum s q^j over ``terms`` (j, s = +-1),
-    truncated below q^N."""
-    out = [0] * N
-    for j, s in terms:
-        out[j:] = map(add if s > 0 else sub, out[j:], p[: N - j])
-    return out
 
 
 def dim_cusp_forms(k: int) -> int:
