@@ -145,9 +145,9 @@ def digest(stdout, stderr, code):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def read_manifest(path=MANIFEST):
-    """The manifest as {name: digest}."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+def read_manifest():
+    """The committed manifest as {name: digest}."""
+    lines = MANIFEST.read_text(encoding="utf-8").splitlines()
     return {name: value for value, name in (line.split("  ", 1) for line in lines)}
 
 
