@@ -82,10 +82,10 @@ class HCParameter:
             for sign, wl in self.compact:
                 coeff = complex(sign)
                 for r in roots:
-                    p = exact_dot(wl.coords, r.coords)
+                    p = inner(rs, wl, r)
                     if p <= 0 and r.kind is RootKind.COMPACT:
                         break
-                    coeff *= float(rs.form_scale * p)
+                    coeff *= float(p)
                 else:
                     table.append((coeff, wl))
             self._cosets[fixed] = table
@@ -105,7 +105,7 @@ class HCParameter:
             self._full = []
             for w in weyl_group(rs, "full"):
                 wl = w.apply(self.lam)
-                p = coroot_pairing(rs, wl, rs.beta0)
+                p = coroot_pairing(wl, rs.beta0)
                 if p:
                     self._full.append((w.sign, -1 if p > 0 else 1, abs(float(p)), wl - rs.rho_g))
         return self._full
@@ -128,6 +128,21 @@ class Chamber(str, Enum):
     A_EQUALS_1 = "a_equals_1"
 
 
+# The sign of log_a on each chamber, as stated in error messages.
+_LOG_A_SIGN = {Chamber.H_PLUS: "> 0", Chamber.H_MINUS: "< 0", Chamber.A_EQUALS_1: "= 0"}
+
+
+def _chamber(log_a: float) -> Chamber:
+    """The chamber of the split coordinate, by the sign of log_a."""
+    if log_a > 0:
+        return Chamber.H_PLUS
+    if log_a < 0:
+        return Chamber.H_MINUS
+    if log_a == 0:
+        return Chamber.A_EQUALS_1
+    raise ValueError(f"log_a must be a number, not {log_a!r}")
+
+
 @dataclass(frozen=True)
 class NoncompactCartanElement:
     """h = m a with m given by compact angles and a by the split coordinate."""
@@ -137,23 +152,12 @@ class NoncompactCartanElement:
     chamber: Chamber
 
     def __post_init__(self) -> None:
-        t = self.log_a
-        if self.chamber is Chamber.A_EQUALS_1 and t != 0.0:
-            raise ValueError("chamber a_equals_1 requires log_a = 0")
-        if self.chamber is Chamber.H_PLUS and not t > 0:
-            raise ValueError("chamber H_plus requires log_a > 0")
-        if self.chamber is Chamber.H_MINUS and not t < 0:
-            raise ValueError("chamber H_minus requires log_a < 0")
+        if _chamber(self.log_a) is not self.chamber:
+            raise ValueError(f"chamber {self.chamber.value} requires log_a {_LOG_A_SIGN[self.chamber]}")
 
     @staticmethod
     def from_log_a(compact_angles: Sequence[Angle], log_a: float) -> "NoncompactCartanElement":
-        if log_a > 0:
-            ch = Chamber.H_PLUS
-        elif log_a < 0:
-            ch = Chamber.H_MINUS
-        else:
-            ch = Chamber.A_EQUALS_1
-        return NoncompactCartanElement(tuple(compact_angles), float(log_a), ch)
+        return NoncompactCartanElement(tuple(compact_angles), float(log_a), _chamber(log_a))
 
 
 @dataclass(frozen=True)
@@ -175,12 +179,9 @@ def _phase(x: Angle) -> complex:
     return cmath.exp(2j * math.pi * x)
 
 
-def character_exp(coords: Weight | Root, t: TorusElement, half: bool = False) -> complex:
-    """e^beta(t), or e^{beta/2}(t) when ``half`` is set."""
-    x = _dot(coords.coords, t.angles)
-    if half:
-        x = x / 2 if isinstance(x, Fraction) else x / 2.0
-    return _phase(x)
+def character_exp(coords: Weight | Root, t: TorusElement) -> complex:
+    """e^beta(t)."""
+    return _phase(_dot(coords.coords, t.angles))
 
 
 def _is_one(x: Angle) -> bool:
@@ -196,7 +197,7 @@ def weyl_denominator_T(rs: RootSystem, t: TorusElement) -> complex:
         raise ValueError("torus element dimension mismatch")
     out = 1.0 + 0.0j
     for r in rs.positive_roots():
-        e = character_exp(r, t, half=True)
+        e = _phase(_dot(r.coords, t.angles) / 2)  # e^{b/2}(t)
         out *= e - 1 / e
     return out
 
@@ -252,10 +253,10 @@ def formal_degree(rs: RootSystem, lam: HCParameter) -> float:
     pref = 1.0 / ((2 * math.pi) ** half_p * 2 ** ((half_p - 1) / 2))
     num = Fraction(1)
     for r in rs.positive_roots():
-        num *= inner(rs, lam.lam, Weight(r.coords))
+        num *= inner(rs, lam.lam, r)
     den = Fraction(1)
     for r in rs.positive_roots(RootKind.COMPACT):
-        den *= inner(rs, rs.rho_k, Weight(r.coords))
+        den *= inner(rs, rs.rho_k, r)
     return pref * abs(float(num / den))
 
 

@@ -32,9 +32,10 @@ EXIT_MISMATCH = 2
 EXIT_NONINTEGRAL = 3
 
 # Largest Hecke level n the SL(2,Z) commands accept.  At n = 2000 one cold
-# compare or preset assembly takes about 0.04 s, mostly the reduced-form
-# enumeration behind its 374 elliptic entries, and the weight-12 oracle's tau
-# table 0.2 s (Python 3.11, one core of a shared 2-vCPU host).
+# compare or preset assembly takes about 0.05 s, 0.03 s of it the geometry
+# build (mostly the reduced-form enumeration behind its 374 elliptic entries),
+# and the weight-12 oracle's tau table 0.08 s (Python 3.11, one core of a
+# shared 2-vCPU host).
 MAX_SL2Z_LEVEL = 2000
 # Largest weight k of `sl2 oracle` and `sl2 compare`, at every level: a
 # k = 1000 trace at n = 2000 has about 1650 digits, below the 4300 Python will

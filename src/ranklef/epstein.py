@@ -141,12 +141,14 @@ class EpsteinSpec:
         classes = []
         for entry in top.entries("classes"):
             weight = entry.number("weight", positive=True)
-            if "scale" in entry.value:
+            if "norm" in entry.value:
+                # Shorthand: seed norm c stands for the progression {c(m+1)}.
+                if "scale" in entry.value or "offset" in entry.value:
+                    raise ValueError(f"{entry.name}: 'norm' excludes 'scale' and 'offset'")
+                classes.append(ClassProgression(weight, entry.number("norm", positive=True), 1.0))
+            elif "scale" in entry.value:
                 scale = entry.number("scale", positive=True)
                 classes.append(ClassProgression(weight, scale, entry.number("offset", 1.0, positive=True)))
-            elif "norm" in entry.value:
-                # Shorthand: seed norm c stands for the progression {c(m+1)}.
-                classes.append(ClassProgression(weight, entry.number("norm", positive=True), 1.0))
             else:
                 raise ValueError(f"{entry.name} needs 'scale' (+'offset') or 'norm'")
         return EpsteinSpec(

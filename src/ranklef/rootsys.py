@@ -26,7 +26,8 @@ from typing import Sequence
 
 Vector = tuple[Fraction, ...]
 # Largest dim t accepted: |W| grows factorially, and at the bound so(12,1)
-# has 46080 elements and `rootsys show` takes 0.5 s (Python 3.11, 2 vCPUs).
+# has 46080 elements and `rootsys show` takes about 0.3 s once the interpreter
+# has started (Python 3.11, 2 vCPUs).
 MAX_TORUS_DIM = 6
 
 
@@ -171,7 +172,7 @@ def build_root_system(desc: GroupDescriptor) -> RootSystem:
 
     # Restricted multiplicities: pair the roots against the coroot of beta0;
     # a root and its negative pair to opposite values.
-    pairings = [abs(_coroot_pairing_raw(r.coords, beta0.coords)) for r in positive]
+    pairings = [abs(coroot_pairing(r, beta0)) for r in positive]
     c1, c2 = pairings.count(1), pairings.count(2)
     if desc.family is Family.SO:
         if c1 != 0:
@@ -210,21 +211,17 @@ def exact_dot(x: Sequence[Fraction | int], y: Sequence[Fraction | int]) -> Fract
     return Fraction(num, den)
 
 
-def _coroot_pairing_raw(x: Vector, alpha: Vector) -> Fraction:
-    # 2<x,a>/<a,a> is independent of the form scale, so the plain dot works.
-    return 2 * exact_dot(x, alpha) / exact_dot(alpha, alpha)
-
-
-def inner(rs: RootSystem, a: Weight, b: Weight) -> Fraction:
-    """Invariant pairing on it*, normalized so the short root has norm^2 = 2."""
-    if len(a.coords) != len(b.coords) or len(a.coords) != rs.dim:
+def inner(rs: RootSystem, a: Root | Weight, b: Root | Weight) -> Fraction:
+    """Invariant pairing on it*, normalized so the short root has norm^2 = 2.
+    Both sides must have dim t coordinates (``exact_dot`` checks ``b``)."""
+    if len(a.coords) != rs.dim:
         raise ValueError("dimension mismatch")
     return rs.form_scale * exact_dot(a.coords, b.coords)
 
 
-def coroot_pairing(rs: RootSystem, mu: Weight, alpha: Root | Weight) -> Fraction:
-    coords = alpha.coords
-    return _coroot_pairing_raw(mu.coords, coords)
+def coroot_pairing(mu: Root | Weight, alpha: Root | Weight) -> Fraction:
+    """<mu, alpha^v> = 2<mu,alpha>/<alpha,alpha>; the form scale cancels, so the plain dot works."""
+    return 2 * exact_dot(mu.coords, alpha.coords) / exact_dot(alpha.coords, alpha.coords)
 
 
 def is_regular(rs: RootSystem, mu: Weight) -> bool:
@@ -234,18 +231,16 @@ def is_regular(rs: RootSystem, mu: Weight) -> bool:
     vanishing pairing is then only reachable on a noncompact root.
     """
     lam = mu + rs.rho_k
-    for r in rs.positive_roots(RootKind.COMPACT):
-        if inner(rs, lam, Weight(r.coords)) <= 0:
-            raise ValueError("weight is not dominant for the compact positive system")
-    for r in rs.positive_roots():
-        if inner(rs, lam, Weight(r.coords)) == 0:
-            return False
-    for r in rs.positive_roots():
-        if inner(rs, lam, Weight(r.coords)) < 0:
-            raise ValueError(
-                "lambda = mu + rho_k is regular but not dominant; "
-                "present the dominant chamber representative"
-            )
+    pairings = [(r.kind, inner(rs, lam, r)) for r in rs.positive]
+    if any(p <= 0 for kind, p in pairings if kind is RootKind.COMPACT):
+        raise ValueError("weight is not dominant for the compact positive system")
+    if any(p == 0 for _, p in pairings):
+        return False
+    if any(p < 0 for _, p in pairings):
+        raise ValueError(
+            "lambda = mu + rho_k is regular but not dominant; "
+            "present the dominant chamber representative"
+        )
     return True
 
 
@@ -276,14 +271,15 @@ def _weyl_group_cached(rs: RootSystem, sub: str) -> tuple[WeylElement, ...]:
     return tuple(elements)
 
 
-def weyl_group(rs: RootSystem, sub: str = "full") -> list[WeylElement]:
+def weyl_group(rs: RootSystem, sub: str = "full") -> tuple[WeylElement, ...]:
     """Enumerate the Weyl group as signed permutations.
 
     ``sub`` is "full" for W(g,t) or "compact" for W(k,t), the subgroup
     generated by reflections in compact roots.  Elements come back in a
     deterministic order (sorted by the entries of their matrices), each with
-    its determinant; the group is cached per root system.
+    its determinant; the group is cached per root system, and every call
+    returns the same tuple.
     """
     if sub not in ("full", "compact"):
         raise ValueError("sub must be 'full' or 'compact'")
-    return list(_weyl_group_cached(rs, sub))
+    return _weyl_group_cached(rs, sub)

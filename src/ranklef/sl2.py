@@ -48,7 +48,8 @@ SL2Z_TOTAL_VOL = math.pi / 3.0
 
 MATCH_TOL = 1e-6
 
-_NORMALIZATION_EXPONENTS = ("-(k-2)/2", "0", "+(k-2)/2")
+# The torus angles of +I and -I, the central classes of SL(2,R).
+_PLUS_MINUS_I = ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(-1, 2)))
 
 
 @dataclass(frozen=True)
@@ -292,12 +293,6 @@ def mu_from_weight(k: int) -> Weight:
     return Weight((half, -half))
 
 
-def _angle_pair(q) -> tuple:
-    if isinstance(q, Fraction):
-        return (q, -q)
-    return (float(q), -float(q))
-
-
 def _elliptic_rep_angle(t: int, n: int):
     """Oriented epsilon-coordinate q = phi/(2 pi), cos phi = t/(2 sqrt n), phi in (0, pi).
 
@@ -352,23 +347,21 @@ def build_geom_sl2z(n: int, extra_class_reps: tuple[IntegerMatrix, ...] = ()) ->
     central: list[CentralClass] = []
     r = isqrt(n)
     if r * r == n:
-        central.append(CentralClass(tag=f"{r}I", z=TorusElement((Fraction(0), Fraction(0)))))
-        central.append(
-            CentralClass(tag=f"-{r}I", z=TorusElement((Fraction(1, 2), Fraction(-1, 2))))
-        )
+        for tag, angles in zip((f"{r}I", f"-{r}I"), _PLUS_MINUS_I):
+            central.append(CentralClass(tag=tag, z=TorusElement(angles)))
 
     # the classes of one group and orientation give equal terms: one entry each
     elliptic: list[EllipticClass] = []
     for grp in elliptic_classes(n):
         q = _elliptic_rep_angle(grp.trace, n)
         weight = (grp.class_count // 2) / grp.centralizer_order
-        for oriented_q in (q, -q):
-            elliptic.append(EllipticClass(rep=TorusElement(_angle_pair(oriented_q)), vol_quotient=weight))
+        for angles in ((q, -q), (-q, q)):
+            elliptic.append(EllipticClass(rep=TorusElement(angles), vol_quotient=weight))
 
     parabolic_I: list[ParabolicIData] = []
     if r * r == n:
         C = _cusp_epstein_constant(n)
-        for tag_angles in ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(-1, 2))):
+        for tag_angles in _PLUS_MINUS_I:
             parabolic_I.append(
                 ParabolicIData(
                     delta_flag=True,
@@ -389,7 +382,7 @@ def build_geom_sl2z(n: int, extra_class_reps: tuple[IntegerMatrix, ...] = ()) ->
             continue
         d = n // a
         log_a = math.log(a / d) if a != d else 0.0
-        for angles in ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(-1, 2))):
+        for angles in _PLUS_MINUS_I:
             parabolic_II.append(
                 ParabolicIIData(
                     vol_M=0.5,
@@ -442,10 +435,8 @@ def compare(k: int, n: int, interpretation: str = "conjugate") -> OracleReport:
     # the defect is measured on the assembled side, where totals stay O(1);
     # scaling the comparison the other way would amplify double-precision
     # noise by n^{(k-2)/2} against huge exact integers
-    defects = []
-    for label in _NORMALIZATION_EXPONENTS:
-        j = {"-(k-2)/2": -half, "0": 0.0, "+(k-2)/2": half}[label]
-        defects.append((_scaled_defect(bd.total, oracle, n, j), label))
+    exponents = (("-(k-2)/2", -half), ("0", 0.0), ("+(k-2)/2", half))
+    defects = [(_scaled_defect(bd.total, oracle, n, j), label) for label, j in exponents]
     # several exponents can match at once (zero traces, n = 1); report the
     # first matching one in canonical order so the symbol stays constant
     matching = [(d, label) for d, label in defects if d < MATCH_TOL]

@@ -25,7 +25,7 @@ from fractions import Fraction
 from ranklef.chars import Chamber, TorusElement
 from ranklef.lefschetz import EllipticClass
 from ranklef.rootsys import Root, RootKind, Weight, WeylElement, coroot_pairing
-from ranklef.sl2 import IntegerMatrix, _angle_pair, _elliptic_rep_angle, elliptic_classes
+from ranklef.sl2 import IntegerMatrix, _elliptic_rep_angle, elliptic_classes
 
 # ---------------------------------------------------------------------------
 # Dense Weyl matrices
@@ -240,7 +240,7 @@ def scale(w, c):
 
 def is_integral(rs, mu):
     """Membership test for the weight lattice: all coroot pairings integral."""
-    return all(coroot_pairing(rs, mu, r).denominator == 1 for r in rs.positive_roots())
+    return all(coroot_pairing(mu, r).denominator == 1 for r in rs.positive_roots())
 
 
 def all_roots(rs):
@@ -280,7 +280,7 @@ def unfolded_sl2z_elliptic(n):
             for _ in range(grp.class_count // 2):
                 entries.append(
                     EllipticClass(
-                        rep=TorusElement(_angle_pair(oriented_q)),
+                        rep=TorusElement((oriented_q, -oriented_q)),
                         vol_quotient=1.0 / grp.centralizer_order,
                         d_xi=1.0,
                     )

@@ -609,6 +609,8 @@ def test_every_bad_leaf_exits_zero_or_one(capsys, tmp_path, base, argv):
         (("parabolic_II", 1, "eta_H", "log_a"), -1, "parabolic_II[1].eta_H: chamber H_plus requires log_a > 0"),
         (("total_vol",), float("inf"), "total_vol must be a finite number"),
         (("calibration",), float("nan"), "calibration must be a finite number"),
+        (("parabolic_II", 0, "eta_H", "log_a"), 0.5, "parabolic_II[0].eta_H: chamber a_equals_1 requires log_a = 0"),
+        (("parabolic_II", 2, "eta_H", "log_a"), 0.4, "parabolic_II[2].eta_H: chamber H_minus requires log_a < 0"),
     ],
 )
 def test_bad_geometry_entry_is_named(capsys, tmp_path, path, value, message):
@@ -625,6 +627,9 @@ def test_bad_geometry_entry_is_named(capsys, tmp_path, path, value, message):
         (("lattice_vol",), float("nan"), "lattice_vol must be a finite number"),
         (("classes", 1, "norm"), -2.0, "classes[1].norm must be positive"),
         (("exponent_base",), 1.5, "exponent_base must be an integer, not 1.5"),
+        # the norm shorthand excludes the scale/offset form
+        (("classes", 1), {"weight": 1, "norm": 2, "offset": 0.5}, "classes[1]: 'norm' excludes"),
+        (("classes", 1), {"weight": 1, "scale": 2, "norm": 7}, "classes[1]: 'norm' excludes"),
     ],
 )
 def test_bad_spec_entry_is_named(capsys, tmp_path, path, value, message):

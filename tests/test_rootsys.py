@@ -266,7 +266,7 @@ def test_inner_normalization(name):
     rs = build_root_system(GroupDescriptor.from_name(name))
     norms = sorted({inner(rs, Weight(r.coords), Weight(r.coords)) for r in all_roots(rs)})
     assert norms[0] == 2
-    assert all(coroot_pairing(rs, rs.rho_g, a) == 1 for a in simple_roots(rs))
+    assert all(coroot_pairing(rs.rho_g, a) == 1 for a in simple_roots(rs))
 
 
 def test_inner_bilinearity_and_mismatch():
@@ -279,7 +279,7 @@ def test_inner_bilinearity_and_mismatch():
     sl2r = build_root_system(GroupDescriptor.from_name("sl2r"))
     alpha = sl2r.positive_roots()[0]
     with pytest.raises(ValueError):
-        coroot_pairing(sl2r, Weight((Fraction(11, 2), Fraction(-11, 2), Fraction(99))), alpha)
+        coroot_pairing(Weight((Fraction(11, 2), Fraction(-11, 2), Fraction(99))), alpha)
 
 
 def _expected_orders(name):
@@ -299,6 +299,9 @@ def test_weyl_orders(name):
     full, compact = _expected_orders(name)
     assert len(weyl_group(rs, "full")) == full
     assert len(weyl_group(rs, "compact")) == compact
+    # the cached group itself, not a copy per call
+    assert weyl_group(rs, "full") is weyl_group(rs, "full")
+    assert weyl_group(rs, "compact") is weyl_group(rs, "compact")
 
 
 @pytest.mark.parametrize("name", ["su(2,1)", "so(4,1)", "sp(1,1)", "sp(2,1)"])
