@@ -85,6 +85,15 @@ def _check_sl2z_bounds(n: int, k: int | None = None) -> None:
         raise CliError(f"--k {k} is above the SL(2,Z) weight bound {MAX_SL2Z_WEIGHT}")
 
 
+def _read_json(path: str, parse, what: str):
+    """``parse`` of a JSON file's value; a failure to read or parse it is a CliError after ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+        raise CliError(f"{what}: {exc}") from exc
+
+
 def _parse_mu(text: str) -> Weight:
     try:
         return Weight(tuple(Fraction(part) for part in text.split(",")))
@@ -127,8 +136,6 @@ def _cmd_assemble(args) -> int:
     if (args.geom is None) == (args.preset is None):
         raise CliError("give exactly one geometry source: --geom FILE or --preset sl2z")
     if args.preset is not None:
-        if args.preset != "sl2z":
-            raise CliError(f"unknown preset {args.preset!r}")
         if args.n is None:
             raise CliError("--preset sl2z requires --n")
         _check_sl2z_bounds(args.n)
@@ -138,14 +145,12 @@ def _cmd_assemble(args) -> int:
         geom = sl2.build_geom_sl2z(args.n)
         source = {"n": args.n, "preset": "sl2z"}
     else:
+        if args.n is not None:
+            raise CliError("--n applies only to --preset sl2z")
         if args.group is None:
             raise CliError("--geom requires --group")
         rs = build_root_system(GroupDescriptor.from_name(args.group))
-        try:
-            with open(args.geom, "r", encoding="utf-8") as fh:
-                geom = lef.geometry_from_dict(json.load(fh))
-        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
-            raise CliError(f"cannot read geometry file: {exc}") from exc
+        geom = _read_json(args.geom, lef.geometry_from_dict, "cannot read geometry file")
         source = {"file": os.path.basename(args.geom)}
     mu = _resolve_mu(args, rs)
     bd = lef.assemble(rs, mu, geom, args.interpretation)
@@ -188,13 +193,8 @@ def _cmd_sl2_compare(args) -> int:
 
 
 def _cmd_epstein_const(args) -> int:
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = EpsteinSpec.from_dict(json.load(fh))
-        lc = zeta_constant_terms(spec)
-    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
-        raise CliError(f"bad Epstein spec: {exc}") from exc
-    _emit(lc, args.out)
+    spec = _read_json(args.spec, EpsteinSpec.from_dict, "bad Epstein spec")
+    _emit(zeta_constant_terms(spec), args.out)
     return EXIT_OK
 
 

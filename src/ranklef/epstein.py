@@ -135,8 +135,8 @@ class EpsteinSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "EpsteinSpec":
-        """The spec of a decoded JSON file.  A value of the wrong type or range
-        raises ValueError naming it, e.g. ``classes[0].scale``."""
+        """The spec of a decoded JSON file.  A value of the wrong type or range,
+        or an unknown key, raises ValueError naming it, e.g. ``classes[0].scale``."""
         top = Fields(data, "", what="spec")
         classes = []
         for entry in top.entries("classes"):
@@ -151,11 +151,13 @@ class EpsteinSpec:
                 classes.append(ClassProgression(weight, scale, entry.number("offset", 1.0, positive=True)))
             else:
                 raise ValueError(f"{entry.name} needs 'scale' (+'offset') or 'norm'")
-        return EpsteinSpec(
+        spec = EpsteinSpec(
             classes=tuple(classes),
             lattice_vol=top.number("lattice_vol", 1.0, positive=True),
             exponent_base=top.integer("exponent_base", minimum=1),
         )
+        top.reject_unknown()
+        return spec
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@
 ``elliptic_classes[0]``.  Each read checks the type and range of one value
 and raises ``ValueError`` naming it, e.g. ``elliptic_classes[0].vol_quotient
 must be positive``, so a malformed file ends in the CLI's exit code 1.
-Numbers must be finite; JSON booleans are not numbers.
+Numbers must be finite; JSON booleans are not numbers.  A key that no read
+asks for is rejected by name, so a misspelt optional key is not read as absent.
 """
 
 from __future__ import annotations
@@ -95,11 +96,15 @@ class Fields:
         if not isinstance(value, dict):
             raise ValueError(f"{what or name} must be a JSON object, not {_kind(value)}")
         self.value, self.name = value, name
+        # the keys read from this object and the objects read through it
+        self.read: set[str] = set()
+        self.children: list[Fields] = []
 
     def _name(self, key: str) -> str:
         return f"{self.name}.{key}" if self.name else key
 
     def get(self, key: str, default: Any = _REQUIRED) -> Any:
+        self.read.add(key)
         if key in self.value:
             return self.value[key]
         if default is _REQUIRED:
@@ -135,7 +140,19 @@ class Fields:
 
     def entries(self, key: str) -> list["Fields"]:
         """An optional list of objects, empty when absent."""
-        return [Fields(entry, name) for entry, name in self.items(key)]
+        entries = [Fields(entry, name) for entry, name in self.items(key)]
+        self.children += entries
+        return entries
 
     def fields(self, key: str) -> "Fields":
-        return Fields(self.get(key), self._name(key))
+        self.children.append(Fields(self.get(key), self._name(key)))
+        return self.children[-1]
+
+    def reject_unknown(self) -> None:
+        """Raise ValueError naming the first key, here or in an object read
+        through this one, that no read asked for."""
+        for key in self.value:
+            if key not in self.read:
+                raise ValueError(f"{self._name(key)} is not a known key")
+        for child in self.children:
+            child.reject_unknown()

@@ -65,6 +65,10 @@ class ParabolicIData:
     Rplus_xi0: tuple[tuple[Fraction, ...], ...] = ()
     z0_pairing: tuple[float, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.dim_n_eta1 % 2 != 0:
+            raise ValueError(f"dim_n_eta1 must be even, not {self.dim_n_eta1}")
+
 
 @dataclass(frozen=True)
 class ParabolicIIData:
@@ -145,8 +149,6 @@ def parabolic_I_term(
     for entry in geom.parabolic_I:
         if not entry.delta_flag:
             continue
-        if entry.dim_n_eta1 % 2 != 0:
-            raise ValueError("dim n_{eta,1} must be even")
         half_dim = entry.dim_n_eta1 // 2
         pref = (
             entry.c_eta_plus * entry.C_eta_plus
@@ -266,8 +268,8 @@ def assemble(
 
 
 def geometry_from_dict(data: dict) -> GeometricData:
-    """The geometry of a decoded JSON file.  A value of the wrong type or
-    range raises ValueError naming it, e.g. ``elliptic_classes[0].d_xi``."""
+    """The geometry of a decoded JSON file.  A value of the wrong type or range,
+    or an unknown key, raises ValueError naming it, e.g. ``elliptic_classes[0].d_xi``."""
     top = Fields(data, "", what="geometry")
     central = tuple(
         CentralClass(tag=c.string("tag", ""), z=TorusElement(c.angles("z")))
@@ -281,8 +283,9 @@ def geometry_from_dict(data: dict) -> GeometricData:
         )
         for c in top.entries("elliptic_classes")
     )
-    para1 = tuple(
-        ParabolicIData(
+    para1 = []
+    for p in top.entries("parabolic_I"):
+        kwargs = dict(
             delta_flag=p.boolean("delta_flag"),
             c_eta_plus=p.number("c_eta_plus", 0.0),
             c_eta_minus=p.number("c_eta_minus", 0.0),
@@ -293,8 +296,10 @@ def geometry_from_dict(data: dict) -> GeometricData:
             Rplus_xi0=tuple(tuple(Fraction(a) for a in angles(r, name)) for r, name in p.items("Rplus_xi0")),
             z0_pairing=tuple(number(x, name) for x, name in p.items("Z0_pairing")),
         )
-        for p in top.entries("parabolic_I")
-    )
+        try:
+            para1.append(ParabolicIData(**kwargs))
+        except ValueError as exc:  # an odd dim_n_eta1, named by the message
+            raise ValueError(f"{p.name}.{exc}") from None
     para2 = []
     for p in top.entries("parabolic_II"):
         eta = p.fields("eta_H")
@@ -316,12 +321,14 @@ def geometry_from_dict(data: dict) -> GeometricData:
     if top.get("residue_scalar", None) is not None:
         r = top.fields("residue_scalar")
         residue = complex(r.number("re"), r.number("im"))
-    return GeometricData(
+    geom = GeometricData(
         total_vol=top.number("total_vol", positive=True),
         central_classes=central,
         elliptic_classes=elliptic,
-        parabolic_I=para1,
+        parabolic_I=tuple(para1),
         parabolic_II=tuple(para2),
         residue_scalar=residue,
         calibration=top.number("calibration", 1.0, positive=True),
     )
+    top.reject_unknown()
+    return geom

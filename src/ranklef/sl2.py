@@ -15,8 +15,8 @@ two independent classical oracles:
 Measure conventions of the preset (all volumes in one calibration unit):
 vol(Gamma\\G) = pi/3, an elliptic entry weighs (classes in its group) /
 |centralizer|, the compact factor M = {+-1} carries probability Haar so
-finite quotients weigh 1/2, and the cusp width is the norm unit.  The
-global calibration constant is frozen on the (k=12, n=1) datum.
+finite quotients weigh 1/2.  The global calibration constant is frozen on
+the (k=12, n=1) datum.
 """
 
 from __future__ import annotations
@@ -32,12 +32,10 @@ from .lefschetz import (
     EllipticClass,
     GeometricData,
     LefschetzBreakdown,
-    ParabolicIData,
     ParabolicIIData,
     assemble,
 )
 from .chars import NoncompactCartanElement, TorusElement
-from .epstein import ClassProgression, EpsteinSpec, zeta_constant_terms
 from .rootsys import Family, GroupDescriptor, Weight, build_root_system
 
 # Frozen once on the (k=12, n=1) index datum; see the preset conventions in
@@ -310,20 +308,6 @@ def _elliptic_rep_angle(t: int, n: int):
     return phi / (2.0 * math.pi)
 
 
-def _cusp_epstein_constant(n: int) -> float:
-    """Laurent constant of the cusp zeta attached to eta = +-sqrt(n) I.
-
-    Unipotent norms form the single progression {(m+1)/sqrt(n)}, each class
-    weighted by the probability-Haar mass 1/2 of M/(Gamma_M).
-    """
-    spec = EpsteinSpec(
-        classes=(ClassProgression(weight=0.5, scale=1.0 / math.sqrt(n), offset=1.0),),
-        lattice_vol=1.0,
-        exponent_base=1,
-    )
-    return zeta_constant_terms(spec).constant_term
-
-
 @lru_cache(maxsize=None)
 def build_geom_sl2z(n: int, extra_class_reps: tuple[IntegerMatrix, ...] = ()) -> GeometricData:
     """Geometric data of the level-1 Hecke set at n, in calibration units.
@@ -358,24 +342,8 @@ def build_geom_sl2z(n: int, extra_class_reps: tuple[IntegerMatrix, ...] = ()) ->
         for angles in ((q, -q), (-q, q)):
             elliptic.append(EllipticClass(rep=TorusElement(angles), vol_quotient=weight))
 
-    parabolic_I: list[ParabolicIData] = []
-    if r * r == n:
-        C = _cusp_epstein_constant(n)
-        for tag_angles in _PLUS_MINUS_I:
-            parabolic_I.append(
-                ParabolicIData(
-                    delta_flag=True,
-                    c_eta_plus=1.0,
-                    c_eta_minus=-1.0,  # c+ = (-1)^1 c- in the su(1,1) shape
-                    C_eta_plus=C,
-                    C_eta_minus=C,
-                    dim_n_eta1=0,
-                    eta_torus=TorusElement(tag_angles),
-                    Rplus_xi0=(),
-                    z0_pairing=(-1.0, 1.0),
-                )
-            )
-
+    # No parabolic I entries: at eta = +-sqrt(n) I, c- = -c+ and C- = C+, so
+    # c+ C+ + c- C- is exactly 0, as Eichler-Selberg has no unipotent term.
     parabolic_II: list[ParabolicIIData] = []
     for a in range(1, n + 1):
         if n % a:
@@ -396,7 +364,6 @@ def build_geom_sl2z(n: int, extra_class_reps: tuple[IntegerMatrix, ...] = ()) ->
         total_vol=SL2Z_TOTAL_VOL,
         central_classes=tuple(central),
         elliptic_classes=tuple(elliptic),
-        parabolic_I=tuple(parabolic_I),
         parabolic_II=tuple(parabolic_II),
         residue_scalar=None,
         calibration=SL2Z_CALIBRATION,

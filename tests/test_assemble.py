@@ -109,10 +109,8 @@ def test_parabolic_I_flag_and_prefactor():
 
 
 def test_parabolic_I_rejects_odd_n1():
-    lam = hc_parameter(SL2, MU12)
-    geom = empty_geom(parabolic_I=(_para1_entry(dim_n_eta1=3),))
     with pytest.raises(ValueError):
-        parabolic_I_term(SL2, lam, geom)
+        _para1_entry(dim_n_eta1=3)
 
 
 @pytest.mark.parametrize("count", [2, 4])

@@ -193,7 +193,7 @@ def _random_regular_torus(rs, rng):
 @pytest.mark.parametrize("name", ["su(1,1)", "su(2,1)", "so(4,1)", "sp(1,1)"])
 def test_elliptic_orbital_consistency_regular(name):
     rs = build_root_system(GroupDescriptor.from_name(name))
-    rng = random.Random(abs(hash(name)) % 100000)
+    rng = random.Random(name)
     sign = (-1) ** (rs.dim_p // 2)
     for _ in range(20):
         lam = _random_regular_lambda(rs, rng)

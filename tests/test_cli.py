@@ -104,6 +104,13 @@ def test_assemble_odd_weight_exit_one(capsys):
     assert code == 1 and "error" in err
 
 
+def test_assemble_rejects_n_with_a_geometry_file(capsys):
+    argv = ["lefschetz", "assemble", "--group", "sp(2,1)", "--mu", "1,1,0", "--geom", SP21_GEOMETRY]
+    code, out, err = run(capsys, argv + ["--n", "7"])
+    assert code == 1 and out == ""
+    assert err == "error: --n applies only to --preset sl2z\n"
+
+
 def test_assemble_requires_one_geometry_source(capsys):
     code, _, err = run(capsys, ["lefschetz", "assemble", "--k", "12"])
     assert code == 1
@@ -611,6 +618,13 @@ def test_every_bad_leaf_exits_zero_or_one(capsys, tmp_path, base, argv):
         (("calibration",), float("nan"), "calibration must be a finite number"),
         (("parabolic_II", 0, "eta_H", "log_a"), 0.5, "parabolic_II[0].eta_H: chamber a_equals_1 requires log_a = 0"),
         (("parabolic_II", 2, "eta_H", "log_a"), 0.4, "parabolic_II[2].eta_H: chamber H_minus requires log_a < 0"),
+        # a misspelt key is not read as absent
+        (("calibraton",), 5, "calibraton is not a known key"),
+        (("elliptic_classes", 1, "dxi"), 2, "elliptic_classes[1].dxi is not a known key"),
+        (("parabolic_II", 3, "eta_H", "loga"), 1.3, "parabolic_II[3].eta_H.loga is not a known key"),
+        # an odd dim n_{eta,1} is rejected by name, whether or not the entry is active
+        (("parabolic_I", 0, "dim_n_eta1"), 3, "parabolic_I[0].dim_n_eta1 must be even, not 3"),
+        (("parabolic_I", 2, "dim_n_eta1"), 1, "parabolic_I[2].dim_n_eta1 must be even, not 1"),
     ],
 )
 def test_bad_geometry_entry_is_named(capsys, tmp_path, path, value, message):
@@ -630,6 +644,9 @@ def test_bad_geometry_entry_is_named(capsys, tmp_path, path, value, message):
         # the norm shorthand excludes the scale/offset form
         (("classes", 1), {"weight": 1, "norm": 2, "offset": 0.5}, "classes[1]: 'norm' excludes"),
         (("classes", 1), {"weight": 1, "scale": 2, "norm": 7}, "classes[1]: 'norm' excludes"),
+        # a misspelt key is not read as absent
+        (("classes", 0, "ofset"), 0.5, "classes[0].ofset is not a known key"),
+        (("sign",), "minus", "sign is not a known key"),
     ],
 )
 def test_bad_spec_entry_is_named(capsys, tmp_path, path, value, message):

@@ -212,13 +212,15 @@ def test_spec_from_dict_progression_and_shorthand():
             ],
             "lattice_vol": 1.0,
             "exponent_base": 2,
-            "sign": "minus",
         }
     )
     assert spec.classes[0].offset == 0.5
     assert spec.classes[1].scale == 3.0 and spec.classes[1].offset == 1.0
     with pytest.raises(ValueError):
         EpsteinSpec.from_dict({"classes": [{"weight": 1.0}], "exponent_base": 1})
+    # "sign" is no longer a spec field: a spec that still gives it is rejected
+    with pytest.raises(ValueError, match="sign is not a known key"):
+        EpsteinSpec.from_dict({"classes": [{"weight": 1.0, "norm": 3.0}], "exponent_base": 2, "sign": "minus"})
 
 
 def test_non_finite_spec_data_rejected():

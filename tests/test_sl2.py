@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -9,7 +10,9 @@ from functools import lru_cache
 import pytest
 
 from ranklef.chars import Chamber, elliptic_orbital_term, hc_parameter
-from ranklef.lefschetz import elliptic_term
+from ranklef.cli import json_default
+from ranklef.epstein import ClassProgression, EpsteinSpec, zeta_constant_terms
+from ranklef.lefschetz import ParabolicIData, assemble, elliptic_term, parabolic_I_term
 from ranklef.sl2 import (
     EllipticClassGroup,
     IntegerMatrix,
@@ -414,7 +417,7 @@ def test_geom_n1_structure():
     assert len(geom.elliptic_classes) == 6  # traces {0, +-1}, two orientations
     vols = sorted(c.vol_quotient for c in geom.elliptic_classes)
     assert vols == [1 / 6, 1 / 6, 1 / 6, 1 / 6, 1 / 4, 1 / 4]
-    assert len(geom.parabolic_I) == 2 and all(p.delta_flag for p in geom.parabolic_I)
+    assert geom.parabolic_I == ()
     assert len(geom.parabolic_II) == 2
     assert all(p.coset_index == 1 for p in geom.parabolic_II)
     assert all(p.eta_H.chamber is Chamber.A_EQUALS_1 for p in geom.parabolic_II)
@@ -434,7 +437,51 @@ def test_geom_n2_structure():
 def test_geom_n4_detects_scaled_central():
     geom = build_geom_sl2z(4)
     assert {c.tag for c in geom.central_classes} == {"2I", "-2I"}
-    assert len(geom.parabolic_I) == 2
+    assert geom.parabolic_I == ()
+
+
+def _cusp_entries(n, geom):
+    """The parabolic I entries at eta = +-sqrt(n) I that the preset once
+    carried: c+ = 1, c- = -1 and C+ = C- = the Laurent constant of the cusp
+    zeta whose norms are (m+1)/sqrt(n), each class of mass 1/2."""
+    spec = EpsteinSpec(
+        classes=(ClassProgression(weight=0.5, scale=1.0 / math.sqrt(n), offset=1.0),),
+        lattice_vol=1.0,
+        exponent_base=1,
+    )
+    C = zeta_constant_terms(spec).constant_term
+    assert math.isfinite(C) and C != 0
+    return tuple(
+        ParabolicIData(
+            delta_flag=True,
+            c_eta_plus=1.0,
+            c_eta_minus=-1.0,
+            C_eta_plus=C,
+            C_eta_minus=C,
+            dim_n_eta1=0,
+            eta_torus=c.z,
+            Rplus_xi0=(),
+            z0_pairing=(-1.0, 1.0),
+        )
+        for c in geom.central_classes
+    )
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 100, 1936])
+@pytest.mark.parametrize("k", [12, 24, 40])
+def test_preset_cusp_entries_vanish_exactly(k, n):
+    # the preset carries no parabolic I entries because these would add 0.0
+    rs, mu = sl2_root_system(), mu_from_weight(k)
+    geom = build_geom_sl2z(n)
+    with_cusps = dataclasses.replace(geom, parabolic_I=_cusp_entries(n, geom))
+    assert len(with_cusps.parabolic_I) == 2
+    for interpretation in ("conjugate", "identity"):
+        assert parabolic_I_term(rs, hc_parameter(rs, mu), with_cusps, interpretation) == 0
+        reports = [
+            json.dumps(vars(assemble(rs, mu, g, interpretation)), default=json_default, sort_keys=True, indent=2)
+            for g in (geom, with_cusps)
+        ]
+        assert reports[0] == reports[1]
 
 
 def test_geom_hyperbolic_injection_is_discarded():
