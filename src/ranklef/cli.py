@@ -1,8 +1,10 @@
-"""Command-line interface: JSON in, JSON out, human summary on stdout.
+"""Command-line interface: JSON in, and one strict JSON report on stdout.
 
 Exit codes: 0 success, 1 validation error, 2 oracle mismatch (compare only),
-3 non-integral total where integrality is contracted.  Every malformed input
-exits 1 with one ``error:`` line on stderr, and every report is strict JSON.
+3 non-integral total where integrality is contracted.  Stdout carries only the
+report; a mismatch or a non-integral total adds one ``MISMATCH:`` or ``FAIL:``
+line on stderr, and every malformed input exits 1 with one ``error:`` line
+there.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 from . import lefschetz as lef
 from . import sl2
 from .epstein import EpsteinSpec, zeta_constant_terms
+from .jsonin import unique_keys
 from .rootsys import (
     GroupDescriptor,
     RootKind,
@@ -72,9 +75,12 @@ def _emit(report, out_path: str | None) -> None:
         text = json.dumps(report, default=json_default, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
         raise CliError(f"the report holds a number that is not finite: {exc}") from exc
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if out_path is not None:
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write report: {exc}") from exc
     print(text)
 
 
@@ -89,7 +95,7 @@ def _read_json(path: str, parse, what: str):
     """``parse`` of a JSON file's value; a failure to read or parse it is a CliError after ``what``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse(json.load(fh))
+            return parse(json.load(fh, object_pairs_hook=unique_keys))
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise CliError(f"{what}: {exc}") from exc
 
@@ -153,7 +159,7 @@ def _cmd_assemble(args) -> int:
         geom = _read_json(args.geom, lef.geometry_from_dict, "cannot read geometry file")
         source = {"file": os.path.basename(args.geom)}
     mu = _resolve_mu(args, rs)
-    bd = lef.assemble(rs, mu, geom, args.interpretation)
+    bd = lef.assemble(rs, mu, geom)
     provenance = {"group": rs.descriptor.name(), "mu": mu.coords, "source": source}
     _emit({**vars(bd), "provenance": provenance}, args.out)
     index_case = args.preset is not None and args.n == 1
@@ -180,7 +186,7 @@ def _cmd_sl2_oracle(args) -> int:
 
 def _cmd_sl2_compare(args) -> int:
     _check_sl2z_bounds(args.n, args.k)
-    rep = sl2.compare(args.k, args.n, args.interpretation)
+    rep = sl2.compare(args.k, args.n)
     _emit(rep, args.out)
     if not rep.match:
         print(
@@ -218,7 +224,6 @@ def build_parser() -> _Parser:
     p_asm.add_argument("--geom", help="GeometricData JSON file")
     p_asm.add_argument("--preset", choices=["sl2z"])
     p_asm.add_argument("--n", type=int)
-    p_asm.add_argument("--interpretation", choices=["conjugate", "identity"], default="conjugate")
     p_asm.add_argument("--out")
     p_asm.set_defaults(func=_cmd_assemble)
 
@@ -232,7 +237,6 @@ def build_parser() -> _Parser:
     p_cmp = sl2_sub.add_parser("compare", help="Lefschetz value against the oracle")
     p_cmp.add_argument("--k", type=int, required=True)
     p_cmp.add_argument("--n", type=int, required=True)
-    p_cmp.add_argument("--interpretation", choices=["conjugate", "identity"], default="conjugate")
     p_cmp.add_argument("--out")
     p_cmp.set_defaults(func=_cmd_sl2_compare)
 

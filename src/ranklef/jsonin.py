@@ -5,7 +5,8 @@
 and raises ``ValueError`` naming it, e.g. ``elliptic_classes[0].vol_quotient
 must be positive``, so a malformed file ends in the CLI's exit code 1.
 Numbers must be finite; JSON booleans are not numbers.  A key that no read
-asks for is rejected by name, so a misspelt optional key is not read as absent.
+asks for is rejected by name, so a misspelt optional key is not read as absent,
+and ``unique_keys`` rejects a key given twice in one object.
 """
 
 from __future__ import annotations
@@ -28,6 +29,17 @@ def _kind(value: Any) -> str:
     if isinstance(value, str):
         return "a string"
     return "a list" if isinstance(value, list) else "an object"
+
+
+def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """The ``object_pairs_hook`` for ``json.load``: one JSON object as a dict,
+    or ValueError naming a key that it gives twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ValueError(f"the key {repeated!r} appears twice in one object")
+    return obj
 
 
 def _is_number(value: Any) -> bool:

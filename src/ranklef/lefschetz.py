@@ -100,7 +100,6 @@ class LefschetzBreakdown:
     rounded: int
     rounding_defect: float
     branch: str
-    interpretation: str
 
 
 def central_term(rs: RootSystem, lam: HCParameter, geom: GeometricData) -> complex:
@@ -130,20 +129,12 @@ def elliptic_term(rs: RootSystem, lam: HCParameter, geom: GeometricData) -> comp
     return total
 
 
-def parabolic_I_term(
-    rs: RootSystem,
-    lam: HCParameter,
-    geom: GeometricData,
-    interpretation: str = "conjugate",
-) -> complex:
+def parabolic_I_term(rs: RootSystem, lam: HCParameter, geom: GeometricData) -> complex:
     """Unipotent contribution: cusp zeta constants against a W_k exponential sum.
 
     Entries with delta_flag unset contribute zero.  The overline on the
-    Z0-pairing is interpreted per ``interpretation``: "conjugate" (complex
-    conjugation) or "identity".
+    Z0-pairing is complex conjugation.
     """
-    if interpretation not in ("conjugate", "identity"):
-        raise ValueError("interpretation must be 'conjugate' or 'identity'")
     sign = (-1) ** (rs.dim_p // 2)
     total = 0.0 + 0.0j
     for entry in geom.parabolic_I:
@@ -159,9 +150,7 @@ def parabolic_I_term(
             term = 1.0 + 0.0j
             if half_dim:
                 z = complex(sum(float(c) * p for c, p in zip(wl.coords, entry.z0_pairing, strict=True)))
-                if interpretation == "conjugate":
-                    z = z.conjugate()
-                term = z ** half_dim
+                term = z.conjugate() ** half_dim
             for coords in entry.Rplus_xi0:
                 term *= float(inner(rs, wl, Weight(coords)))
             term *= character_exp(wl, entry.eta_torus)
@@ -219,12 +208,7 @@ def _check_dims(rs: RootSystem, mu: Weight, geom: GeometricData) -> None:
             )
 
 
-def assemble(
-    rs: RootSystem,
-    mu: Weight,
-    geom: GeometricData,
-    interpretation: str = "conjugate",
-) -> LefschetzBreakdown:
+def assemble(rs: RootSystem, mu: Weight, geom: GeometricData) -> LefschetzBreakdown:
     """Full Lefschetz number for the weight mu against the supplied geometry.
 
     Regular branch: central + elliptic + parabolic I + parabolic II.
@@ -234,7 +218,7 @@ def assemble(
     _check_dims(rs, mu, geom)
     lam = hc_parameter(rs, mu)
     ell = elliptic_term(rs, lam, geom)
-    p1 = parabolic_I_term(rs, lam, geom, interpretation)
+    p1 = parabolic_I_term(rs, lam, geom)
     if lam.regular:
         cen = central_term(rs, lam, geom)
         p2 = parabolic_II_term(rs, lam, geom)
@@ -259,7 +243,6 @@ def assemble(
         rounded=rounded,
         rounding_defect=abs(total - rounded),
         branch=branch,
-        interpretation=interpretation,
     )
 
 

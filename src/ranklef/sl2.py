@@ -78,7 +78,6 @@ class OracleReport:
     match: bool
     defect: float
     normalization_exponent: str
-    interpretation: str
 
 
 def hecke_reps(n: int) -> tuple[IntegerMatrix, ...]:
@@ -370,9 +369,9 @@ def build_geom_sl2z(n: int, extra_class_reps: tuple[IntegerMatrix, ...] = ()) ->
     )
 
 
-def lefschetz_sl2z(k: int, n: int, interpretation: str = "conjugate") -> LefschetzBreakdown:
+def lefschetz_sl2z(k: int, n: int) -> LefschetzBreakdown:
     rs = sl2_root_system()
-    return assemble(rs, mu_from_weight(k), build_geom_sl2z(n), interpretation)
+    return assemble(rs, mu_from_weight(k), build_geom_sl2z(n))
 
 
 def _scaled_defect(total: float, oracle: int, n: int, j: float) -> float:
@@ -388,7 +387,7 @@ def _scaled_defect(total: float, oracle: int, n: int, j: float) -> float:
         return math.inf
 
 
-def compare(k: int, n: int, interpretation: str = "conjugate") -> OracleReport:
+def compare(k: int, n: int) -> OracleReport:
     """Lefschetz total against the Eichler-Selberg oracle.
 
     The coset convention differs from the classical Hecke normalization by a
@@ -396,7 +395,7 @@ def compare(k: int, n: int, interpretation: str = "conjugate") -> OracleReport:
     {-(k-2)/2, 0, +(k-2)/2} matches, and the acceptance suite requires the
     matching exponent to be the same symbol across all (k, n).
     """
-    bd = lefschetz_sl2z(k, n, interpretation)
+    bd = lefschetz_sl2z(k, n)
     oracle = eichler_selberg(k, n)
     half = (k - 2) / 2.0
     # the defect is measured on the assembled side, where totals stay O(1);
@@ -416,5 +415,4 @@ def compare(k: int, n: int, interpretation: str = "conjugate") -> OracleReport:
         match=defect < MATCH_TOL,
         defect=defect,
         normalization_exponent=label,
-        interpretation=interpretation,
     )

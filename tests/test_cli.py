@@ -408,11 +408,28 @@ def test_assemble_rejects_mu_of_wrong_length_for_a_geometry_file(capsys, tmp_pat
     assert err == f"error: mu has {mu.count(',') + 1} coordinates; su(2,1) needs dim t = 3\n"
 
 
-def test_assemble_has_no_tolerance_option(capsys):
-    argv = ["lefschetz", "assemble", "--preset", "sl2z", "--k", "12", "--n", "1", "--tolerance", "1e-3"]
-    code, out, err = run(capsys, argv)
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["lefschetz", "assemble", "--preset", "sl2z", "--k", "12", "--n", "1"], ["--tolerance", "1e-3"]),
+        (["lefschetz", "assemble", "--preset", "sl2z", "--k", "12", "--n", "1"], ["--interpretation", "identity"]),
+        (["sl2", "compare", "--k", "12", "--n", "2"], ["--interpretation", "identity"]),
+    ],
+    ids=["assemble-tolerance", "assemble-interpretation", "compare-interpretation"],
+)
+def test_removed_options_exit_one(capsys, argv, option):
+    code, out, err = run(capsys, argv + option)
     assert code == 1 and out == ""
-    assert err.startswith("error: unrecognized arguments: --tolerance")
+    assert err == f"error: unrecognized arguments: {' '.join(option)}\n"
+
+
+@pytest.mark.parametrize(
+    "target", ["{tmp}", "{tmp}/missing/report.json", ""], ids=["directory", "missing-directory", "empty"]
+)
+def test_unwritable_out_path_exits_one(capsys, tmp_path, target):
+    code, out, err = run(capsys, ["sl2", "oracle", "--k", "12", "--n", "2", "--out", target.format(tmp=tmp_path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write report: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", [[], [1, 2], "geometry", 3, None])
@@ -446,6 +463,42 @@ def test_deeply_nested_json_exits_one(capsys, tmp_path, argv):
     code, out, err = run(capsys, argv + [str(path)])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (
+            ["lefschetz", "assemble", "--group", "sl2r", "--k", "12", "--geom"],
+            '{"total_vol": 1, "total_vol": 2}',
+            "cannot read geometry file: the key 'total_vol' appears twice in one object",
+        ),
+        (
+            ["lefschetz", "assemble", "--group", "sl2r", "--k", "12", "--geom"],
+            '{"total_vol": 1, "elliptic_classes": [{"rep": [0, 0], "vol_quotient": 1, "d_xi": 1, "d_xi": 2}]}',
+            "cannot read geometry file: the key 'd_xi' appears twice in one object",
+        ),
+        (
+            ["epstein", "const", "--spec"],
+            '{"classes": [{"weight": 1, "scale": 2}], "exponent_base": 2, "exponent_base": 3}',
+            "bad Epstein spec: the key 'exponent_base' appears twice in one object",
+        ),
+        (
+            ["epstein", "const", "--spec"],
+            '{"classes": [{"weight": 1, "scale": 2, "weight": 5}], "exponent_base": 2}',
+            "bad Epstein spec: the key 'weight' appears twice in one object",
+        ),
+    ],
+    ids=["assemble-top", "assemble-entry", "epstein-top", "epstein-entry"],
+)
+def test_duplicated_json_key_exits_one(capsys, tmp_path, argv, text, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(json.loads(text)))  # the last value of each key
+    assert run(capsys, argv + [str(path)])[0] == 0
+    path.write_text(text)
+    code, out, err = run(capsys, argv + [str(path)])
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -475,13 +475,12 @@ def test_preset_cusp_entries_vanish_exactly(k, n):
     geom = build_geom_sl2z(n)
     with_cusps = dataclasses.replace(geom, parabolic_I=_cusp_entries(n, geom))
     assert len(with_cusps.parabolic_I) == 2
-    for interpretation in ("conjugate", "identity"):
-        assert parabolic_I_term(rs, hc_parameter(rs, mu), with_cusps, interpretation) == 0
-        reports = [
-            json.dumps(vars(assemble(rs, mu, g, interpretation)), default=json_default, sort_keys=True, indent=2)
-            for g in (geom, with_cusps)
-        ]
-        assert reports[0] == reports[1]
+    assert parabolic_I_term(rs, hc_parameter(rs, mu), with_cusps) == 0
+    reports = [
+        json.dumps(vars(assemble(rs, mu, g)), default=json_default, sort_keys=True, indent=2)
+        for g in (geom, with_cusps)
+    ]
+    assert reports[0] == reports[1]
 
 
 def test_geom_hyperbolic_injection_is_discarded():
@@ -551,14 +550,6 @@ def test_breakdown_k12_values():
     assert abs(bd.parabolic_I) < 1e-12
     assert abs(bd.parabolic_II + 0.5) < 1e-12
     assert bd.rounded == 1 and bd.branch == "regular"
-
-
-def test_compare_interpretation_switch_agrees_here():
-    # the Z0 power is zero-dimensional for this preset, so both readings match
-    a = compare(12, 2, "conjugate")
-    b = compare(12, 2, "identity")
-    assert a.match and b.match
-    assert abs(a.lefschetz_value - b.lefschetz_value) < 1e-12
 
 
 # The error budget near the level bound, far inside MATCH_TOL.  With one

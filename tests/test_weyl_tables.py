@@ -169,7 +169,7 @@ def ref_elliptic_term(rs, lam, geom):
     return total
 
 
-def ref_parabolic_I_term(rs, lam, geom, interpretation):
+def ref_parabolic_I_term(rs, lam, geom):
     sign = (-1) ** (rs.dim_p // 2)
     total = 0.0 + 0.0j
     for entry in geom.parabolic_I:
@@ -183,9 +183,7 @@ def ref_parabolic_I_term(rs, lam, geom, interpretation):
             term = 1.0 + 0.0j
             if half_dim:
                 z = complex(sum(float(c) * p for c, p in zip(wl.coords, entry.z0_pairing)))
-                if interpretation == "conjugate":
-                    z = z.conjugate()
-                term = z ** half_dim
+                term = z.conjugate() ** half_dim
             for coords in entry.Rplus_xi0:
                 term *= float(ref_inner(rs, wl, Weight(coords)))
             term *= ref_character_exp(wl, entry.eta_torus)
@@ -302,9 +300,7 @@ def test_terms_equal_the_per_class_reference_exactly(name):
         lam = hc_parameter(rs, mu)
         branches.add(lam.regular)
         assert elliptic_term(rs, lam, geom) == ref_elliptic_term(rs, lam, geom)
-        for interpretation in ("conjugate", "identity"):
-            got = parabolic_I_term(rs, lam, geom, interpretation)
-            assert got == ref_parabolic_I_term(rs, lam, geom, interpretation)
+        assert parabolic_I_term(rs, lam, geom) == ref_parabolic_I_term(rs, lam, geom)
         assert parabolic_II_term(rs, lam, geom) == ref_parabolic_II_term(rs, lam, geom)
     assert len(branches) == (1 if name == "su(2,1)" else 2)
 
