@@ -34,11 +34,11 @@ EXIT_VALIDATION = 1
 EXIT_MISMATCH = 2
 EXIT_NONINTEGRAL = 3
 
-# Largest Hecke level n the SL(2,Z) commands accept.  At n = 2000 one cold
-# compare or preset assembly takes about 0.05 s, 0.03 s of it the geometry
-# build (mostly the reduced-form enumeration behind its 374 elliptic entries),
-# and the weight-12 oracle's tau table 0.08 s (Python 3.11, one core of a
-# shared 2-vCPU host).
+# Largest Hecke level n the SL(2,Z) commands accept.  At n = 2000 a cold compare
+# takes about 0.05 s: 0.03 s the geometry (mostly the reduced forms behind its
+# 374 elliptic entries), 0.009 s the trace, whose sieve builds every class-number
+# table up to N = 8192.  A cold `sl2 oracle --k 12` takes 0.035 s, 0.027 s of it
+# the tau table (medians of 7 fresh processes, Python 3.11, 2-vCPU shared host).
 MAX_SL2Z_LEVEL = 2000
 # Largest weight k of `sl2 oracle` and `sl2 compare`, at every level: a
 # k = 1000 trace at n = 2000 has about 1650 digits, below the 4300 Python will
@@ -81,7 +81,13 @@ def _emit(report, out_path: str | None) -> None:
                 fh.write(text + "\n")
         except OSError as exc:
             raise CliError(f"cannot write report: {exc}") from exc
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # for the interpreter's flush at exit
+        os.close(devnull)
+        raise CliError("stdout closed before the report was written") from None
 
 
 def _check_sl2z_bounds(n: int, k: int | None = None) -> None:

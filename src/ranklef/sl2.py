@@ -7,10 +7,11 @@ by sqrt(n).  This module enumerates its coset representatives and conjugacy
 classes, builds the geometric data consumed by the assembler, and provides
 two independent classical oracles:
 
-* exact coefficients of the weight-12 cusp form q prod (1-q^m)^24, and
+* exact coefficients of the weight-12 cusp form q prod (1-q^m)^24, from
+  Miller's power recurrence on Jacobi's cube prod (1-q^m)^3, and
 * the Eichler-Selberg trace of T_n on level-1 cusp forms, built from
-  Hurwitz class numbers (reduced binary quadratic forms), the Gegenbauer
-  recursion for the trace polynomial, and the divisor boundary term.
+  Hurwitz class numbers (a sieve of its own over reduced forms), the
+  expanded trace polynomial, and the divisor boundary term.
 
 Measure conventions of the preset (all volumes in one calibration unit):
 vol(Gamma\\G) = pi/3, an elliptic entry weighs (classes in its group) /
@@ -98,7 +99,30 @@ def hecke_reps(n: int) -> tuple[IntegerMatrix, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz class numbers by reduced-form enumeration
+# Hurwitz class numbers by one sieve over reduced forms
+
+
+@lru_cache(maxsize=None)
+def _hurwitz_sixths(X: int) -> tuple[int, ...]:
+    """6 H(N) for N = 0..X (0 at N = 0), in one pass over the reduced forms.
+
+    Each (a, b), 0 <= b <= a, adds to the progression N = 4ac - b^2 of step
+    4a: 12 for the pair (a, +-b, c) with c > a, 6 where b is 0 or a (b = -a is
+    never reduced), and at c = a, which takes b >= 0 only, 2 for (a, a, a), 3
+    for (a, 0, a) and 6 otherwise."""
+    table = [0] * (X + 1)
+    a = 1
+    while 3 * a * a <= X:
+        step = 4 * a
+        for b in range(a + 1):
+            N = step * a - b * b
+            if N > X:
+                continue
+            table[N] += 2 if b == a else 3 if b == 0 else 6
+            w = 6 if b in (0, a) else 12
+            table[N + step :: step] = [h + w for h in table[N + step :: step]]
+        a += 1
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -107,7 +131,8 @@ def hurwitz_class_number(N: int) -> Fraction:
 
     Forms (a,b,c) with b^2 - 4ac = -N, |b| <= a <= c, b >= 0 whenever
     |b| = a or a = c; weight 1/3 for (a,a,a), 1/2 for (a,0,a), else 1.
-    H(0) = -1/12 and H(N) = 0 for N = 1, 2 mod 4.
+    H(0) = -1/12 and H(N) = 0 for N = 1, 2 mod 4.  Read from the sieve table
+    of the smallest power of two >= N, so small levels build small tables.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -115,27 +140,7 @@ def hurwitz_class_number(N: int) -> Fraction:
         return Fraction(-1, 12)
     if N % 4 in (1, 2):
         return Fraction(0)
-    sixths = 0
-    a = 1
-    while 3 * a * a <= N:
-        # b^2 + N = 4ac forces b = N (mod 2)
-        for b in range(-a + (a + N) % 2, a + 1, 2):
-            rem = b * b + N
-            if rem % (4 * a) != 0:
-                continue
-            c = rem // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (a == c or -b == a):
-                continue
-            if a == b == c:
-                sixths += 2
-            elif a == c and b == 0:
-                sixths += 3
-            else:
-                sixths += 6
-        a += 1
-    return Fraction(sixths, 6)
+    return Fraction(_hurwitz_sixths(1 << (N - 1).bit_length())[N], 6)
 
 
 # ---------------------------------------------------------------------------
@@ -208,20 +213,20 @@ def delta_coeffs(N: int) -> list[int]:
     """tau(1..N): coefficients of q prod_{m>=1} (1 - q^m)^24, exactly."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    # the nonzero terms (e, c) of prod (1 - q^m)^3 by Jacobi's identity:
-    # sum_{j>=0} (-1)^j (2j+1) q^{j(j+1)/2}; its 8th power is prod (1 - q^m)^24
-    cube = []
-    j = 0
-    while j * (j + 1) // 2 < N:
-        cube.append((j * (j + 1) // 2, (-1) ** j * (2 * j + 1)))
-        j += 1
-    power = [1] + [0] * (N - 1)
-    for _ in range(8):
-        out = [0] * N
-        for e, c in cube:
-            out[e:] = [a + c * b for a, b in zip(out[e:], power)]
-        power = out
-    return power  # tau(j+1) = power[j] after the q-shift
+    # prod (1 - q^m)^3 = g = sum_{j>=0} (-1)^j (2j+1) q^{j(j+1)/2} (Jacobi), and
+    # f = g^8 obeys Miller's recurrence n f_n = sum_{e>=1} (9e - n) g_e f_{n-e}
+    # over the about sqrt(2n) nonzero g_e
+    cube: list[tuple[int, int]] = []
+    f = [1]
+    for n in range(1, N):
+        j = len(cube) + 1
+        if j * (j + 1) // 2 == n:
+            cube.append((n, (-1) ** j * (2 * j + 1)))
+        s = sum((9 * e - n) * g * f[n - e] for e, g in cube)
+        if s % n != 0:
+            raise AssertionError("Miller's recurrence must divide exactly")
+        f.append(s // n)
+    return f  # tau(j+1) = f[j] after the q-shift
 
 
 def dim_cusp_forms(k: int) -> int:
@@ -234,31 +239,28 @@ def dim_cusp_forms(k: int) -> int:
     return dim_mk - 1
 
 
-def trace_polynomial(k: int, t: int, n: int) -> int:
-    """P_k(t, n) = U_{k-2}(t, n) with U_0 = 1, U_1 = t, U_m = t U_{m-1} - n U_{m-2}."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    prev, cur = 1, t
-    for _ in range(k - 3):
-        prev, cur = cur, t * cur - n * prev
-    return prev if k == 2 else cur
-
-
 def eichler_selberg(k: int, n: int) -> int:
     """Trace of T_n on the level-1 cusp forms of weight k (exact integer)."""
     if k % 2 != 0 or k < 4:
         raise ValueError("weight must be even and >= 4")
     if n < 1:
         raise ValueError("n must be >= 1")
+    # P_k(t, n) = sum_j (-1)^j C(k-2-j, j) n^j t^(k-2-2j), the expansion of the
+    # Chebyshev U_{k-2} recursion, is a polynomial in t^2 for even k, so t and
+    # -t contribute alike; it is evaluated by Horner's rule in t^2.
+    coeffs = [(-1) ** j * math.comb(k - 2 - j, j) * n**j for j in range(k // 2)]
     # 24 times the trace, in integers: the denominator of H(N) divides 12
-    # (it is 12 only for H(0) = -1/12).  P_k(t, n) is even in t for even k,
-    # so t and -t contribute alike.
+    # (it is 12 only for H(0) = -1/12).
     total24 = 0
     for t in range(isqrt(4 * n) + 1):
-        H = hurwitz_class_number(4 * n - t * t)
+        tt = t * t
+        H = hurwitz_class_number(4 * n - tt)
         if H:
             twelve_h = 12 // H.denominator * H.numerator
-            total24 -= (2 if t else 1) * twelve_h * trace_polynomial(k, t, n)
+            p = 0
+            for c in coeffs:
+                p = p * tt + c
+            total24 -= (2 if t else 1) * twelve_h * p
     # boundary term: each divisor pair d * (n/d) = n with d < n/d counts twice
     r = isqrt(n)
     for d in range(1, r + 1):

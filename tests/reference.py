@@ -15,6 +15,11 @@
 * ``torus_sl2``, the su(1,1) torus element with a given root angle.
 * ``c_sign``, the sign function of the character formula on H.
 * ``unfolded_sl2z_elliptic``, the SL(2,Z) elliptic entries one per class.
+* The classical oracles by their direct definitions, sharing no code with
+  ``ranklef.sl2``: Hurwitz class numbers by a reduced-form loop per
+  discriminant, the trace polynomial by the Chebyshev recursion, the
+  Eichler-Selberg trace built from both, and tau as the 8th power of Jacobi's
+  cube by repeated sparse products.
 """
 
 import cmath
@@ -286,3 +291,78 @@ def unfolded_sl2z_elliptic(n):
                     )
                 )
     return tuple(entries)
+
+
+# ---------------------------------------------------------------------------
+# Classical oracles by their direct definitions
+
+
+@functools.lru_cache(maxsize=None)
+def hurwitz_by_forms(N):
+    """H(N) from the reduced forms of discriminant -N alone: (a, b, c) with
+    |b| <= a <= c and b >= 0 whenever |b| = a or a = c, weighted 1/3 for
+    (a, a, a), 1/2 for (a, 0, a) and 1 otherwise; H(0) = -1/12."""
+    if N == 0:
+        return Fraction(-1, 12)
+    if N % 4 in (1, 2):
+        return Fraction(0)
+    sixths = 0
+    a = 1
+    while 3 * a * a <= N:
+        # b^2 + N = 4ac forces b = N (mod 2)
+        for b in range(-a + (a + N) % 2, a + 1, 2):
+            rem = b * b + N
+            if rem % (4 * a) != 0:
+                continue
+            c = rem // (4 * a)
+            if c < a:
+                continue
+            if b < 0 and (a == c or -b == a):
+                continue
+            if a == b == c:
+                sixths += 2
+            elif a == c and b == 0:
+                sixths += 3
+            else:
+                sixths += 6
+        a += 1
+    return Fraction(sixths, 6)
+
+
+def trace_polynomial(k, t, n):
+    """P_k(t, n) = U_{k-2}(t, n) with U_0 = 1, U_1 = t, U_m = t U_{m-1} - n U_{m-2}."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    prev, cur = 1, t
+    for _ in range(k - 3):
+        prev, cur = cur, t * cur - n * prev
+    return prev if k == 2 else cur
+
+
+def eichler_selberg_by_recursion(k, n):
+    """tr T_n on S_k(SL(2,Z)) = -1/2 sum_{t^2 <= 4n} P_k(t, n) H(4n - t^2)
+    - 1/2 sum_{dd' = n} min(d, d')^(k-1), over every t of either sign."""
+    tmax = math.isqrt(4 * n)
+    total = -Fraction(1, 2) * sum(
+        trace_polynomial(k, t, n) * hurwitz_by_forms(4 * n - t * t) for t in range(-tmax, tmax + 1)
+    )
+    total -= Fraction(1, 2) * sum(min(d, n // d) ** (k - 1) for d in range(1, n + 1) if n % d == 0)
+    assert total.denominator == 1
+    return int(total)
+
+
+def tau_by_cube_products(N):
+    """tau(1..N) as the 8th power of Jacobi's cube
+    prod (1 - q^m)^3 = sum_{j>=0} (-1)^j (2j+1) q^{j(j+1)/2}, by 8 sparse products."""
+    cube = []
+    j = 0
+    while j * (j + 1) // 2 < N:
+        cube.append((j * (j + 1) // 2, (-1) ** j * (2 * j + 1)))
+        j += 1
+    power = [1] + [0] * (N - 1)
+    for _ in range(8):
+        out = [0] * N
+        for e, c in cube:
+            out[e:] = [a + c * b for a, b in zip(out[e:], power)]
+        power = out
+    return power

@@ -1,6 +1,9 @@
 """CLI behaviour: subcommands, exit codes, byte stability."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -430,6 +433,22 @@ def test_unwritable_out_path_exits_one(capsys, tmp_path, target):
     code, out, err = run(capsys, ["sl2", "oracle", "--k", "12", "--n", "2", "--out", target.format(tmp=tmp_path)])
     assert code == 1 and out == ""
     assert err.startswith("error: cannot write report: ") and err.count("\n") == 1
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    # the read end is closed before the CLI starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ranklef.cli", "sl2", "oracle", "--k", "12", "--n", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: stdout closed before the report was written\n"
 
 
 @pytest.mark.parametrize("value", [[], [1, 2], "geometry", 3, None])

@@ -9,6 +9,7 @@ from functools import lru_cache
 
 import pytest
 
+from ranklef import sl2
 from ranklef.chars import Chamber, elliptic_orbital_term, hc_parameter
 from ranklef.cli import json_default
 from ranklef.epstein import ClassProgression, EpsteinSpec, zeta_constant_terms
@@ -16,6 +17,7 @@ from ranklef.lefschetz import ParabolicIData, assemble, elliptic_term, parabolic
 from ranklef.sl2 import (
     EllipticClassGroup,
     IntegerMatrix,
+    _hurwitz_sixths,
     build_geom_sl2z,
     compare,
     delta_coeffs,
@@ -27,9 +29,18 @@ from ranklef.sl2 import (
     lefschetz_sl2z,
     mu_from_weight,
     sl2_root_system,
-    trace_polynomial,
 )
-from reference import adjugate, entries, geometry_to_dict, int_mat_mul, unfolded_sl2z_elliptic
+from reference import (
+    adjugate,
+    eichler_selberg_by_recursion,
+    entries,
+    geometry_to_dict,
+    hurwitz_by_forms,
+    int_mat_mul,
+    tau_by_cube_products,
+    trace_polynomial,
+    unfolded_sl2z_elliptic,
+)
 
 
 def sigma(n, k=1):
@@ -263,6 +274,35 @@ def test_hurwitz_parity_filter_matches_unfiltered_loop():
         assert hurwitz_class_number(N) == hurwitz_unfiltered(N), N
 
 
+def test_hurwitz_sieve_matches_per_discriminant_loop():
+    # 8192 >= 4 * MAX_SL2Z_LEVEL, the largest discriminant the CLI reaches
+    for N in range(8193):
+        assert hurwitz_class_number(N) == hurwitz_by_forms(N), N
+
+
+@pytest.mark.parametrize("X", [1, 2, 3, 4, 7, 64, 100, 1000, 4096])
+def test_hurwitz_sieve_tables_are_prefixes_of_larger_ones(X):
+    small, large = _hurwitz_sixths(X), _hurwitz_sixths(2 * X)
+    assert len(small) == X + 1 and len(large) == 2 * X + 1
+    assert small == large[: X + 1]
+
+
+def test_hurwitz_sieve_sizes_its_table_to_the_level(monkeypatch):
+    # cold compare requests at small levels must not pay for a large table
+    for value in vars(sl2).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    sizes = []
+
+    def spy(X):
+        sizes.append(X)
+        return _hurwitz_sixths(X)
+
+    monkeypatch.setattr(sl2, "_hurwitz_sixths", spy)
+    eichler_selberg(24, 14)  # discriminants 4 * 14 - t^2 <= 56
+    assert sizes and max(sizes) == 64
+
+
 def test_elliptic_classes_golden_n1():
     got = elliptic_classes(1)
     assert got == (
@@ -315,6 +355,10 @@ def test_trace_zero_classes_have_order_four_reps():
 
 # ---------------------------------------------------------------------------
 # classical oracles
+
+
+def test_delta_coeffs_matches_cube_products():
+    assert delta_coeffs(3000) == tau_by_cube_products(3000)
 
 
 def test_delta_coefficients():
@@ -383,6 +427,17 @@ def test_trace_polynomial_values():
     assert trace_polynomial(12, 1, 1) == -1
     assert trace_polynomial(12, 2, 1) == 11
     assert trace_polynomial(4, 3, 2) == 7  # t^2 - n
+
+
+@pytest.mark.parametrize("k", range(4, 101, 2))
+def test_eichler_selberg_matches_recursion_reference(k):
+    for n in range(1, 61):
+        assert eichler_selberg(k, n) == eichler_selberg_by_recursion(k, n), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 2000])
+def test_eichler_selberg_matches_recursion_reference_at_the_weight_bound(n):
+    assert eichler_selberg(1000, n) == eichler_selberg_by_recursion(1000, n)
 
 
 def test_eichler_selberg_matches_dimensions():
