@@ -13,6 +13,16 @@ Conventions fixed here and relied on everywhere downstream:
   exp(<w.lam, beta0_v> t / 2) along the Cayley direction beta0.
 * Central characters carry the rho_g shift: zeta_lam(z) = e^{lam - rho_g}(z),
   which is what makes zeta_lam(-1) = +1 for the even-weight sl(2,R) series.
+* Evaluation runs on integer rows: a weight v is a row of ints over a
+  common denominator den (``_Rows``).  At a torus element whose angles are
+  all Fractions, the angles are scaled to integers by the lcm L of their
+  denominators, the integer dot N = den L <v, q> is reduced mod D = den L,
+  and the phase is exp(2 pi i (N mod D) / D).  Python rounds an int/int
+  quotient once, correctly, so (N mod D) / D is the double of the reduced
+  fraction's (n mod d) / d, and a pairing n / den is the double
+  float(Fraction) gives: the rows change no bit of any value.  Any float
+  angle sends the element down the float path, where the rows are floats
+  x / den summed in coordinate order.
 """
 
 from __future__ import annotations
@@ -22,6 +32,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from operator import mul, sub
 from typing import Sequence
 
 from .rootsys import (
@@ -29,8 +41,6 @@ from .rootsys import (
     RootKind,
     RootSystem,
     Weight,
-    coroot_pairing,
-    exact_dot,
     inner,
     is_regular,
     weyl_group,
@@ -46,26 +56,88 @@ class SingularElementError(ValueError):
     pass
 
 
+class _Rows:
+    """Vectors as integer rows over one denominator: vector i is ``ints[i] / den``."""
+
+    def __init__(self, ints: list[tuple[int, ...]], den: int):
+        self.ints, self.den = ints, den
+
+    @cached_property
+    def floats(self) -> list[tuple[float, ...]]:
+        return [tuple(x / self.den for x in row) for row in self.ints]
+
+
+def _rows(vectors: Sequence[Sequence[Fraction]]) -> _Rows:
+    den = math.lcm(*(c.denominator for v in vectors for c in v))
+    return _Rows([tuple(c.numerator * (den // c.denominator) for c in v) for v in vectors], den)
+
+
+class _Torus:
+    """The angles of one torus element, to pair with rows over ``den``: the
+    one evaluator of e^v(t).  ``turns`` gives <v, q> per row, as N mod D on
+    the exact path (0 exactly when e^v(t) = 1) or as a float; ``phase``
+    memoizes exp(2 pi i <v, q>) by that value."""
+
+    def __init__(self, angles: Sequence[Angle], den: int, dim: int):
+        if len(angles) != dim:
+            raise ValueError(f"the torus element has {len(angles)} angles, not dim t = {dim}")
+        self.exact = all(type(a) is Fraction for a in angles)
+        if self.exact:
+            q = _rows([angles])
+            self.q, self.mod = q.ints[0], den * q.den
+        else:
+            self.q = tuple(float(a) for a in angles)
+        self._phases: dict[int | float, complex] = {}
+
+    def turns(self, rows: _Rows) -> list[int] | list[float]:
+        q = self.q
+        if self.exact:
+            return [sum(map(mul, row, q)) % self.mod for row in rows.ints]
+        return [sum(map(mul, row, q)) for row in rows.floats]
+
+    def phase(self, x: int | float) -> complex:
+        p = self._phases.get(x)
+        if p is None:
+            p = self._phases[x] = cmath.exp(2j * math.pi * (x / self.mod if self.exact else x))
+        return p
+
+    def is_one(self, x: int | float) -> bool:
+        """Whether the phase is 1: exactly on the exact path, to UNITY_TOL otherwise."""
+        return x == 0 if self.exact else abs(self.phase(x) - 1.0) < UNITY_TOL
+
+
 class HCParameter:
     """Harish-Chandra parameter lambda = mu + rho_k on the root system ``rs``,
     with its Weyl data, shared by every class of one assembly.
 
-    ``regular`` says whether lambda pairs nonzero with every root.
-    ``compact`` is the W(k,t) orbit of lambda as (det w, w.lam), in the order
-    of ``weyl_group(rs, "compact")``.  ``cosets`` and ``full`` are built on
-    first use; see there.
+    ``regular`` says whether lambda pairs nonzero with every root.  Vectors
+    are integer rows over ``den``, the common denominator of lambda and
+    rho_g: ``compact`` holds the W(k,t) orbit of lambda in the order of
+    ``weyl_group(rs, "compact")``, with det w in ``signs``, and ``rho_g`` and
+    ``roots`` (R+(g,t) in order) are rows too.  A Weyl element acts on a row
+    as a signed permutation of ints, so no orbit element is a Fraction.  A
+    pairing with a root is an integer dot, its sign read on the integer and
+    divided once.  ``cosets`` and ``full`` are built on first use; see there.
     """
 
     def __init__(self, rs: RootSystem, lam: Weight, regular: bool):
         self.rs = rs
         self.lam = lam
         self.regular = regular
-        self.compact = [(w.sign, w.apply(lam)) for w in weyl_group(rs, "compact")]
-        self._cosets: dict[tuple[int, ...], list[tuple[complex, Weight]]] = {}
-        self._full: list[tuple[int, int, float, Weight]] | None = None
+        base = _rows([lam.coords, rs.rho_g.coords])
+        self.den = den = base.den
+        self._row, rho = base.ints
+        group = weyl_group(rs, "compact")
+        self.signs = [w.sign for w in group]
+        self.compact = _Rows([w.act(self._row) for w in group], den)
+        self.rho_g = _Rows([rho], den)
+        self.roots = _Rows([tuple(c.numerator * den for c in r.coords) for r in rs.positive], den)
+        self._cosets: dict[tuple[int, ...], tuple[list[complex], _Rows]] = {}
+        self._full: tuple[list[tuple[int, int, float]], _Rows] | None = None
 
-    def cosets(self, fixed: tuple[int, ...]) -> list[tuple[complex, Weight]]:
-        """Coset reps w of W_{k_xi} \\ W_k as (det(w) prod_{a in R+(xi)} <w.lam, a>, w.lam).
+    def cosets(self, fixed: tuple[int, ...]) -> tuple[list[complex], _Rows]:
+        """Coset reps w of W_{k_xi} \\ W_k as coefficients det(w) prod_{a in
+        R+(xi)} <w.lam, a> and the rows of w.lam.
 
         ``fixed`` lists the indices into ``rs.positive`` of the roots a with
         e^a(xi) = 1; W_{k_xi} is generated by the compact ones.  lambda is
@@ -76,24 +148,26 @@ class HCParameter:
         """
         table = self._cosets.get(fixed)
         if table is None:
-            rs = self.rs
-            roots = [rs.positive[i] for i in fixed]
-            table = []
-            for sign, wl in self.compact:
+            rs, den2 = self.rs, self.den * self.den
+            roots = [(self.roots.ints[i], rs.positive[i].kind is RootKind.COMPACT) for i in fixed]
+            coeffs, rows = [], []
+            for sign, row in zip(self.signs, self.compact.ints):
                 coeff = complex(sign)
-                for r in roots:
-                    p = inner(rs, wl, r)
-                    if p <= 0 and r.kind is RootKind.COMPACT:
+                for a, compact in roots:
+                    n = rs.form_scale * sum(map(mul, row, a))
+                    if n <= 0 and compact:
                         break
-                    coeff *= float(p)
+                    coeff *= n / den2
                 else:
-                    table.append((coeff, wl))
-            self._cosets[fixed] = table
+                    coeffs.append(coeff)
+                    rows.append(row)
+            table = self._cosets[fixed] = (coeffs, _Rows(rows, self.den))
         return table
 
-    def full(self) -> list[tuple[int, int, float, Weight]]:
-        """The W(g,t) orbit as (det w, c(w.lam) on H_plus, |<w.lam, beta0_v>|,
-        w.lam - rho_g), without the elements whose sign function c vanishes.
+    def full(self) -> tuple[list[tuple[int, int, float]], _Rows]:
+        """The W(g,t) orbit, without the elements whose sign function c
+        vanishes, as (det w, c(w.lam) on H_plus, |<w.lam, beta0_v>|) and the
+        rows of w.lam - rho_g.
 
         The pairing mu(i(E_l - E_{-l})) is identified with <mu, beta0_v>
         through the Cayley transform; on H_plus, c(mu) is minus that
@@ -101,14 +175,31 @@ class HCParameter:
         H_plus (one-sided) convention.
         """
         if self._full is None:
-            rs = self.rs
-            self._full = []
-            for w in weyl_group(rs, "full"):
-                wl = w.apply(self.lam)
-                p = coroot_pairing(wl, rs.beta0)
+            beta0 = tuple(c.numerator for c in self.rs.beta0.coords)
+            norm = self.den * sum(b * b for b in beta0)
+            rho = self.rho_g.ints[0]
+            entries, rows = [], []
+            for w in weyl_group(self.rs, "full"):
+                row = w.act(self._row)
+                p = 2 * sum(map(mul, row, beta0))  # <w.lam, beta0_v> = p / norm
                 if p:
-                    self._full.append((w.sign, -1 if p > 0 else 1, abs(float(p)), wl - rs.rho_g))
+                    entries.append((w.sign, -1 if p > 0 else 1, abs(p) / norm))
+                    rows.append(tuple(map(sub, row, rho)))
+            self._full = (entries, _Rows(rows, self.den))
         return self._full
+
+    def compact_phases(self, t: TorusElement) -> list[complex]:
+        """e^{w.lam}(t) for each row of ``compact``."""
+        torus = _Torus(t.angles, self.den, self.rs.dim)
+        return [torus.phase(x) for x in torus.turns(self.compact)]
+
+    def compact_pairings(self, vectors: Sequence[Sequence[Fraction]]) -> list[tuple[float, ...]]:
+        """The invariant pairings <w.lam, a> for each a in ``vectors``, per row of ``compact``."""
+        if any(len(a) != self.rs.dim for a in vectors):
+            raise ValueError(f"each vector to pair with lambda needs dim t = {self.rs.dim} coordinates")
+        scaled = _rows(vectors)
+        den, s = self.den * scaled.den, self.rs.form_scale
+        return [tuple(s * sum(map(mul, row, a)) / den for a in scaled.ints) for row in self.compact.ints]
 
 
 def hc_parameter(rs: RootSystem, mu: Weight) -> HCParameter:
@@ -165,39 +256,19 @@ class CharacterValue:
     value: complex
 
 
-def _dot(coords: Sequence[Fraction], q: Sequence[Angle]) -> Angle:
-    if all(type(a) is Fraction for a in q):
-        return exact_dot(coords, q)
-    return sum(float(c) * float(a) for c, a in zip(coords, q, strict=True))
-
-
-def _phase(x: Angle) -> complex:
-    """exp(2 pi i x), with an exact mod-1 reduction on rational input."""
-    if isinstance(x, Fraction):
-        d = x.denominator
-        return cmath.exp(2j * math.pi * ((x.numerator % d) / d))
-    return cmath.exp(2j * math.pi * x)
-
-
 def character_exp(coords: Weight | Root, t: TorusElement) -> complex:
     """e^beta(t)."""
-    return _phase(_dot(coords.coords, t.angles))
-
-
-def _is_one(x: Angle) -> bool:
-    """Whether exp(2 pi i x) = 1: exactly for rational x, to UNITY_TOL for float x."""
-    if isinstance(x, Fraction):
-        return x.denominator == 1
-    return abs(_phase(x) - 1.0) < UNITY_TOL
+    rows = _rows([coords.coords])
+    torus = _Torus(t.angles, rows.den, len(coords.coords))
+    return torus.phase(torus.turns(rows)[0])
 
 
 def weyl_denominator_T(rs: RootSystem, t: TorusElement) -> complex:
     """prod over R+(g,t) of (e^{b/2} - e^{-b/2})(t); zero exactly on singular t."""
-    if len(t.angles) != rs.dim:
-        raise ValueError("torus element dimension mismatch")
+    torus = _Torus(t.angles, 2, rs.dim)
     out = 1.0 + 0.0j
-    for r in rs.positive_roots():
-        e = _phase(_dot(r.coords, t.angles) / 2)  # e^{b/2}(t)
+    for x in torus.turns(_Rows([tuple(c.numerator for c in r.coords) for r in rs.positive], 2)):
+        e = torus.phase(x)  # e^{b/2}(t)
         out *= e - 1 / e
     return out
 
@@ -210,8 +281,8 @@ def ds_character_Treg(rs: RootSystem, lam: HCParameter, t: TorusElement) -> Char
             "singular torus element; use elliptic_orbital_term"
         )
     num = 0.0 + 0.0j
-    for sign, wl in lam.compact:
-        num += sign * character_exp(wl, t)
+    for sign, phase in zip(lam.signs, lam.compact_phases(t)):
+        num += sign * phase
     return CharacterValue(value=num / den)
 
 
@@ -226,17 +297,18 @@ def elliptic_orbital_term(rs: RootSystem, lam: HCParameter, xi: TorusElement) ->
     xi this reduces to (-1)^{dim p/2} times the character at xi.  The coset
     reps and their coefficients come from ``lam.cosets``.
     """
-    den = character_exp(rs.rho_g, xi)
+    torus = _Torus(xi.angles, lam.den, rs.dim)
+    den = torus.phase(torus.turns(lam.rho_g)[0])
     fixed = []
-    for i, r in enumerate(rs.positive):
-        x = _dot(r.coords, xi.angles)
-        if _is_one(x):
+    for i, x in enumerate(torus.turns(lam.roots)):
+        if torus.is_one(x):
             fixed.append(i)
         else:
-            den *= 1 - 1 / _phase(x)
+            den *= 1 - 1 / torus.phase(x)
+    coeffs, rows = lam.cosets(tuple(fixed))
     total = 0.0 + 0.0j
-    for coeff, wl in lam.cosets(tuple(fixed)):
-        total += coeff * character_exp(wl, xi)
+    for coeff, x in zip(coeffs, torus.turns(rows)):
+        total += coeff * torus.phase(x)
     sign = (-1) ** (rs.dim_p // 2)
     return sign * total / den
 
@@ -270,22 +342,25 @@ def omega(rs: RootSystem, lam: HCParameter, h: NoncompactCartanElement) -> compl
     with the decaying branch selected on each chamber; the compact part
     carries the rho_g shift so that central m give the central character.
     """
-    if len(h.compact_angles) != rs.dim:
-        raise ValueError("compact part dimension mismatch")
-    m = TorusElement(h.compact_angles)
+    entries, rows = lam.full()
+    m = _Torus(h.compact_angles, lam.den, rs.dim)
     t = abs(h.log_a)
     flip = h.chamber is Chamber.H_MINUS
+    radials: dict[float, float] = {}
     total = 0.0 + 0.0j
-    for sign, base, rate, shifted in lam.full():
+    for (sign, base, rate), x in zip(entries, m.turns(rows)):
         c = -base if flip else base
-        radial = math.exp(-rate * t / 2.0)
-        total += sign * c * character_exp(shifted, m) * radial
+        radial = radials.get(rate)
+        if radial is None:
+            radial = radials[rate] = math.exp(-rate * t / 2.0)
+        total += sign * c * m.phase(x) * radial
     return 0.5 * total
 
 
 def central_character(rs: RootSystem, lam: HCParameter, z: TorusElement) -> complex:
     """zeta_lam(z) = e^{lam - rho_g}(z) on the unit circle; z must be central."""
-    for r in rs.positive_roots():
-        if not _is_one(_dot(r.coords, z.angles)):
-            raise ValueError("element is not central: a root is nontrivial on it")
-    return character_exp(lam.lam - rs.rho_g, z)
+    torus = _Torus(z.angles, lam.den, rs.dim)
+    if not all(map(torus.is_one, torus.turns(lam.roots))):
+        raise ValueError("element is not central: a root is nontrivial on it")
+    shifted = _Rows([tuple(map(sub, lam._row, lam.rho_g.ints[0]))], lam.den)
+    return torus.phase(torus.turns(shifted)[0])

@@ -24,14 +24,13 @@ from .chars import (
     NoncompactCartanElement,
     TorusElement,
     central_character,
-    character_exp,
     elliptic_orbital_term,
     formal_degree,
     hc_parameter,
     omega,
 )
 from .jsonin import Fields, angles, number
-from .rootsys import RootSystem, Weight, inner
+from .rootsys import RootSystem, Weight
 
 CENTRAL_CHARACTER_TOL = 1e-9
 
@@ -145,15 +144,17 @@ def parabolic_I_term(rs: RootSystem, lam: HCParameter, geom: GeometricData) -> c
             entry.c_eta_plus * entry.C_eta_plus
             + entry.c_eta_minus * entry.C_eta_minus
         )
+        pairings = lam.compact_pairings(entry.Rplus_xi0)
+        phases = lam.compact_phases(entry.eta_torus)
         wsum = 0.0 + 0.0j
-        for _, wl in lam.compact:
+        for floats, products, phase in zip(lam.compact.floats, pairings, phases):
             term = 1.0 + 0.0j
             if half_dim:
-                z = complex(sum(float(c) * p for c, p in zip(wl.coords, entry.z0_pairing, strict=True)))
+                z = complex(sum(c * p for c, p in zip(floats, entry.z0_pairing, strict=True)))
                 term = z.conjugate() ** half_dim
-            for coords in entry.Rplus_xi0:
-                term *= float(inner(rs, wl, Weight(coords)))
-            term *= character_exp(wl, entry.eta_torus)
+            for p in products:
+                term *= p
+            term *= phase
             wsum += term
         total += pref * wsum
     return sign * total

@@ -100,11 +100,11 @@ class WeylElement:
     signs: tuple[int, ...]
     sign: int
 
-    def apply(self, w: Weight) -> Weight:
-        x = w.coords
+    def act(self, x: Sequence) -> tuple:
+        """w.x on a coordinate tuple of any number type (Fractions or integer rows)."""
         if len(x) != len(self.perm):
             raise ValueError(f"weight has {len(x)} coordinates; the Weyl element acts on {len(self.perm)}")
-        return Weight(tuple(x[j] if s == 1 else -x[j] for j, s in zip(self.perm, self.signs)))
+        return tuple(x[j] if s == 1 else -x[j] for j, s in zip(self.perm, self.signs))
 
 
 @dataclass(frozen=True)

@@ -104,13 +104,17 @@ def hecke_reps(n: int) -> tuple[IntegerMatrix, ...]:
 
 @lru_cache(maxsize=None)
 def _hurwitz_sixths(X: int) -> tuple[int, ...]:
-    """6 H(N) for N = 0..X (0 at N = 0), in one pass over the reduced forms.
+    """6 H(N) for N = 0..X (0 at N = 0): the table for X // 2, extended by
+    one pass over the reduced forms that sieves N in (X // 2, X] only.
 
     Each (a, b), 0 <= b <= a, adds to the progression N = 4ac - b^2 of step
     4a: 12 for the pair (a, +-b, c) with c > a, 6 where b is 0 or a (b = -a is
     never reduced), and at c = a, which takes b >= 0 only, 2 for (a, a, a), 3
     for (a, 0, a) and 6 otherwise."""
-    table = [0] * (X + 1)
+    if X < 3:
+        return (0,) * (X + 1)
+    half = X // 2
+    table = [*_hurwitz_sixths(half), *(0,) * (X - half)]
     a = 1
     while 3 * a * a <= X:
         step = 4 * a
@@ -118,9 +122,13 @@ def _hurwitz_sixths(X: int) -> tuple[int, ...]:
             N = step * a - b * b
             if N > X:
                 continue
-            table[N] += 2 if b == a else 3 if b == 0 else 6
+            if N > half:
+                table[N] += 2 if b == a else 3 if b == 0 else 6
+                N += step
+            else:  # to the first N > X // 2
+                N += ((half - N) // step + 1) * step
             w = 6 if b in (0, a) else 12
-            table[N + step :: step] = [h + w for h in table[N + step :: step]]
+            table[N::step] = [h + w for h in table[N::step]]
         a += 1
     return tuple(table)
 

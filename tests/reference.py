@@ -297,6 +297,26 @@ def unfolded_sl2z_elliptic(n):
 # Classical oracles by their direct definitions
 
 
+def hurwitz_sixths_one_pass(X):
+    """6 H(N) for N = 0..X in one pass over the reduced forms: each (a, b),
+    0 <= b <= a, adds 2, 3 or 6 at c = a and 6 or 12 for each c > a along
+    N = 4ac - b^2.  Each table is built alone, where ``sl2._hurwitz_sixths``
+    extends the half-size one."""
+    table = [0] * (X + 1)
+    a = 1
+    while 3 * a * a <= X:
+        step = 4 * a
+        for b in range(a + 1):
+            N = step * a - b * b
+            if N > X:
+                continue
+            table[N] += 2 if b == a else 3 if b == 0 else 6
+            w = 6 if b in (0, a) else 12
+            table[N + step :: step] = [h + w for h in table[N + step :: step]]
+        a += 1
+    return tuple(table)
+
+
 @functools.lru_cache(maxsize=None)
 def hurwitz_by_forms(N):
     """H(N) from the reduced forms of discriminant -N alone: (a, b, c) with

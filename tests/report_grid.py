@@ -31,7 +31,13 @@ The grid:
 * thirteen commands that exit 1 with an ``error:`` line (``ERROR_COMMANDS``),
   each cheap on any tree;
 * on the ``rank1-cli`` benchmark inputs of seeds 1-3, ``epstein const`` for
-  each group and ``lefschetz assemble --geom`` for each (group, mu).
+  each group and ``lefschetz assemble --geom`` for each (group, mu);
+* ``lefschetz assemble --geom`` on inputs the benchmark never draws
+  (``wide_commands``): for each group of ``test_weyl_tables.GROUPS``, its
+  wide geometry (angle denominators 5, 7, 12, 97 and 2**61 - 1, negative
+  numerators, numerators near 2**52 and above 2**64, mixed Fraction and float
+  vectors, R+(xi0) vectors with denominators) at mu = 4/3 and 5/3 times
+  rho_g - rho_k.
 
 A command that reads a file runs from the file's directory and names it
 without a directory, so its report does not depend on where the file lies.
@@ -40,10 +46,13 @@ without a directory, so its report does not depend on where the file lies.
 import contextlib
 import hashlib
 import io
+import json
 import os
 import random
+import re
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -52,7 +61,10 @@ MANIFEST = REPORTS / "grid.sha256"
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 
 from ranklef import cli  # noqa: E402
+from ranklef.rootsys import GroupDescriptor, build_root_system  # noqa: E402
+from reference import geometry_to_dict  # noqa: E402
 from test_cli import PINNED_REPORTS  # noqa: E402
+from test_weyl_tables import GROUPS as WIDE_GROUPS, make_geometry  # noqa: E402
 from workloads import Rank1Cli  # noqa: E402  (imports no ranklef code)
 
 GROUPS = (
@@ -112,6 +124,21 @@ def rank1_commands(seed, workdir):
         yield f"seed{seed}-epstein-{slug}", ["epstein", "const", "--spec", spec]
 
 
+def wide_commands(workdir):
+    """Write each group's wide geometry to ``workdir``, with a trivial and a
+    huge integer central class, and assemble it at two mu with thirds or sixths."""
+    for group in WIDE_GROUPS:
+        rs = build_root_system(GroupDescriptor.from_name(group))
+        data = geometry_to_dict(make_geometry(rs, seed=3, n_exact=10, n_float=6, wide=True))
+        data["central_classes"] = [{"tag": tag, "z": [[z, 1]] * rs.dim} for tag, z in (("1", 0), ("huge", 2**64 + 1))]
+        slug = re.sub(r"\W", "", group)
+        (Path(workdir) / f"wide-{slug}.json").write_text(json.dumps(data), encoding="utf-8")
+        for c in (Fraction(4, 3), Fraction(5, 3)):
+            mu = ",".join(str(c * x) for x in (rs.rho_g - rs.rho_k).coords)
+            argv = ["lefschetz", "assemble", "--group", group, "--mu", mu, "--geom", f"wide-{slug}.json"]
+            yield f"wide-assemble-{slug}-rho{c.numerator}over3", argv
+
+
 def run(argv, cwd):
     """Run one command in this process from ``cwd``: (stdout, stderr, exit code)."""
     out, err = io.StringIO(), io.StringIO()
@@ -135,6 +162,9 @@ def grid(workdir):
         seed_dir = Path(workdir) / f"seed{seed}"
         seed_dir.mkdir()
         commands += [(name, argv, seed_dir) for name, argv in rank1_commands(seed, seed_dir)]
+    wide_dir = Path(workdir) / "wide"
+    wide_dir.mkdir()
+    commands += [(name, argv, wide_dir) for name, argv in wide_commands(wide_dir)]
     for name, argv, cwd in commands:
         yield (name, *run(argv, cwd))
 

@@ -290,7 +290,7 @@ def test_parabolic_I_su21_dual_interpretation_resummation():
     def resummed(conjugate):
         total = 0.0 + 0.0j
         for w in weyl_group(su21, "compact"):
-            wl = w.apply(lam.lam)
+            wl = W(w.act(lam.lam.coords))
             pairing = sum(complex(float(c)) * p for c, p in zip(wl.coords, z0))
             term = pairing.conjugate() if conjugate else pairing  # exponent dim_n_eta1 / 2 = 1
             for coords in xi0_roots:

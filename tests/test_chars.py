@@ -91,7 +91,7 @@ def _exact_numerator(rs, lam, t):
     """Independent cyclotomic recomputation: exact exponent bookkeeping."""
     terms = []
     for w in weyl_group(rs, "compact"):
-        x = sum(c * a for c, a in zip(w.apply(lam).coords, t.angles))
+        x = sum(c * a for c, a in zip(w.act(lam.coords), t.angles))
         terms.append((w.sign, x - (x.numerator // x.denominator)))
     return sum(s * cmath.exp(2j * math.pi * float(x)) for s, x in terms)
 
@@ -142,7 +142,7 @@ def test_numerator_antisymmetry():
         t = TorusElement(q)
         base = _exact_numerator(SU21, lam, t)
         for u in group:
-            moved = _exact_numerator(SU21, u.apply(lam), t)
+            moved = _exact_numerator(SU21, Weight(u.act(lam.coords)), t)
             assert abs(moved - u.sign * base) < 1e-9
 
 
@@ -226,7 +226,7 @@ def test_elliptic_orbital_singular_limit_oracle():
     def full_numerator(eps):
         total = 0.0 + 0.0j
         for w in weyl_group(SU21, "compact"):
-            wl = w.apply(lam.lam)
+            wl = Weight(w.act(lam.lam.coords))
             x = float(sum(float(c) * float(a) for c, a in zip(wl.coords, xi.angles)))
             x += eps * sum(float(c) * d for c, d in zip(wl.coords, direction))
             total += w.sign * cmath.exp(2j * math.pi * x)
@@ -261,7 +261,7 @@ def test_elliptic_orbital_coset_invariance():
             continue
         den *= 1 - 1 / character_exp(r, xi)
     for w in weyl_group(SU21, "compact"):
-        wl = w.apply(lam.lam)
+        wl = Weight(w.act(lam.lam.coords))
         full += w.sign * float(inner(SU21, wl, a1)) * character_exp(wl, xi)
     assert abs(elliptic_orbital_term(SU21, lam, xi) - full / (2 * den)) < 1e-12
 
@@ -328,7 +328,7 @@ def test_elliptic_terms_are_class_functions(name):
             if not abs(term - full_average_orbital_term(rs, lam, xi)) <= tol:
                 failures.append((lam.lam.coords, xi.angles, "full-W_k average"))
             # w.xi over all w in W_k, each distinct vector once
-            for moved in {w.apply(Weight(xi.angles)).coords for w in group}:
+            for moved in {w.act(xi.angles) for w in group}:
                 if not abs(elliptic_orbital_term(rs, lam, TorusElement(moved)) - term) <= tol:
                     failures.append((lam.lam.coords, xi.angles, moved))
     assert not failures, f"{len(failures)} failures, first {failures[0]}"
@@ -372,14 +372,15 @@ def test_c_sign_cases():
     """full() stores c = -1 for a positive beta0 pairing, +1 for a negative
     one, and no entry for a zero pairing; H_minus negates c."""
     for coords in [(3, -3), (-2, 2), (Fraction(1, 2), Fraction(-1, 2))]:
-        entries = _param(SL2, coords).full()
-        assert len(entries) == 2  # W(sl2r) = {1, s}, and s.lam = -lam
-        for _, base, rate, shifted in entries:
-            wl = shifted + SL2.rho_g
+        entries, rows = _param(SL2, coords).full()
+        assert len(entries) == len(rows.ints) == 2  # W(sl2r) = {1, s}, and s.lam = -lam
+        for (_, base, rate), row in zip(entries, rows.ints):
+            wl = Weight(tuple(Fraction(x, rows.den) for x in row)) + SL2.rho_g
             pairing = 2 * wl.coords[0]  # <wl, beta0_v> with beta0 = e_1 - e_2
             assert base == (-1 if pairing > 0 else 1) and rate == abs(pairing)
             assert base == c_sign(SL2, wl, Chamber.H_PLUS) == -c_sign(SL2, wl, Chamber.H_MINUS)
-    assert _param(SL2, (0, 0)).full() == []
+    entries, rows = _param(SL2, (0, 0)).full()
+    assert entries == rows.ints == []
 
 
 def _identity_h(rs):

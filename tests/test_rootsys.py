@@ -331,7 +331,7 @@ def test_weyl_elements_permute_roots_and_multiply_signs(name):
     group = weyl_group(rs, "full")
     coords = {r.coords for r in all_roots(rs)}
     for w in group:
-        assert {w.apply(Weight(c)).coords for c in coords} == coords
+        assert {w.act(c) for c in coords} == coords
     for w1 in group[:6]:
         for w2 in group[:6]:
             prod = mat_mul(dense(w1), dense(w2))
@@ -402,7 +402,7 @@ def test_weyl_element_rejects_weight_of_wrong_length():
     for coords in [(Fraction(1),), (Fraction(1), Fraction(-1), Fraction(5))]:
         for w in weyl_group(rs, "full"):
             with pytest.raises(ValueError):
-                w.apply(Weight(coords))
+                w.act(coords)
 
 
 def test_weight_lattice_integrality():
@@ -446,7 +446,7 @@ def test_regularity_stable_on_dominance_preserving_orbit():
     lam = mu + rs.rho_k
     preserving = []
     for w in weyl_group(rs, "compact"):
-        moved = w.apply(lam)
+        moved = Weight(w.act(lam.coords))
         if all(
             inner(rs, moved, Weight(r.coords)) > 0
             for r in rs.positive_roots(RootKind.COMPACT)

@@ -36,6 +36,7 @@ from reference import (
     entries,
     geometry_to_dict,
     hurwitz_by_forms,
+    hurwitz_sixths_one_pass,
     int_mat_mul,
     tau_by_cube_products,
     trace_polynomial,
@@ -285,6 +286,29 @@ def test_hurwitz_sieve_tables_are_prefixes_of_larger_ones(X):
     small, large = _hurwitz_sixths(X), _hurwitz_sixths(2 * X)
     assert len(small) == X + 1 and len(large) == 2 * X + 1
     assert small == large[: X + 1]
+
+
+def test_hurwitz_sieve_tables_equal_a_one_pass_sieve():
+    # every table hurwitz_class_number builds, up to 2**13, plus sizes that
+    # are not powers of two; each is extended from the one of half its size
+    for X in [1 << j for j in range(14)] + [3, 5, 7, 100, 1000, 5000, 8191]:
+        assert _hurwitz_sixths(X) == hurwitz_sixths_one_pass(X), X
+
+
+def test_hurwitz_sieve_extends_the_half_table(monkeypatch):
+    for value in vars(sl2).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    sizes = []
+    sieve = sl2._hurwitz_sixths
+
+    def spy(X):
+        sizes.append(X)
+        return sieve(X)
+
+    monkeypatch.setattr(sl2, "_hurwitz_sixths", spy)
+    sl2.hurwitz_class_number(8191)
+    assert sizes == [1 << j for j in range(13, 0, -1)]  # 8192, 4096, ..., 2: one table each
 
 
 def test_hurwitz_sieve_sizes_its_table_to_the_level(monkeypatch):

@@ -24,7 +24,10 @@ from ranklef.chars import (
     Chamber,
     NoncompactCartanElement,
     TorusElement,
+    central_character,
+    ds_character_Treg,
     hc_parameter,
+    weyl_denominator_T,
 )
 from ranklef.lefschetz import (
     EllipticClass,
@@ -58,15 +61,14 @@ UNITY_TOL = 1e-9
 
 
 def ref_dot(coords, q):
-    acc = 0
-    exact = True
+    """Exact when every angle is a Fraction; otherwise in floats, coordinate
+    by coordinate, so a mixed vector pairs as its float copy does."""
+    if all(isinstance(a, Fraction) for a in q):
+        return sum((c * a for c, a in zip(coords, q)), Fraction(0))
+    acc = 0.0
     for c, a in zip(coords, q):
-        if isinstance(a, Fraction):
-            acc += c * a
-        else:
-            exact = False
-            acc = float(acc) + float(c) * a
-    return acc if exact else float(acc)
+        acc += float(c) * float(a)
+    return acc
 
 
 def ref_phase(x):
@@ -229,11 +231,36 @@ def _torus(rng, rs, exact):
             return TorusElement(tuple(q))
 
 
-def make_geometry(rs, seed, n_exact=8, n_float=4):
+# Angles the benchmark never draws: denominators 5, 7, 12, 97 and 2**61 - 1
+# (a prime, so that D = den L passes 2**53), negative values, and numerators
+# near 2**52 and above 2**64.
+WIDE_NUMERATORS = (1, -2, 3, -4, 2**52 + 1, -(2**52 - 3), 2**64 + 13, -(2**70 + 13))
+WIDE_ANGLES = tuple(Fraction(p, q) for q in (5, 7, 12, 97, 2**61 - 1) for p in WIDE_NUMERATORS)
+HUGE_ANGLES = tuple(a for a in WIDE_ANGLES if abs(a.numerator) > 2**64)
+
+
+def _wide_torus(rng, rs, exact):
+    """Seeded angles from ``WIDE_ANGLES``, a few per element so that some
+    roots vanish on it; su(n,1) elements keep coordinate sum zero.  A mixed
+    element (``exact`` false) holds Fractions of small numerator and floats."""
+    free = rs.dim - 1 if rs.descriptor.family.value == "su" else rs.dim
+    pool = [rng.choice(HUGE_ANGLES), rng.choice(WIDE_ANGLES)] if exact else rng.sample(WIDE_ANGLES[:4], 2)
+    q = [rng.choice(pool) for _ in range(free)]
+    if not exact:
+        q[rng.randrange(free)] = rng.uniform(-1.0, 1.0)
+    if free < rs.dim:
+        q.append(-sum(q))
+    return TorusElement(tuple(q))
+
+
+def make_geometry(rs, seed, n_exact=8, n_float=4, wide=False):
+    """A seeded geometry; ``wide`` draws its torus elements from
+    ``_wide_torus`` and its R+(xi0) vectors with denominators."""
     rng = random.Random(f"{rs.descriptor.name()} {seed}")
+    torus = _wide_torus if wide else _torus
     identity = TorusElement(tuple(Fraction(0) for _ in range(rs.dim)))
-    reps = [identity] + [_torus(rng, rs, True) for _ in range(n_exact - 1)]
-    reps += [_torus(rng, rs, False) for _ in range(n_float)]
+    reps = [identity] + [torus(rng, rs, True) for _ in range(n_exact - 1)]
+    reps += [torus(rng, rs, False) for _ in range(n_float)]
     elliptic = tuple(
         EllipticClass(rep=rep, vol_quotient=1.0 / rng.choice((2, 3, 4, 6)), d_xi=float(rng.choice((1, 2))))
         for rep in reps
@@ -246,9 +273,10 @@ def make_geometry(rs, seed, n_exact=8, n_float=4):
             C_eta_plus=rng.uniform(-1.0, 1.0),
             C_eta_minus=rng.uniform(-1.0, 1.0),
             dim_n_eta1=dim_n1,
-            eta_torus=_torus(rng, rs, exact),
+            eta_torus=torus(rng, rs, exact),
             Rplus_xi0=tuple(
-                tuple(Fraction(rng.randint(-1, 1)) for _ in range(rs.dim)) for _ in range(n_roots)
+                tuple(Fraction(rng.randint(-1, 1), rng.choice((1, 3, 7)) if wide else 1) for _ in range(rs.dim))
+                for _ in range(n_roots)
             ),
             z0_pairing=tuple(rng.uniform(-1.0, 1.0) for _ in range(rs.dim)),
         )
@@ -259,7 +287,7 @@ def make_geometry(rs, seed, n_exact=8, n_float=4):
             vol_M=rng.uniform(0.25, 1.0),
             det_Ad_n=rng.uniform(0.5, 4.0),
             coset_index=rng.randint(1, 6),
-            eta_H=NoncompactCartanElement.from_log_a(_torus(rng, rs, exact).angles, log_a),
+            eta_H=NoncompactCartanElement.from_log_a(torus(rng, rs, exact).angles, log_a),
         )
         for log_a, exact in ((0.0, True), (0.7, True), (-0.4, True), (1.3, False), (-0.9, False))
     )
@@ -305,6 +333,51 @@ def test_terms_equal_the_per_class_reference_exactly(name):
     assert len(branches) == (1 if name == "su(2,1)" else 2)
 
 
+def ref_weyl_denominator(rs, t):
+    out = 1.0 + 0.0j
+    for r in rs.positive_roots():
+        e = ref_phase(ref_dot(r.coords, t.angles) / 2)
+        out *= e - 1 / e
+    return out
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_terms_equal_the_reference_off_the_benchmark_inputs(name):
+    """Angles with denominators 5, 7, 12, 97 and 2**61 - 1, negative and huge
+    numerators, mixed Fraction and float vectors, and mu with thirds and
+    sixths."""
+    rs = _rs(name)
+    geom = make_geometry(rs, seed=3, n_exact=10, n_float=6, wide=True)
+    reps = [c.rep for c in geom.elliptic_classes]
+    kinds = {all(type(a) is Fraction for a in t.angles) for t in reps}
+    mixed = [t for t in reps if len({type(a) for a in t.angles}) == 2]
+    assert kinds == {True, False} and (mixed or name == "sl2r")  # sl2r: the su sum rule leaves one free angle
+    assert any(abs(a.numerator) > 2**64 for t in reps for a in t.angles if type(a) is Fraction)
+    assert any(a.denominator > 2**53 for t in reps for a in t.angles if type(a) is Fraction)
+    patterns = {tuple(r.coords for r in ref_vanishing_roots(rs, t)) for t in reps}
+    assert len(patterns) >= min(3, 1 + len(rs.positive_roots()))
+    rho_n = rs.rho_g - rs.rho_k
+    central = [TorusElement(tuple(Fraction(c) for _ in range(rs.dim))) for c in (0, Fraction(1, 2), 2**64 + 1)]
+    for mu in mu_choices(rs) + [scale(rho_n, Fraction(4, 3)), scale(rho_n, Fraction(5, 3))]:
+        lam = hc_parameter(rs, mu)
+        assert elliptic_term(rs, lam, geom) == ref_elliptic_term(rs, lam, geom)
+        assert parabolic_I_term(rs, lam, geom) == ref_parabolic_I_term(rs, lam, geom)
+        assert parabolic_II_term(rs, lam, geom) == ref_parabolic_II_term(rs, lam, geom)
+        for t in reps:
+            den = ref_weyl_denominator(rs, t)
+            assert weyl_denominator_T(rs, t) == den
+            if abs(den) > 1e-9:
+                orbit = [(w.sign, dense_apply(dense(w), lam.lam)) for w in weyl_group(rs, "compact")]
+                num = sum((sign * ref_character_exp(wl, t) for sign, wl in orbit), 0j)
+                assert ds_character_Treg(rs, lam, t).value == num / den
+        for z in central:
+            if len(ref_vanishing_roots(rs, z)) == len(rs.positive_roots()):
+                assert central_character(rs, lam, z) == ref_character_exp(lam.lam - rs.rho_g, z)
+            else:
+                with pytest.raises(ValueError):
+                    central_character(rs, lam, z)
+
+
 @pytest.mark.parametrize("name", ["so(8,1)", "sp(3,1)"])
 def test_sparse_products_equal_the_dense_ones(name):
     rs = _rs(name)
@@ -314,7 +387,7 @@ def test_sparse_products_equal_the_dense_ones(name):
     weights = [rs.rho_g, Weight(tuple(Fraction(3 * i + 1, i + 2) for i in range(rs.dim)))]
     for w in group:
         for v in weights:
-            assert w.apply(v) == dense_apply(dense(w), v)
+            assert Weight(w.act(v.coords)) == dense_apply(dense(w), v)
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +398,18 @@ def test_weyl_orbits_are_built_once_per_assemble(monkeypatch):
     rs = _rs("so(8,1)")
     mu = rs.rho_g - rs.rho_k
     calls = []
-    dense = WeylElement.apply
+    act = WeylElement.act
 
-    def counted(self, weight):
+    def counted(self, row):
         calls.append(1)
-        return dense(self, weight)
+        return act(self, row)
 
-    monkeypatch.setattr(WeylElement, "apply", counted)
+    monkeypatch.setattr(WeylElement, "act", counted)
     counts = []
     for n_exact, n_float in ((8, 4), (32, 16)):
         calls.clear()
         assemble(rs, mu, make_geometry(rs, seed=2, n_exact=n_exact, n_float=n_float))
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    # the orbits are built (so the count cannot pass at 0), and once each
+    assert 0 < counts[0] == counts[1]
     assert counts[0] <= len(weyl_group(rs, "full")) + len(weyl_group(rs, "compact"))
