@@ -36,15 +36,7 @@ from functools import cached_property
 from operator import mul, sub
 from typing import Sequence
 
-from .rootsys import (
-    Root,
-    RootKind,
-    RootSystem,
-    Weight,
-    inner,
-    is_regular,
-    weyl_group,
-)
+from .rootsys import RootKind, RootSystem, Weight, weyl_group
 
 Angle = Fraction | float
 
@@ -108,30 +100,42 @@ class _Torus:
 
 class HCParameter:
     """Harish-Chandra parameter lambda = mu + rho_k on the root system ``rs``,
-    with its Weyl data, shared by every class of one assembly.
+    with its Weyl data, shared by every class of one assembly.  This is the
+    one place where lambda is paired with a root.
 
-    ``regular`` says whether lambda pairs nonzero with every root.  Vectors
-    are integer rows over ``den``, the common denominator of lambda and
-    rho_g: ``compact`` holds the W(k,t) orbit of lambda in the order of
+    Vectors are integer rows over ``den``, the common denominator of lambda
+    and rho_g: ``compact`` holds the W(k,t) orbit of lambda in the order of
     ``weyl_group(rs, "compact")``, with det w in ``signs``, and ``rho_g`` and
     ``roots`` (R+(g,t) in order) are rows too.  A Weyl element acts on a row
     as a signed permutation of ints, so no orbit element is a Fraction.  A
     pairing with a root is an integer dot, its sign read on the integer and
-    divided once.  ``cosets`` and ``full`` are built on first use; see there.
+    divided once.  ``pairings`` holds den^2 <lambda, alpha> for each alpha in
+    R+(g,t); from it the constructor rejects a lambda that is not strictly
+    dominant for the compact roots, sets ``regular`` (no pairing vanishes),
+    and rejects a regular lambda with a negative pairing.  ``cosets`` and
+    ``full`` are built on first use; see there.
     """
 
-    def __init__(self, rs: RootSystem, lam: Weight, regular: bool):
+    def __init__(self, rs: RootSystem, lam: Weight):
         self.rs = rs
         self.lam = lam
-        self.regular = regular
         base = _rows([lam.coords, rs.rho_g.coords])
         self.den = den = base.den
         self._row, rho = base.ints
         group = weyl_group(rs, "compact")
         self.signs = [w.sign for w in group]
-        self.compact = _Rows([w.act(self._row) for w in group], den)
+        self.compact = _Rows([w.act(self._row) for w in group], den)  # act checks the length of lambda
         self.rho_g = _Rows([rho], den)
         self.roots = _Rows([tuple(c.numerator * den for c in r.coords) for r in rs.positive], den)
+        self.pairings = [rs.form_scale * sum(map(mul, self._row, a)) for a in self.roots.ints]
+        if any(p <= 0 for p, r in zip(self.pairings, rs.positive) if r.kind is RootKind.COMPACT):
+            raise ValueError("weight is not dominant for the compact positive system")
+        self.regular = all(self.pairings)
+        if self.regular and min(self.pairings) < 0:
+            raise ValueError(
+                "lambda = mu + rho_k is regular but not dominant; "
+                "present the dominant chamber representative"
+            )
         self._cosets: dict[tuple[int, ...], tuple[list[complex], _Rows]] = {}
         self._full: tuple[list[tuple[int, int, float]], _Rows] | None = None
 
@@ -203,7 +207,9 @@ class HCParameter:
 
 
 def hc_parameter(rs: RootSystem, mu: Weight) -> HCParameter:
-    return HCParameter(rs, mu + rs.rho_k, is_regular(rs, mu))
+    """The HC parameter of the weight mu: lambda = mu + rho_k, which must be
+    strictly dominant for the compact roots and, unless singular, dominant."""
+    return HCParameter(rs, mu + rs.rho_k)
 
 
 @dataclass(frozen=True)
@@ -254,13 +260,6 @@ class NoncompactCartanElement:
 @dataclass(frozen=True)
 class CharacterValue:
     value: complex
-
-
-def character_exp(coords: Weight | Root, t: TorusElement) -> complex:
-    """e^beta(t)."""
-    rows = _rows([coords.coords])
-    torus = _Torus(t.angles, rows.den, len(coords.coords))
-    return torus.phase(torus.turns(rows)[0])
 
 
 def weyl_denominator_T(rs: RootSystem, t: TorusElement) -> complex:
@@ -323,13 +322,15 @@ def formal_degree(rs: RootSystem, lam: HCParameter) -> float:
         raise ValueError("formal degree requires a regular parameter")
     half_p = rs.dim_p // 2
     pref = 1.0 / ((2 * math.pi) ** half_p * 2 ** ((half_p - 1) / 2))
-    num = Fraction(1)
-    for r in rs.positive_roots():
-        num *= inner(rs, lam.lam, r)
-    den = Fraction(1)
-    for r in rs.positive_roots(RootKind.COMPACT):
-        den *= inner(rs, rs.rho_k, r)
-    return pref * abs(float(num / den))
+    # prod_{R+} <lambda, a> / prod_{R+_k} <rho_k, a>, with <lambda, a> =
+    # pairings / den^2 and <rho_k, a> = s (rho_k . a) / den_k on integer rows,
+    # divided once as int / int: the double float(Fraction) would give.
+    rho_k = _rows([rs.rho_k.coords])
+    compact = [[c.numerator for c in r.coords] for r in rs.positive_roots(RootKind.COMPACT)]
+    num = math.prod(lam.pairings) * rho_k.den ** len(compact)
+    den = lam.den ** (2 * len(lam.pairings))
+    den *= math.prod(rs.form_scale * sum(map(mul, rho_k.ints[0], a)) for a in compact)
+    return pref * abs(num / den)
 
 
 def omega(rs: RootSystem, lam: HCParameter, h: NoncompactCartanElement) -> complex:

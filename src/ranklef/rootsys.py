@@ -170,10 +170,13 @@ def build_root_system(desc: GroupDescriptor) -> RootSystem:
     beta0 = pos_p[0]
     dim_p = 2 * len(pos_p)
 
-    # Restricted multiplicities: pair the roots against the coroot of beta0;
+    # Restricted multiplicities: <r, beta0_v> = 2 (r . beta0) / (beta0 . beta0)
+    # on the integral coordinates, counted by |2 (r . beta0)| = norm or 2 norm;
     # a root and its negative pair to opposite values.
-    pairings = [abs(coroot_pairing(r, beta0)) for r in positive]
-    c1, c2 = pairings.count(1), pairings.count(2)
+    b = [c.numerator for c in beta0.coords]
+    norm = sum(x * x for x in b)
+    pairings = [abs(2 * sum(c.numerator * x for c, x in zip(r.coords, b))) for r in positive]
+    c1, c2 = pairings.count(norm), pairings.count(2 * norm)
     if desc.family is Family.SO:
         if c1 != 0:
             raise AssertionError("so family must have a reduced restricted system")
@@ -195,53 +198,6 @@ def build_root_system(desc: GroupDescriptor) -> RootSystem:
         form_scale=2 if desc.family is Family.SO else 1,
         beta0=beta0,
     )
-
-
-def exact_dot(x: Sequence[Fraction | int], y: Sequence[Fraction | int]) -> Fraction:
-    """Exact coordinate dot product, summed in integers and reduced once."""
-    num, den = 0, 1
-    for a, b in zip(x, y, strict=True):
-        n = a.numerator * b.numerator
-        if n:
-            d = a.denominator * b.denominator
-            if d == den:
-                num += n
-            else:
-                num, den = num * d + n * den, den * d
-    return Fraction(num, den)
-
-
-def inner(rs: RootSystem, a: Root | Weight, b: Root | Weight) -> Fraction:
-    """Invariant pairing on it*, normalized so the short root has norm^2 = 2.
-    Both sides must have dim t coordinates (``exact_dot`` checks ``b``)."""
-    if len(a.coords) != rs.dim:
-        raise ValueError("dimension mismatch")
-    return rs.form_scale * exact_dot(a.coords, b.coords)
-
-
-def coroot_pairing(mu: Root | Weight, alpha: Root | Weight) -> Fraction:
-    """<mu, alpha^v> = 2<mu,alpha>/<alpha,alpha>; the form scale cancels, so the plain dot works."""
-    return 2 * exact_dot(mu.coords, alpha.coords) / exact_dot(alpha.coords, alpha.coords)
-
-
-def is_regular(rs: RootSystem, mu: Weight) -> bool:
-    """Whether lambda = mu + rho_k pairs nonzero with every root of R+(g,t).
-
-    Input must already be dominant for the compact positive system; a
-    vanishing pairing is then only reachable on a noncompact root.
-    """
-    lam = mu + rs.rho_k
-    pairings = [(r.kind, inner(rs, lam, r)) for r in rs.positive]
-    if any(p <= 0 for kind, p in pairings if kind is RootKind.COMPACT):
-        raise ValueError("weight is not dominant for the compact positive system")
-    if any(p == 0 for _, p in pairings):
-        return False
-    if any(p < 0 for _, p in pairings):
-        raise ValueError(
-            "lambda = mu + rho_k is regular but not dominant; "
-            "present the dominant chamber representative"
-        )
-    return True
 
 
 def spinor_dims(rs: RootSystem) -> tuple[int, int]:

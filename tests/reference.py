@@ -1,5 +1,9 @@
 """Test-only reference code, kept apart from the package it checks.
 
+* The pairings and phases: the form-scaled pairing ``inner``, the coroot
+  pairing ``coroot_pairing`` and e^beta(t) as ``character_exp``, summed
+  coordinate by coordinate in Fractions (floats once an angle is a float),
+  sharing no code with the integer rows of ``ranklef.chars``.
 * Dense Weyl matrices.  ``ranklef.rootsys`` enumerates a Weyl group as signed
   permutations from its closed form; the tests recompute the groups here as
   dense matrices of exact entries, closed from the reflections
@@ -29,8 +33,48 @@ from fractions import Fraction
 
 from ranklef.chars import Chamber, TorusElement
 from ranklef.lefschetz import EllipticClass
-from ranklef.rootsys import Root, RootKind, Weight, WeylElement, coroot_pairing
+from ranklef.rootsys import Root, RootKind, Weight, WeylElement
 from ranklef.sl2 import IntegerMatrix, _elliptic_rep_angle, elliptic_classes
+
+# ---------------------------------------------------------------------------
+# Pairings and phases
+
+
+def dot(coords, q):
+    """Exact when every angle is a Fraction; otherwise in floats, coordinate
+    by coordinate, so a mixed vector pairs as its float copy does."""
+    if all(isinstance(a, Fraction) for a in q):
+        return sum((c * a for c, a in zip(coords, q, strict=True)), Fraction(0))
+    acc = 0.0
+    for c, a in zip(coords, q, strict=True):
+        acc += float(c) * float(a)
+    return acc
+
+
+def phase(x):
+    """exp(2 pi i x), reduced mod 1 first when x is a Fraction."""
+    if isinstance(x, Fraction):
+        x = x - (x.numerator // x.denominator)
+        return cmath.exp(2j * math.pi * (x.numerator / x.denominator))
+    return cmath.exp(2j * math.pi * x)
+
+
+def character_exp(coords, t):
+    """e^beta(t) for a Root or Weight beta."""
+    return phase(dot(coords.coords, t.angles))
+
+
+def inner(rs, a, b):
+    """The invariant pairing, normalized so the short root has norm^2 = 2."""
+    return rs.form_scale * sum(x * y for x, y in zip(a.coords, b.coords, strict=True))
+
+
+def coroot_pairing(mu, alpha):
+    """<mu, alpha^v> = 2 <mu, alpha> / <alpha, alpha>."""
+    num = sum(a * b for a, b in zip(mu.coords, alpha.coords, strict=True))
+    den = sum(a * a for a in alpha.coords)
+    return 2 * num / den
+
 
 # ---------------------------------------------------------------------------
 # Dense Weyl matrices
@@ -117,16 +161,6 @@ def _compact_orbit(rs, lam):
     return [(det, dense_apply(m, lam).coords) for m, det in group.items()]
 
 
-def _dot(x, y):
-    return sum((a * b for a, b in zip(x, y)), Fraction(0))
-
-
-def _phase(x):
-    if isinstance(x, Fraction):
-        x = x % 1
-    return cmath.exp(2j * math.pi * float(x))
-
-
 def full_average_orbital_term(rs, lam, xi):
     """The elliptic orbital term at a rational xi, summed over all of W_k:
 
@@ -139,19 +173,19 @@ def full_average_orbital_term(rs, lam, xi):
     from dense reflection matrices.
     """
     positive = rs.positive_roots()
-    pairing = {r.coords: _dot(r.coords, xi.angles) for r in positive}
+    pairing = {r.coords: dot(r.coords, xi.angles) for r in positive}
     fixed = [r for r in positive if pairing[r.coords].denominator == 1]
-    den = _phase(_dot(rs.rho_g.coords, xi.angles))
+    den = phase(dot(rs.rho_g.coords, xi.angles))
     for r in positive:
         if r not in fixed:
-            den *= 1 - 1 / _phase(pairing[r.coords])
+            den *= 1 - 1 / phase(pairing[r.coords])
     subgroup = _closure(rs, tuple(r for r in fixed if r.kind is RootKind.COMPACT))
     total = 0.0 + 0.0j
     for det, wl in _compact_orbit(rs, lam.lam):
         coeff = Fraction(det)
         for r in fixed:
-            coeff *= rs.form_scale * _dot(wl, r.coords)
-        total += float(coeff) * _phase(_dot(wl, xi.angles))
+            coeff *= rs.form_scale * dot(wl, r.coords)
+        total += float(coeff) * phase(dot(wl, xi.angles))
     return (-1) ** (rs.dim_p // 2) * total / (len(subgroup) * den)
 
 

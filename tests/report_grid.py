@@ -28,7 +28,7 @@ The grid:
 * ``sl2 oracle`` for k = 12 and n in {1, 50, 475};
 * ``lefschetz assemble --preset sl2z --k 12`` for n in {1, 2, 6, 12};
 * the commands pinned in ``tests/reports/`` (``test_cli.PINNED_REPORTS``);
-* thirteen commands that exit 1 with an ``error:`` line (``ERROR_COMMANDS``),
+* fifteen commands that exit 1 with an ``error:`` line (``ERROR_COMMANDS``),
   each cheap on any tree;
 * on the ``rank1-cli`` benchmark inputs of seeds 1-3, ``epstein const`` for
   each group and ``lefschetz assemble --geom`` for each (group, mu);
@@ -93,6 +93,8 @@ ERROR_COMMANDS = {
     "mu-short": ASSEMBLE_SL2Z + ["--n", "1", "--mu", "11/2"],
     "mu-long": ASSEMBLE_SL2Z + ["--n", "1", "--mu", "11/2,-11/2,99"],
     "mu-missing": ASSEMBLE_SL2Z + ["--n", "1"],
+    "mu-not-dominant": ASSEMBLE_SL2Z + ["--n", "1", "--mu=-11/2,11/2"],
+    "mu-not-compact-dominant": ["lefschetz", "assemble", "--group", "sp(2,1)", "--geom", "geometry-sp21.json", "--mu=-3,0,0"],
     "tolerance": ASSEMBLE_SL2Z + ["--k", "12", "--n", "1", "--tolerance", "1e-3"],
     "interpretation": ASSEMBLE_SL2Z + ["--k", "12", "--n", "1", "--interpretation", "identity"],
     "low-weight": ASSEMBLE_SL2Z + ["--k", "2", "--n", "1"],
@@ -157,7 +159,7 @@ def grid(workdir):
     order; the ``rank1-cli`` inputs are written under ``workdir``."""
     commands = [(name, argv, os.getcwd()) for name, argv in sl2z_commands()]
     commands += [(name, argv, REPORTS) for name, argv in pinned_commands()]
-    commands += [(f"error-{name}", argv, os.getcwd()) for name, argv in ERROR_COMMANDS.items()]
+    commands += [(f"error-{name}", argv, REPORTS) for name, argv in ERROR_COMMANDS.items()]
     for seed in SEEDS:
         seed_dir = Path(workdir) / f"seed{seed}"
         seed_dir.mkdir()

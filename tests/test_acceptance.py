@@ -26,7 +26,6 @@ from ranklef.rootsys import (
     GroupDescriptor,
     Weight,
     build_root_system,
-    inner,
     spinor_dims,
     weyl_group,
 )
@@ -39,7 +38,7 @@ from ranklef.sl2 import (
     eichler_selberg,
     lefschetz_sl2z,
 )
-from reference import dense, geometry_to_dict, mat_mul, reflection_matrix, simple_roots
+from reference import dense, geometry_to_dict, inner, mat_mul, reflection_matrix, simple_roots
 
 
 def report(num: int, ok: bool, text: str) -> None:
@@ -99,7 +98,7 @@ def _random_regular_lambda(rs, rng) -> HCParameter:
             coords = [Fraction(v) for v in vals]
         lam = Weight(tuple(coords))
         if all(inner(rs, lam, Weight(r.coords)) > 0 for r in rs.positive_roots()):
-            return HCParameter(rs, lam, True)
+            return HCParameter(rs, lam)
 
 
 def _random_regular_torus(rs, rng) -> TorusElement:
@@ -202,14 +201,14 @@ def test_criterion_7_structural_vanishing():
 def test_criterion_8_omega_properties():
     for name in ("su(3,1)", "sp(1,1)"):
         rs = build_root_system(GroupDescriptor.from_name(name))
-        lam = HCParameter(rs, rs.rho_g, True)
+        lam = HCParameter(rs, rs.rho_g)
         h = NoncompactCartanElement.from_log_a(tuple(Fraction(0) for _ in range(rs.dim)), 0.0)
         assert abs(omega(rs, lam, h)) < 1e-9, name
     worst = 0.0
     for name in ("sl2r", "su(2,1)", "sp(1,1)", "so(4,1)"):
         rs = build_root_system(GroupDescriptor.from_name(name))
         rng = random.Random(name + "omega")
-        lam = HCParameter(rs, rs.rho_g + rs.rho_g, True)
+        lam = HCParameter(rs, rs.rho_g + rs.rho_g)
         for _ in range(25):
             ang = tuple(Fraction(rng.randint(-8, 8), 16) for _ in range(rs.dim))
             t = rng.uniform(0.05, 2.5)

@@ -31,7 +31,7 @@ from ranklef.chars import (
 )
 from ranklef.cli import json_default
 from ranklef.rootsys import GroupDescriptor, Weight, build_root_system
-from reference import geometry_to_dict, torus_sl2
+from reference import character_exp, geometry_to_dict, inner, torus_sl2
 
 SL2 = build_root_system(GroupDescriptor.from_name("sl2r"))
 SP11 = build_root_system(GroupDescriptor.from_name("sp(1,1)"))
@@ -265,8 +265,7 @@ def test_parabolic_I_su21_dual_interpretation_resummation():
     # sum is cross-checked termwise against an independent re-summation that
     # reads the pairing overline as complex conjugation, and the same sum
     # without the conjugation differs, so the conjugation is not skipped.
-    from ranklef.chars import character_exp
-    from ranklef.rootsys import Weight as W, inner as inner_form, weyl_group
+    from ranklef.rootsys import Weight as W, weyl_group
 
     su21 = build_root_system(GroupDescriptor.from_name("su(2,1)"))
     mu = su21.rho_g - su21.rho_k
@@ -294,7 +293,7 @@ def test_parabolic_I_su21_dual_interpretation_resummation():
             pairing = sum(complex(float(c)) * p for c, p in zip(wl.coords, z0))
             term = pairing.conjugate() if conjugate else pairing  # exponent dim_n_eta1 / 2 = 1
             for coords in xi0_roots:
-                term *= float(inner_form(su21, wl, W(coords)))
+                term *= float(inner(su21, wl, W(coords)))
             term *= character_exp(wl, eta)
             total += term
         return total * (1.0 * 0.9 + (-1.0) * 0.4) * (-1) ** (su21.dim_p // 2)  # c+C+ + c-C-, sign

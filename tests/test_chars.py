@@ -21,7 +21,6 @@ from ranklef.chars import (
     SingularElementError,
     TorusElement,
     central_character,
-    character_exp,
     ds_character_Treg,
     elliptic_orbital_term,
     formal_degree,
@@ -34,18 +33,18 @@ from ranklef.rootsys import (
     RootKind,
     Weight,
     build_root_system,
-    inner,
     weyl_group,
 )
-from reference import all_roots, c_sign, full_average_orbital_term, scale, torus_sl2
+from reference import all_roots, c_sign, character_exp, full_average_orbital_term, inner, scale, torus_sl2
+from test_weyl_tables import GROUPS
 
 SL2 = build_root_system(GroupDescriptor.from_name("sl2r"))
 SU21 = build_root_system(GroupDescriptor.from_name("su(2,1)"))
 
 
 def _param(rs, coords) -> HCParameter:
-    # direct construction; regularity is not consulted by the evaluators
-    return HCParameter(rs, Weight(tuple(Fraction(c) for c in coords)), True)
+    # direct construction from lambda, not from mu = lambda - rho_k
+    return HCParameter(rs, Weight(tuple(Fraction(c) for c in coords)))
 
 
 LAM11 = _param(SL2, (Fraction(11, 2), Fraction(-11, 2)))
@@ -122,8 +121,13 @@ def test_mixed_element_evaluates_as_its_float_copy():
     floats = TorusElement(tuple(float(a) for a in mixed.angles))
     assert ds_character_Treg(SU21, lam, mixed).value == ds_character_Treg(SU21, lam, floats).value
     assert elliptic_orbital_term(SU21, lam, mixed) == elliptic_orbital_term(SU21, lam, floats)
-    for root in SU21.positive_roots():
-        assert character_exp(root, mixed) == character_exp(root, floats)
+    # a central element: every root is 1 on it, to UNITY_TOL on the float path
+    mixed = TorusElement((Fraction(1, 3), 1 / 3, Fraction(-2, 3)))
+    floats = TorusElement(tuple(float(a) for a in mixed.angles))
+    exact = TorusElement((Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3)))
+    value = central_character(SU21, lam, mixed)
+    assert value == central_character(SU21, lam, floats)
+    assert abs(value - central_character(SU21, lam, exact)) < 1e-12
 
 
 def test_character_rejects_singular_element():
@@ -178,7 +182,7 @@ def _random_regular_lambda(rs, rng):
         lam = Weight(tuple(coords))
         pairings = [inner(rs, lam, Weight(r.coords)) for r in rs.positive_roots()]
         if all(p > 0 for p in pairings):
-            return HCParameter(rs, lam, True)
+            return HCParameter(rs, lam)
 
 
 def _random_regular_torus(rs, rng):
@@ -359,9 +363,78 @@ def test_formal_degree_su21_positive():
 
 def test_formal_degree_rejects_singular():
     rs = SL2
-    lam = HCParameter(rs, Weight((Fraction(0), Fraction(0))), False)
+    lam = HCParameter(rs, Weight((Fraction(0), Fraction(0))))
+    assert not lam.regular
     with pytest.raises(ValueError):
         formal_degree(rs, lam)
+
+
+NOT_COMPACT_DOMINANT = "weight is not dominant for the compact positive system"
+NOT_DOMINANT = "lambda = mu + rho_k is regular but not dominant; present the dominant chamber representative"
+
+
+def _fraction_regularity(rs, lam):
+    """True, False (singular) or the expected error message, from the
+    Fraction pairings of the oracle ``inner``, in the constructor's order."""
+    pairings = [(r.kind, inner(rs, lam, Weight(r.coords))) for r in rs.positive_roots()]
+    if any(p <= 0 for kind, p in pairings if kind is RootKind.COMPACT):
+        return NOT_COMPACT_DOMINANT
+    if any(p == 0 for _, p in pairings):
+        return False
+    if any(p < 0 for _, p in pairings):
+        return NOT_DOMINANT
+    return True
+
+
+def _fraction_formal_degree(rs, lam):
+    half_p = rs.dim_p // 2
+    pref = 1.0 / ((2 * math.pi) ** half_p * 2 ** ((half_p - 1) / 2))
+    num = math.prod(inner(rs, lam, Weight(r.coords)) for r in rs.positive_roots())
+    den = math.prod(inner(rs, rs.rho_k, Weight(r.coords)) for r in rs.positive_roots(RootKind.COMPACT))
+    return pref * abs(float(num / den))
+
+
+def _seeded_lambdas(rs, rng):
+    """Strictly dominant lambdas with thirds and halves, every W_g image of
+    each (regular, some not dominant for the compact roots or not at all),
+    and each projected onto every root wall (singular or not compact
+    dominant)."""
+    pool = sorted({Fraction(p, q) for q in (1, 2, 3) for p in range(1, 4 * q)})
+    out = []
+    for _ in range(2):
+        coords = sorted(rng.sample(pool, rs.dim), reverse=True)
+        if rs.descriptor.family.value == "su":  # su(n,1) lambdas need not be positive
+            shift = rng.choice(pool)
+            coords = [c - shift for c in coords]
+        lam = Weight(tuple(coords))
+        out += [Weight(w.act(lam.coords)) for w in weyl_group(rs, "full")]
+        for r in rs.positive_roots():
+            c = inner(rs, lam, Weight(r.coords)) / inner(rs, Weight(r.coords), Weight(r.coords))
+            out.append(lam - scale(Weight(r.coords), c))
+    return out
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_regularity_and_formal_degree_equal_the_fraction_reference(name):
+    rs = build_root_system(GroupDescriptor.from_name(name))
+    seen = set()
+    for lam in _seeded_lambdas(rs, random.Random(name)):
+        want = _fraction_regularity(rs, lam)
+        seen.add(want)
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as exc:
+                hc_parameter(rs, lam - rs.rho_k)
+            assert str(exc.value) == want
+            continue
+        param = hc_parameter(rs, lam - rs.rho_k)
+        assert param.lam == lam and param.regular is want
+        if want:
+            assert formal_degree(rs, param) == _fraction_formal_degree(rs, lam)
+        else:
+            with pytest.raises(ValueError):
+                formal_degree(rs, param)
+    # sl2r has no compact root to fail dominance on
+    assert seen == {True, False, NOT_DOMINANT} | ({NOT_COMPACT_DOMINANT} if name != "sl2r" else set())
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +444,7 @@ def test_formal_degree_rejects_singular():
 def test_c_sign_cases():
     """full() stores c = -1 for a positive beta0 pairing, +1 for a negative
     one, and no entry for a zero pairing; H_minus negates c."""
-    for coords in [(3, -3), (-2, 2), (Fraction(1, 2), Fraction(-1, 2))]:
+    for coords in [(3, -3), (2, -2), (Fraction(1, 2), Fraction(-1, 2))]:
         entries, rows = _param(SL2, coords).full()
         assert len(entries) == len(rows.ints) == 2  # W(sl2r) = {1, s}, and s.lam = -lam
         for (_, base, rate), row in zip(entries, rows.ints):
@@ -396,7 +469,7 @@ def test_omega_identity_vanishing_dichotomy():
         ("sl2r", False),
     ]:
         rs = build_root_system(GroupDescriptor.from_name(name))
-        lam = HCParameter(rs, rs.rho_g, True)
+        lam = HCParameter(rs, rs.rho_g)
         val = omega(rs, lam, _identity_h(rs))
         if vanishes:
             assert abs(val) < 1e-12, name
@@ -405,22 +478,25 @@ def test_omega_identity_vanishing_dichotomy():
 
 
 def test_omega_sl2_two_term_value_and_antisymmetry():
-    # lambda dominant: both W_g terms select the same decaying exponential
-    # with c-signs -1, so Omega(e) = -1; flipping lambda flips the sign.
+    # lambda dominant: the W_g terms w = 1 (det 1, c = -1) and w = s (det -1,
+    # c = 1) select the same decaying exponential, so Omega(m a_t) =
+    # -exp(-11 |t| / 2) and Omega(e) = -1.  The flipped lambda is not
+    # dominant, and HCParameter rejects it.
     h = _identity_h(SL2)
     assert abs(omega(SL2, LAM11, h) - (-1.0)) < 1e-14
-    lam_neg = _param(SL2, (Fraction(-11, 2), Fraction(11, 2)))
-    assert abs(omega(SL2, lam_neg, h) - 1.0) < 1e-14
-    t = 0.37
-    hp = NoncompactCartanElement.from_log_a(h.compact_angles, t)
-    assert abs(omega(SL2, LAM11, hp) + omega(SL2, lam_neg, hp)) < 1e-14
+    for t in (0.37, -0.37):
+        ht = NoncompactCartanElement.from_log_a(h.compact_angles, t)
+        sign = -1 if t < 0 else 1  # H_minus negates c
+        assert abs(omega(SL2, LAM11, ht) + sign * math.exp(-11 * abs(t) / 2)) < 1e-14
+    with pytest.raises(ValueError, match="regular but not dominant"):
+        _param(SL2, (Fraction(-11, 2), Fraction(11, 2)))
 
 
 def test_omega_chamber_mirror_oddness():
     random.seed(23)
     for name in ("sl2r", "su(2,1)", "sp(1,1)"):
         rs = build_root_system(GroupDescriptor.from_name(name))
-        lam = HCParameter(rs, rs.rho_g + rs.rho_g, True)
+        lam = HCParameter(rs, rs.rho_g + rs.rho_g)
         for _ in range(10):
             ang = tuple(Fraction(random.randint(-6, 6), 12) for _ in range(rs.dim))
             t = random.uniform(0.05, 3.0)

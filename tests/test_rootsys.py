@@ -13,25 +13,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ranklef.chars import hc_parameter
+from ranklef.chars import HCParameter, hc_parameter
 from ranklef.rootsys import (
     Family,
     GroupDescriptor,
-    Root,
     RootKind,
     Weight,
     build_root_system,
-    coroot_pairing,
-    inner,
-    is_regular,
     spinor_dims,
     weyl_group,
 )
 from reference import (
     all_roots,
+    coroot_pairing,
     dense,
     dense_closure,
     identity,
+    inner,
     is_integral,
     mat_mul,
     reflection_matrix,
@@ -273,13 +271,13 @@ def test_inner_bilinearity_and_mismatch():
     rs = build_root_system(GroupDescriptor.from_name("su(2,1)"))
     zero = Weight((Fraction(0),) * 3)
     assert inner(rs, zero, rs.rho_g) == 0
+    # the pairings of lambda with the roots do not truncate a weight of the
+    # wrong length, short or long
     with pytest.raises(ValueError):
-        inner(rs, Weight((Fraction(1),)), rs.rho_g)
-    # the coroot pairing does not truncate a too-long weight
+        HCParameter(rs, Weight((Fraction(1),)))
     sl2r = build_root_system(GroupDescriptor.from_name("sl2r"))
-    alpha = sl2r.positive_roots()[0]
     with pytest.raises(ValueError):
-        coroot_pairing(Weight((Fraction(11, 2), Fraction(-11, 2), Fraction(99))), alpha)
+        HCParameter(sl2r, Weight((Fraction(11, 2), Fraction(-11, 2), Fraction(99))))
 
 
 def _expected_orders(name):
@@ -355,28 +353,28 @@ def test_spinor_dims_values():
 def test_classify_weight_su11():
     rs = build_root_system(GroupDescriptor.from_name("su(1,1)"))
     mu = Weight((Fraction(11, 2), Fraction(-11, 2)))
-    assert is_regular(rs, mu)
+    assert hc_parameter(rs, mu).regular
     zero = Weight((Fraction(0), Fraction(0)))
-    assert not is_regular(rs, zero)
+    assert not hc_parameter(rs, zero).regular
 
 
 def test_classify_weight_su21_witness_and_rejection():
     rs = build_root_system(GroupDescriptor.from_name("su(2,1)"))
     # lambda = rho_g is regular
     mu = rs.rho_g - rs.rho_k
-    assert is_regular(rs, mu)
+    assert hc_parameter(rs, mu).regular
     # lambda = (1,0,0) is strictly k-dominant and kills the noncompact e2 - e3
     mu_sing = Weight((Fraction(1), Fraction(0), Fraction(0))) - rs.rho_k
-    assert not is_regular(rs, mu_sing)
+    assert not hc_parameter(rs, mu_sing).regular
     # not k-dominant: rejected
-    with pytest.raises(ValueError):
-        is_regular(rs, Weight((Fraction(-5), Fraction(0), Fraction(5))))
+    with pytest.raises(ValueError, match="not dominant for the compact positive system"):
+        hc_parameter(rs, Weight((Fraction(-5), Fraction(0), Fraction(5))))
 
 
 def test_regular_nondominant_rejected():
     rs = build_root_system(GroupDescriptor.from_name("su(1,1)"))
-    with pytest.raises(ValueError):
-        is_regular(rs, Weight((Fraction(-3), Fraction(3))))
+    with pytest.raises(ValueError, match="regular but not dominant"):
+        hc_parameter(rs, Weight((Fraction(-3), Fraction(3))))
 
 
 def test_weight_arithmetic_rejects_unequal_lengths():
@@ -394,7 +392,7 @@ def test_too_long_weight_is_rejected_not_truncated():
     with pytest.raises(ValueError):
         hc_parameter(rs, mu)
     with pytest.raises(ValueError):
-        is_regular(rs, mu)
+        HCParameter(rs, mu)
 
 
 def test_weyl_element_rejects_weight_of_wrong_length():
@@ -442,7 +440,7 @@ def test_regularity_stable_on_dominance_preserving_orbit():
     # the dominance-preserving part of the compact orbit.
     rs = build_root_system(GroupDescriptor.from_name("su(2,1)"))
     mu = rs.rho_g - rs.rho_k
-    assert is_regular(rs, mu)
+    assert hc_parameter(rs, mu).regular
     lam = mu + rs.rho_k
     preserving = []
     for w in weyl_group(rs, "compact"):
@@ -452,7 +450,7 @@ def test_regularity_stable_on_dominance_preserving_orbit():
             for r in rs.positive_roots(RootKind.COMPACT)
         ):
             preserving.append(w)
-            assert is_regular(rs, moved - rs.rho_k)
+            assert hc_parameter(rs, moved - rs.rho_k).regular
     assert len(preserving) == 1
 
 
@@ -465,5 +463,5 @@ def test_classify_weight_su21_mu_zero_pairings():
     lam = rs.rho_k
     pairings = [inner(rs, lam, Weight(r.coords)) for r in rs.positive_roots()]
     assert sorted(pairings) == [Fraction(-1, 2), Fraction(1, 2), Fraction(1)]
-    with pytest.raises(ValueError):
-        is_regular(rs, zero)
+    with pytest.raises(ValueError, match="regular but not dominant"):
+        hc_parameter(rs, zero)

@@ -13,7 +13,6 @@ must agree with it exactly (``==``), not just to a tolerance: each sum runs
 its floating-point operations in the same order.
 """
 
-import cmath
 import math
 import random
 from fractions import Fraction
@@ -47,7 +46,21 @@ from ranklef.rootsys import (
     build_root_system,
     weyl_group,
 )
-from reference import c_sign, dense, dense_apply, dense_closure, mat_mul, reflection_matrix, scale, simple_roots
+from reference import (
+    c_sign,
+    character_exp,
+    coroot_pairing,
+    dense,
+    dense_apply,
+    dense_closure,
+    dot,
+    inner,
+    mat_mul,
+    phase,
+    reflection_matrix,
+    scale,
+    simple_roots,
+)
 
 GROUPS = ["sl2r", "su(2,1)", "su(3,1)", "so(6,1)", "so(8,1)", "sp(2,1)", "sp(3,1)"]
 RATIONAL_ANGLES = tuple(
@@ -60,43 +73,11 @@ UNITY_TOL = 1e-9
 # Reference: the per-class implementation with dense Fraction products
 
 
-def ref_dot(coords, q):
-    """Exact when every angle is a Fraction; otherwise in floats, coordinate
-    by coordinate, so a mixed vector pairs as its float copy does."""
-    if all(isinstance(a, Fraction) for a in q):
-        return sum((c * a for c, a in zip(coords, q)), Fraction(0))
-    acc = 0.0
-    for c, a in zip(coords, q):
-        acc += float(c) * float(a)
-    return acc
-
-
-def ref_phase(x):
-    if isinstance(x, Fraction):
-        x = x - (x.numerator // x.denominator)
-        return cmath.exp(2j * math.pi * (x.numerator / x.denominator))
-    return cmath.exp(2j * math.pi * x)
-
-
-def ref_character_exp(coords, t):
-    return ref_phase(ref_dot(coords.coords, t.angles))
-
-
 def ref_is_one(root, t):
-    x = ref_dot(root.coords, t.angles)
+    x = dot(root.coords, t.angles)
     if isinstance(x, Fraction):
         return x.denominator == 1
-    return abs(ref_phase(x) - 1.0) < UNITY_TOL
-
-
-def ref_inner(rs, a, b):
-    return rs.form_scale * sum(x * y for x, y in zip(a.coords, b.coords))
-
-
-def ref_coroot_pairing(mu, alpha):
-    num = sum(a * b for a, b in zip(mu.coords, alpha.coords))
-    den = sum(a * a for a in alpha.coords)
-    return 2 * num / den
+    return abs(phase(x) - 1.0) < UNITY_TOL
 
 
 def ref_vanishing_roots(rs, t):
@@ -123,7 +104,7 @@ def ref_coset_reps(rs, xi, lam):
         covered.update(coset)
         dominant = [
             m for m in coset
-            if all(ref_inner(rs, dense_apply(m, lam.lam), Weight(r.coords)) > 0 for r in compact)
+            if all(inner(rs, dense_apply(m, lam.lam), Weight(r.coords)) > 0 for r in compact)
         ]
         assert len(dominant) == 1
         reps.append(index[dominant[0]])
@@ -133,18 +114,18 @@ def ref_coset_reps(rs, xi, lam):
 def ref_elliptic_orbital_term(rs, lam, xi):
     reps, fixed = ref_coset_reps(rs, xi, lam)
     fixed_coords = {r.coords for r in fixed}
-    den = ref_character_exp(rs.rho_g, xi)
+    den = character_exp(rs.rho_g, xi)
     for r in rs.positive_roots():
         if r.coords in fixed_coords:
             continue
-        den *= 1 - 1 / ref_character_exp(r, xi)
+        den *= 1 - 1 / character_exp(r, xi)
     total = 0.0 + 0.0j
     for w in reps:
         wl = dense_apply(dense(w), lam.lam)
         coeff = complex(w.sign)
         for r in fixed:
-            coeff *= float(ref_inner(rs, wl, Weight(r.coords)))
-        total += coeff * ref_character_exp(wl, xi)
+            coeff *= float(inner(rs, wl, Weight(r.coords)))
+        total += coeff * character_exp(wl, xi)
     sign = (-1) ** (rs.dim_p // 2)
     return sign * total / den
 
@@ -158,9 +139,9 @@ def ref_omega(rs, lam, h):
         c = c_sign(rs, wl, h.chamber)
         if c == 0:
             continue
-        pairing = ref_coroot_pairing(wl, rs.beta0)
+        pairing = coroot_pairing(wl, rs.beta0)
         radial = math.exp(-abs(float(pairing)) * t / 2.0)
-        total += w.sign * c * ref_character_exp(wl - rs.rho_g, m) * radial
+        total += w.sign * c * character_exp(wl - rs.rho_g, m) * radial
     return 0.5 * total
 
 
@@ -187,8 +168,8 @@ def ref_parabolic_I_term(rs, lam, geom):
                 z = complex(sum(float(c) * p for c, p in zip(wl.coords, entry.z0_pairing)))
                 term = z.conjugate() ** half_dim
             for coords in entry.Rplus_xi0:
-                term *= float(ref_inner(rs, wl, Weight(coords)))
-            term *= ref_character_exp(wl, entry.eta_torus)
+                term *= float(inner(rs, wl, Weight(coords)))
+            term *= character_exp(wl, entry.eta_torus)
             wsum += term
         total += pref * wsum
     return sign * total
@@ -336,7 +317,7 @@ def test_terms_equal_the_per_class_reference_exactly(name):
 def ref_weyl_denominator(rs, t):
     out = 1.0 + 0.0j
     for r in rs.positive_roots():
-        e = ref_phase(ref_dot(r.coords, t.angles) / 2)
+        e = phase(dot(r.coords, t.angles) / 2)
         out *= e - 1 / e
     return out
 
@@ -368,11 +349,11 @@ def test_terms_equal_the_reference_off_the_benchmark_inputs(name):
             assert weyl_denominator_T(rs, t) == den
             if abs(den) > 1e-9:
                 orbit = [(w.sign, dense_apply(dense(w), lam.lam)) for w in weyl_group(rs, "compact")]
-                num = sum((sign * ref_character_exp(wl, t) for sign, wl in orbit), 0j)
+                num = sum((sign * character_exp(wl, t) for sign, wl in orbit), 0j)
                 assert ds_character_Treg(rs, lam, t).value == num / den
         for z in central:
             if len(ref_vanishing_roots(rs, z)) == len(rs.positive_roots()):
-                assert central_character(rs, lam, z) == ref_character_exp(lam.lam - rs.rho_g, z)
+                assert central_character(rs, lam, z) == character_exp(lam.lam - rs.rho_g, z)
             else:
                 with pytest.raises(ValueError):
                     central_character(rs, lam, z)
