@@ -68,7 +68,7 @@ class _Torus:
     """The angles of one torus element, to pair with rows over ``den``: the
     one evaluator of e^v(t).  ``turns`` gives <v, q> per row, as N mod D on
     the exact path (0 exactly when e^v(t) = 1) or as a float; ``phase``
-    memoizes exp(2 pi i <v, q>) by that value."""
+    memoizes exp(2 pi i <v, q>) by that value; ``sum`` sums every orbit."""
 
     def __init__(self, angles: Sequence[Angle], den: int, dim: int):
         if len(angles) != dim:
@@ -96,6 +96,13 @@ class _Torus:
     def is_one(self, x: int | float) -> bool:
         """Whether the phase is 1: exactly on the exact path, to UNITY_TOL otherwise."""
         return x == 0 if self.exact else abs(self.phase(x) - 1.0) < UNITY_TOL
+
+    def sum(self, coeffs: Sequence[complex], rows: _Rows) -> complex:
+        """sum_i coeffs[i] e^{rows_i}(t), added in row order."""
+        total = 0.0 + 0.0j
+        for c, x in zip(coeffs, self.turns(rows)):
+            total += c * self.phase(x)
+        return total
 
 
 class HCParameter:
@@ -192,18 +199,26 @@ class HCParameter:
             self._full = (entries, _Rows(rows, self.den))
         return self._full
 
-    def compact_phases(self, t: TorusElement) -> list[complex]:
-        """e^{w.lam}(t) for each row of ``compact``."""
-        torus = _Torus(t.angles, self.den, self.rs.dim)
-        return [torus.phase(x) for x in torus.turns(self.compact)]
-
-    def compact_pairings(self, vectors: Sequence[Sequence[Fraction]]) -> list[tuple[float, ...]]:
-        """The invariant pairings <w.lam, a> for each a in ``vectors``, per row of ``compact``."""
-        if any(len(a) != self.rs.dim for a in vectors):
+    def unipotent_sum(
+        self, eta: TorusElement, Rplus_xi0: Sequence[Sequence[Fraction]], z0: Sequence[float], half_dim: int
+    ) -> complex:
+        """sum_{w in W(k,t)} conj(<w.lam, z0>)^half_dim prod_{a in R+(xi0)} <w.lam, a> e^{w.lam}(eta),
+        with the invariant pairing on R+(xi0) and the coordinate dot with z0."""
+        if any(len(a) != self.rs.dim for a in Rplus_xi0):
             raise ValueError(f"each vector to pair with lambda needs dim t = {self.rs.dim} coordinates")
-        scaled = _rows(vectors)
+        scaled = _rows(Rplus_xi0)
         den, s = self.den * scaled.den, self.rs.form_scale
-        return [tuple(s * sum(map(mul, row, a)) / den for a in scaled.ints) for row in self.compact.ints]
+        torus = _Torus(eta.angles, self.den, self.rs.dim)
+        coeffs = []
+        for row, floats in zip(self.compact.ints, self.compact.floats):
+            coeff = 1.0 + 0.0j
+            if half_dim:
+                z = complex(sum(c * p for c, p in zip(floats, z0, strict=True)))
+                coeff = z.conjugate() ** half_dim
+            for a in scaled.ints:
+                coeff *= s * sum(map(mul, row, a)) / den
+            coeffs.append(coeff)
+        return torus.sum(coeffs, self.compact)
 
 
 def hc_parameter(rs: RootSystem, mu: Weight) -> HCParameter:
@@ -279,9 +294,7 @@ def ds_character_Treg(rs: RootSystem, lam: HCParameter, t: TorusElement) -> Char
         raise SingularElementError(
             "singular torus element; use elliptic_orbital_term"
         )
-    num = 0.0 + 0.0j
-    for sign, phase in zip(lam.signs, lam.compact_phases(t)):
-        num += sign * phase
+    num = _Torus(t.angles, lam.den, rs.dim).sum(lam.signs, lam.compact)
     return CharacterValue(value=num / den)
 
 
@@ -304,12 +317,7 @@ def elliptic_orbital_term(rs: RootSystem, lam: HCParameter, xi: TorusElement) ->
             fixed.append(i)
         else:
             den *= 1 - 1 / torus.phase(x)
-    coeffs, rows = lam.cosets(tuple(fixed))
-    total = 0.0 + 0.0j
-    for coeff, x in zip(coeffs, torus.turns(rows)):
-        total += coeff * torus.phase(x)
-    sign = (-1) ** (rs.dim_p // 2)
-    return sign * total / den
+    return (-1) ** (rs.dim_p // 2) * torus.sum(*lam.cosets(tuple(fixed))) / den
 
 
 def formal_degree(rs: RootSystem, lam: HCParameter) -> float:
@@ -346,16 +354,10 @@ def omega(rs: RootSystem, lam: HCParameter, h: NoncompactCartanElement) -> compl
     entries, rows = lam.full()
     m = _Torus(h.compact_angles, lam.den, rs.dim)
     t = abs(h.log_a)
-    flip = h.chamber is Chamber.H_MINUS
-    radials: dict[float, float] = {}
-    total = 0.0 + 0.0j
-    for (sign, base, rate), x in zip(entries, m.turns(rows)):
-        c = -base if flip else base
-        radial = radials.get(rate)
-        if radial is None:
-            radial = radials[rate] = math.exp(-rate * t / 2.0)
-        total += sign * c * m.phase(x) * radial
-    return 0.5 * total
+    flip = -1 if h.chamber is Chamber.H_MINUS else 1
+    radial = {rate: math.exp(-rate * t / 2.0) for rate in {rate for _, _, rate in entries}}
+    # sign, base and flip are +-1, so each coefficient is exactly +-radial
+    return 0.5 * m.sum([sign * base * flip * radial[rate] for sign, base, rate in entries], rows)
 
 
 def central_character(rs: RootSystem, lam: HCParameter, z: TorusElement) -> complex:

@@ -132,30 +132,18 @@ def parabolic_I_term(rs: RootSystem, lam: HCParameter, geom: GeometricData) -> c
     """Unipotent contribution: cusp zeta constants against a W_k exponential sum.
 
     Entries with delta_flag unset contribute zero.  The overline on the
-    Z0-pairing is complex conjugation.
+    Z0-pairing is complex conjugation; the W_k sum is ``lam.unipotent_sum``.
     """
     sign = (-1) ** (rs.dim_p // 2)
     total = 0.0 + 0.0j
     for entry in geom.parabolic_I:
         if not entry.delta_flag:
             continue
-        half_dim = entry.dim_n_eta1 // 2
         pref = (
             entry.c_eta_plus * entry.C_eta_plus
             + entry.c_eta_minus * entry.C_eta_minus
         )
-        pairings = lam.compact_pairings(entry.Rplus_xi0)
-        phases = lam.compact_phases(entry.eta_torus)
-        wsum = 0.0 + 0.0j
-        for floats, products, phase in zip(lam.compact.floats, pairings, phases):
-            term = 1.0 + 0.0j
-            if half_dim:
-                z = complex(sum(c * p for c, p in zip(floats, entry.z0_pairing, strict=True)))
-                term = z.conjugate() ** half_dim
-            for p in products:
-                term *= p
-            term *= phase
-            wsum += term
+        wsum = lam.unipotent_sum(entry.eta_torus, entry.Rplus_xi0, entry.z0_pairing, entry.dim_n_eta1 // 2)
         total += pref * wsum
     return sign * total
 

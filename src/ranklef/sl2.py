@@ -305,8 +305,10 @@ def _elliptic_rep_angle(t: int, n: int):
 
     The representative torus element carries angles (q, -q), so that
     e^{alpha}(rep) = e^{2 i phi} is the adjoint eigenvalue of a rotation by
-    phi.  Rational exactly when the normalized rotation has finite order:
-    t = 0 (quarter turn) or |t| = sqrt(n) (sixth or third of a turn).
+    phi.  By Niven's theorem q is rational exactly when t^2 is 0, n, 2n or 3n.
+    Only t = 0 (1/4) and t^2 = n (1/6, 1/3) give Fractions; t^2 = 2n (1/8, 3/8)
+    and 3n (1/12, 5/12) give atan2 floats, so 1/12 is 0.08333333333333333 at
+    n = 3 but 0.08333333333333334 at n = 27.
     """
     if t == 0:
         return Fraction(1, 4)

@@ -120,7 +120,18 @@ def test_parabolic_I_rejects_z0_pairing_of_wrong_length(count):
     entry = _para1_entry(
         dim_n_eta1=2, eta_torus=TorusElement((Fraction(0),) * 3), z0_pairing=(0.5, -0.25, 0.75, 1.0)[:count]
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (shorter|longer) than argument 1$"):
+        parabolic_I_term(su21, lam, empty_geom(parabolic_I=(entry,)))
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_parabolic_I_rejects_Rplus_xi0_vector_of_wrong_length(count):
+    # built by hand, so assemble's _check_dims never sees the vector
+    su21 = build_root_system(GroupDescriptor.from_name("su(2,1)"))
+    lam = hc_parameter(su21, su21.rho_g - su21.rho_k)
+    root = (Fraction(1), Fraction(-1), Fraction(0), Fraction(1, 2))[:count]
+    entry = _para1_entry(eta_torus=TorusElement((Fraction(0),) * 3), Rplus_xi0=(root,), z0_pairing=(0.5, -0.25, 0.75))
+    with pytest.raises(ValueError, match=r"^each vector to pair with lambda needs dim t = 3 coordinates$"):
         parabolic_I_term(su21, lam, empty_geom(parabolic_I=(entry,)))
 
 
