@@ -23,6 +23,15 @@ Conventions fixed here and relied on everywhere downstream:
   float(Fraction) gives: the rows change no bit of any value.  Any float
   angle sends the element down the float path, where the rows are floats
   x / den summed in coordinate order.
+* Every supported Weyl group is a group of signed permutations, so a sum
+  over a whole Weyl group is a determinant (Weyl's character formula in
+  determinant form).  At a regular elliptic class, one where no root has
+  e^a(xi) = 1, the numerator sum_{W_k} det(w) e^{w.lam}(xi) is one, and Omega
+  is the Laplace expansion of one along the beta0 rows; both are taken by
+  ``_minors``, the one determinant routine, on the phases
+  x_ij = e^{lam_j e_i}(t) that ``_Torus`` gives.  Singular classes (over
+  coset reps), the unipotent sum, ``ds_character_Treg`` and
+  ``central_character`` sum their orbits with ``_Torus.sum``.
 """
 
 from __future__ import annotations
@@ -32,11 +41,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import combinations
 from operator import mul, sub
 from typing import Sequence
 
-from .rootsys import RootKind, RootSystem, Weight, weyl_group
+from .rootsys import Family, RootKind, RootSystem, Weight, weyl_group
 
 Angle = Fraction | float
 
@@ -62,6 +72,14 @@ class _Rows:
 def _rows(vectors: Sequence[Sequence[Fraction]]) -> _Rows:
     den = math.lcm(*(c.denominator for v in vectors for c in v))
     return _Rows([tuple(c.numerator * (den // c.denominator) for c in v) for v in vectors], den)
+
+
+def _unit(d: int, *terms: tuple[int, int]) -> tuple[int, ...]:
+    """The integer row of sum c e_i over the (i, c) in ``terms``, in d coordinates."""
+    row = [0] * d
+    for i, c in terms:
+        row[i] += c
+    return tuple(row)
 
 
 class _Torus:
@@ -93,6 +111,14 @@ class _Torus:
             p = self._phases[x] = cmath.exp(2j * math.pi * (x / self.mod if self.exact else x))
         return p
 
+    def phases(self, rows: _Rows) -> list[complex]:
+        """e^{row}(t) for each row in order, memoized on the exact path only,
+        where residues repeat."""
+        if self.exact:
+            return list(map(self.phase, self.turns(rows)))
+        exp, c = cmath.exp, 2j * math.pi
+        return [exp(c * x) for x in self.turns(rows)]
+
     def is_one(self, x: int | float) -> bool:
         """Whether the phase is 1: exactly on the exact path, to UNITY_TOL otherwise."""
         return x == 0 if self.exact else abs(self.phase(x) - 1.0) < UNITY_TOL
@@ -103,6 +129,67 @@ class _Torus:
         for c, x in zip(coeffs, self.turns(rows)):
             total += c * self.phase(x)
         return total
+
+
+@lru_cache(maxsize=None)
+def _cofactor_steps(n: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]:
+    """The steps of ``_minors`` on n columns, for each row k >= 1: (S, j, T)
+    for each k-subset S of the columns (a bitmask) and each column c outside
+    it, where j = k n + c indexes the entry and T = S | 1 << c; split by the
+    cofactor sign (-1)^(k + #{i in S : i < c}), + then -."""
+    levels = []
+    for k in range(1, n):
+        signs: tuple[list, list] = ([], [])
+        for S in range(1 << n):
+            if S.bit_count() == k:
+                for c in range(n):
+                    if not S >> c & 1:
+                        signs[(k + (S & ((1 << c) - 1)).bit_count()) % 2].append((S, k * n + c, S | 1 << c))
+        levels.append(tuple(map(tuple, signs)))
+    return tuple(levels)
+
+
+def _minors(entries: Sequence[float] | Sequence[complex], n: int) -> list:
+    """The minors of the leading rows of a matrix with n columns, given row
+    by row in ``entries``: item S is the determinant of the first |S| rows
+    on the columns in the bitmask S, taken in increasing order, for every S
+    with |S| at most the number of rows.
+
+    The one determinant routine.  Row k expands each (k + 1)-minor along
+    its last row into k-minors, which are shared by every minor that contains
+    them: n 2^(n-1) products for a full n x n determinant, and no division.
+    Every product of the expansion passes through one multiplication and at
+    most k additions per row, so the rounding is bounded as an orbit sum's
+    is, by gamma_K times the permanent of the entry moduli.
+    """
+    m = [0.0] * (1 << n)
+    m[0] = 1.0
+    for c, x in enumerate(entries[:n]):
+        m[1 << c] = x
+    if len(entries) <= n:
+        return m
+    for plus, minus in _cofactor_steps(n)[: len(entries) // n - 1]:
+        for S, j, T in plus:
+            m[T] += entries[j] * m[S]
+        for S, j, T in minus:
+            m[T] -= entries[j] * m[S]
+    return m
+
+
+def _det(entries: Sequence[float] | Sequence[complex], n: int) -> float | complex:
+    """The determinant of the n x n matrix given row by row: its one entry
+    when n = 1, the full minor of ``_minors`` otherwise."""
+    return entries[0] if n == 1 else _minors(entries, n)[-1]
+
+
+def _i_power(k: int, v: float) -> complex:
+    """i^k v, exactly."""
+    k %= 4
+    if k == 0:
+        return complex(v, 0.0)
+    if k == 1:
+        return complex(0.0, v)
+    return complex(-v, 0.0) if k == 2 else complex(0.0, -v)
 
 
 class HCParameter:
@@ -120,7 +207,8 @@ class HCParameter:
     R+(g,t); from it the constructor rejects a lambda that is not strictly
     dominant for the compact roots, sets ``regular`` (no pairing vanishes),
     and rejects a regular lambda with a negative pairing.  ``cosets`` and
-    ``full`` are built on first use; see there.
+    the determinant rows ``numerator_rows`` and ``omega_rows`` are built on
+    first use; see there.
     """
 
     def __init__(self, rs: RootSystem, lam: Weight):
@@ -144,7 +232,6 @@ class HCParameter:
                 "present the dominant chamber representative"
             )
         self._cosets: dict[tuple[int, ...], tuple[list[complex], _Rows]] = {}
-        self._full: tuple[list[tuple[int, int, float]], _Rows] | None = None
 
     def cosets(self, fixed: tuple[int, ...]) -> tuple[list[complex], _Rows]:
         """Coset reps w of W_{k_xi} \\ W_k as coefficients det(w) prod_{a in
@@ -175,29 +262,37 @@ class HCParameter:
             table = self._cosets[fixed] = (coeffs, _Rows(rows, self.den))
         return table
 
-    def full(self) -> tuple[list[tuple[int, int, float]], _Rows]:
-        """The W(g,t) orbit, without the elements whose sign function c
-        vanishes, as (det w, c(w.lam) on H_plus, |<w.lam, beta0_v>|) and the
-        rows of w.lam - rho_g.
+    @cached_property
+    def numerator_rows(self) -> _Rows:
+        """The weights whose phases are the entries of Weyl's determinant for
+        W_k (see ``_weyl_numerator``), row by row: lam_j e_i for i, j < n,
+        where n = dim t for so and dim t - 1 otherwise; su adds lam_n e_n to
+        each weight of row 0, and sp appends lam_n e_n."""
+        lam, d, family = self._row, self.rs.dim, self.rs.descriptor.family
+        n = d if family is Family.SO else d - 1
+        rows = [_unit(d, (i, lam[j])) for i in range(n) for j in range(n)]
+        if family is Family.SU:
+            rows[:n] = [_unit(d, (0, lam[j]), (n, lam[n])) for j in range(n)]
+        if family is Family.SP:
+            rows.append(_unit(d, (n, lam[n])))
+        return _Rows(rows, self.den)
 
-        The pairing mu(i(E_l - E_{-l})) is identified with <mu, beta0_v>
-        through the Cayley transform; on H_plus, c(mu) is minus that
-        pairing's sign, and H_minus negates it.  a_equals_1 follows the
-        H_plus (one-sided) convention.
-        """
-        if self._full is None:
-            beta0 = tuple(c.numerator for c in self.rs.beta0.coords)
-            norm = self.den * sum(b * b for b in beta0)
-            rho = self.rho_g.ints[0]
-            entries, rows = [], []
-            for w in weyl_group(self.rs, "full"):
-                row = w.act(self._row)
-                p = 2 * sum(map(mul, row, beta0))  # <w.lam, beta0_v> = p / norm
-                if p:
-                    entries.append((w.sign, -1 if p > 0 else 1, abs(p) / norm))
-                    rows.append(tuple(map(sub, row, rho)))
-            self._full = (entries, _Rows(rows, self.den))
-        return self._full
+    @cached_property
+    def omega_rows(self) -> _Rows:
+        """The weights whose phases ``omega`` reads, with d = dim t: for so and
+        sp, lam_j e_i for i, j < d, then -rho_g; for su, lam_j e_i for
+        0 < i < d - 1, then for each pair of columns a < b the two weights
+        lam_a e_0 + lam_b e_{d-1} - rho_g and lam_b e_0 + lam_a e_{d-1} - rho_g."""
+        lam, d = self._row, self.rs.dim
+        rho = self.rho_g.ints[0]
+        if self.rs.descriptor.family is not Family.SU:
+            rows = [_unit(d, (i, lam[j])) for i in range(d) for j in range(d)]
+            return _Rows(rows + [tuple(-r for r in rho)], self.den)
+        rows = [_unit(d, (i, lam[j])) for i in range(1, d - 1) for j in range(d)]
+        for a, b in combinations(range(d), 2):
+            rows += [tuple(map(sub, _unit(d, (0, lam[a]), (d - 1, lam[b])), rho)),
+                     tuple(map(sub, _unit(d, (0, lam[b]), (d - 1, lam[a])), rho))]
+        return _Rows(rows, self.den)
 
     def unipotent_sum(
         self, eta: TorusElement, Rplus_xi0: Sequence[Sequence[Fraction]], z0: Sequence[float], half_dim: int
@@ -298,6 +393,29 @@ def ds_character_Treg(rs: RootSystem, lam: HCParameter, t: TorusElement) -> Char
     return CharacterValue(value=num / den)
 
 
+def _weyl_numerator(rs: RootSystem, lam: HCParameter, torus: _Torus) -> complex:
+    """sum_{w in W_k} det(w) e^{w.lam}(t) by Weyl's formula in determinant
+    form, with x_ij = e^{lam_j e_i}(t) for the first n coordinates:
+
+        su(n,1)   x_{n+1,n+1} det[x_ij]
+        so(2n,1)  (det[x_ij + 1/x_ij] + det[x_ij - 1/x_ij]) / 2
+        sp(n,1)   det[x_ij - 1/x_ij] (x_{n+1,n+1} - 1/x_{n+1,n+1})
+
+    W_k is S_n, D_n or C_n x C_1, a group of signed permutations, so each
+    sum over it is a determinant.  su multiplies row 1 by x_{n+1,n+1} through
+    its turns; so and sp take x + 1/x = 2 Re x and x - 1/x = 2i Im x, which
+    leaves real determinants and exact powers of 2i.
+    """
+    x = torus.phases(lam.numerator_rows)
+    family, d = rs.descriptor.family, len(lam._row)
+    if family is Family.SU:
+        return _det(x, d - 1)
+    n = d if family is Family.SO else d - 1
+    if family is Family.SP:
+        return 2.0 ** (n + 1) * _i_power(n + 1, _det([p.imag for p in x[:-1]], n) * x[-1].imag)
+    return 2.0 ** (n - 1) * (_det([p.real for p in x], n) + _i_power(n, _det([p.imag for p in x], n)))
+
+
 def elliptic_orbital_term(rs: RootSystem, lam: HCParameter, xi: TorusElement) -> complex:
     """Orbital value of the index kernel at an elliptic element, up to d_xi.
 
@@ -306,8 +424,9 @@ def elliptic_orbital_term(rs: RootSystem, lam: HCParameter, xi: TorusElement) ->
             prod_{a in R+(xi)} <w.lam, a>  e^{w.lam}(xi)
           / ( e^{rho_g}(xi) prod_{b in R+ \\ R+(xi)} (1 - e^{-b}(xi)) )
     where R+(xi) collects the positive roots with e^a(xi) = 1.  For regular
-    xi this reduces to (-1)^{dim p/2} times the character at xi.  The coset
-    reps and their coefficients come from ``lam.cosets``.
+    xi, where R+(xi) is empty, this is (-1)^{dim p/2} times the character
+    at xi, and the numerator is a determinant (``_weyl_numerator``); at
+    singular xi the coset reps and their coefficients come from ``lam.cosets``.
     """
     torus = _Torus(xi.angles, lam.den, rs.dim)
     den = torus.phase(torus.turns(lam.rho_g)[0])
@@ -317,7 +436,8 @@ def elliptic_orbital_term(rs: RootSystem, lam: HCParameter, xi: TorusElement) ->
             fixed.append(i)
         else:
             den *= 1 - 1 / torus.phase(x)
-    return (-1) ** (rs.dim_p // 2) * torus.sum(*lam.cosets(tuple(fixed))) / den
+    num = torus.sum(*lam.cosets(tuple(fixed))) if fixed else _weyl_numerator(rs, lam, torus)
+    return (-1) ** (rs.dim_p // 2) * num / den
 
 
 def formal_degree(rs: RootSystem, lam: HCParameter) -> float:
@@ -341,6 +461,15 @@ def formal_degree(rs: RootSystem, lam: HCParameter) -> float:
     return pref * abs(num / den)
 
 
+@lru_cache(maxsize=None)
+def _column_pairs(d: int) -> tuple[tuple[int, int, int, bool], ...]:
+    """(a, b, mask, negate) for the columns a < b of a d x d matrix expanded
+    along its first and last rows: ``mask`` holds the other columns, and
+    ``negate`` is the Laplace sign (-1)^((d - 1) + a + b) < 0."""
+    full = (1 << d) - 1
+    return tuple((a, b, full ^ (1 << a) ^ (1 << b), (d - 1 + a + b) % 2 == 1) for a, b in combinations(range(d), 2))
+
+
 def omega(rs: RootSystem, lam: HCParameter, h: NoncompactCartanElement) -> complex:
     """Smoothed character numerator on the noncompact Cartan.
 
@@ -350,14 +479,69 @@ def omega(rs: RootSystem, lam: HCParameter, h: NoncompactCartanElement) -> compl
     The exponentials are the Cayley transports of the W_g-orbit of lambda,
     with the decaying branch selected on each chamber; the compact part
     carries the rho_g shift so that central m give the central character.
+    The pairing mu(i(E_l - E_{-l})) is identified with <mu, beta0_v>; on
+    H_plus, c(mu) is minus its sign (0 when it vanishes), and H_minus
+    negates c; a_equals_1 follows the H_plus (one-sided) convention.
+
+    c and the decay depend on w.lam only through <w.lam, beta0_v>, which
+    reads coordinate 1 (so, beta0 = e_1) or coordinates 1 and n+1 (su,
+    beta0 = e_1 - e_{n+1}; sp, beta0 = e_1 + e_{n+1}): den <w.lam, beta0_v>
+    is 2 lam_j, lam_a - lam_b or +-lam_a +- lam_b on the integer row.  So the
+    sum is a Laplace expansion of det[x_ij] (su) or det[x_ij - 1/x_ij] (so,
+    sp), x_ij = e^{lam_j e_i}(m), along those rows.  Each choice of columns,
+    and for so and sp of signs, is weighted by G = c exp(-|pairing| |t| / 2),
+    which is odd in the pairing, and multiplied by the complementary minor
+    from ``_minors``; the whole is multiplied by e^{-rho_g}(m) / 2.  Summed
+    over its signs, column j of row 1 gives so 2 G(2 lam_j) cos(alpha_1j),
+    where x = e^{i alpha}.  For su, columns a < b of rows 1 and n+1 give
+    G(lam_a - lam_b) (x_1a x_{n+1}b + x_1b x_{n+1}a), each product one phase
+    with e^{-rho_g}(m) folded in; for sp, summed over their signs, they give
+    2i (G(lam_a + lam_b) (sin(alpha_1a + alpha_{n+1}b) - sin(alpha_1b + alpha_{n+1}a))
+        - G(lam_a - lam_b) (sin(alpha_1a - alpha_{n+1}b) + sin(alpha_1b - alpha_{n+1}a))).
     """
-    entries, rows = lam.full()
     m = _Torus(h.compact_angles, lam.den, rs.dim)
-    t = abs(h.log_a)
-    flip = -1 if h.chamber is Chamber.H_MINUS else 1
-    radial = {rate: math.exp(-rate * t / 2.0) for rate in {rate for _, _, rate in entries}}
-    # sign, base and flip are +-1, so each coefficient is exactly +-radial
-    return 0.5 * m.sum([sign * base * flip * radial[rate] for sign, base, rate in entries], rows)
+    t, den = abs(h.log_a), lam.den
+    weights: dict[int, float] = {0: 0.0}
+
+    def weight(p: int) -> float:
+        """G at <w.lam, beta0_v> = p / den on H_plus."""
+        g = weights.get(p)
+        if g is None:
+            g = weights[p] = math.copysign(math.exp(-abs(p) / den * t / 2.0), -p)
+        return g
+
+    row, d = lam._row, rs.dim
+    x = m.phases(lam.omega_rows)
+    half = -0.5 if h.chamber is Chamber.H_MINUS else 0.5
+    if rs.descriptor.family is Family.SU:
+        middle = d * (d - 2)
+        minors = _minors(x[:middle], d)
+        total = 0.0
+        firsts, seconds = x[middle::2], x[middle + 1 :: 2]
+        for (a, b, mask, negate), u, v in zip(_column_pairs(d), firsts, seconds):
+            term = weight(row[a] - row[b]) * (u + v) * minors[mask]
+            total += -term if negate else term
+        return half * total
+    minors = _minors([p.imag for p in x[d : d * d]], d)
+    total = 0.0
+    if rs.descriptor.family is Family.SO:
+        full = (1 << d) - 1
+        for j in range(d):
+            term = weight(2 * row[j]) * x[j].real * minors[full ^ (1 << j)]
+            total += -term if j % 2 else term
+        scaled = 2.0**d * _i_power(d - 1, total)
+    else:
+        top, bottom = x[:d], x[d * (d - 1) : d * d]
+        s0, c0 = [p.imag for p in top], [p.real for p in top]
+        sn, cn = [p.imag for p in bottom], [p.real for p in bottom]
+        for a, b, mask, negate in _column_pairs(d):
+            u1, u2, v1, v2 = s0[a] * cn[b], c0[a] * sn[b], s0[b] * cn[a], c0[b] * sn[a]
+            pair = weight(row[a] + row[b]) * ((u1 + u2) - (v1 + v2))
+            pair -= weight(row[a] - row[b]) * ((u1 - u2) + (v1 - v2))
+            term = pair * minors[mask]
+            total += -term if negate else term
+        scaled = 2.0 ** (d - 1) * _i_power(d - 1, total)
+    return half * x[-1] * scaled
 
 
 def central_character(rs: RootSystem, lam: HCParameter, z: TorusElement) -> complex:

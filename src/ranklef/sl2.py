@@ -300,21 +300,31 @@ def mu_from_weight(k: int) -> Weight:
     return Weight((half, -half))
 
 
+# t^2 = ratio n: the rational angle q for t > 0 and for t < 0
+_NIVEN_ANGLES = {
+    1: (Fraction(1, 6), Fraction(1, 3)),
+    2: (Fraction(1, 8), Fraction(3, 8)),
+    3: (Fraction(1, 12), Fraction(5, 12)),
+}
+
+
 def _elliptic_rep_angle(t: int, n: int):
     """Oriented epsilon-coordinate q = phi/(2 pi), cos phi = t/(2 sqrt n), phi in (0, pi).
 
     The representative torus element carries angles (q, -q), so that
     e^{alpha}(rep) = e^{2 i phi} is the adjoint eigenvalue of a rotation by
-    phi.  By Niven's theorem q is rational exactly when t^2 is 0, n, 2n or 3n.
-    Only t = 0 (1/4) and t^2 = n (1/6, 1/3) give Fractions; t^2 = 2n (1/8, 3/8)
-    and 3n (1/12, 5/12) give atan2 floats, so 1/12 is 0.08333333333333333 at
-    n = 3 but 0.08333333333333334 at n = 27.
+    phi.  By Niven's theorem q is rational exactly when t^2 is 0, n, 2n or 3n,
+    and each of those comes back as a Fraction: 1/4 at t = 0, 1/6 or 1/3 at
+    t^2 = n, 1/8 or 3/8 at t^2 = 2n, and 1/12 or 5/12 at t^2 = 3n (the larger
+    one for t < 0).  So each rational angle has one value, and its classes
+    take the exact path of the torus evaluation; the other angles are atan2
+    floats.
     """
     if t == 0:
         return Fraction(1, 4)
-    r = isqrt(n)
-    if r * r == n and abs(t) == r:
-        return Fraction(1, 6) if t > 0 else Fraction(1, 3)
+    for ratio, (plus, minus) in _NIVEN_ANGLES.items():
+        if t * t == ratio * n:
+            return plus if t > 0 else minus
     phi = math.atan2(math.sqrt(4 * n - t * t), t)
     return phi / (2.0 * math.pi)
 

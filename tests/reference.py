@@ -24,16 +24,23 @@
   discriminant, the trace polynomial by the Chebyshev recursion, the
   Eichler-Selberg trace built from both, and tau as the 8th power of Jacobi's
   cube by repeated sparse products.
+* The Weyl orbit sums that ``ranklef.chars`` takes as determinants, at 50
+  digits over the whole orbit (``mp_elliptic``, ``mp_omega``), a float
+  W(g,t) orbit sum for Omega, and the stated error budget of each
+  determinant term and of each float orbit sum; see "Error budgets" below.
 """
 
 import cmath
 import functools
+import itertools
 import math
 from fractions import Fraction
 
+import mpmath
+
 from ranklef.chars import Chamber, TorusElement
 from ranklef.lefschetz import EllipticClass
-from ranklef.rootsys import Root, RootKind, Weight, WeylElement
+from ranklef.rootsys import Family, Root, RootKind, Weight, WeylElement, weyl_group
 from ranklef.sl2 import IntegerMatrix, _elliptic_rep_angle, elliptic_classes
 
 # ---------------------------------------------------------------------------
@@ -420,3 +427,391 @@ def tau_by_cube_products(N):
             out[e:] = [a + c * b for a, b in zip(out[e:], power)]
         power = out
     return power
+
+
+# ---------------------------------------------------------------------------
+# Weyl orbit sums at 50 digits, and the error budgets of the determinant terms
+#
+# ``chars`` takes the regular elliptic numerator sum_{W_k} det(w) e^{w.lam}(xi)
+# and Omega as determinants of phases x_ij = e^{lam_j e_i}.  The values here
+# are the same sums taken term by term over the whole Weyl orbit (closed from
+# dense reflection matrices) in mpmath at DIGITS digits, on the exact inputs:
+# a float angle is the dyadic rational it holds.
+#
+# Error budgets.  u = 2^-53 and gamma_k = k u / (1 - k u) (Higham, Accuracy
+# and Stability of Numerical Algorithms, ch. 3).  A product of roundings
+# prod (1 + delta_i), |delta_i| <= u, with k factors is 1 + theta, |theta| <=
+# gamma_k, and (1 + theta_j)(1 + theta_k) = 1 + theta_{j+k}.  A real
+# operation or a complex addition counts 1; a complex product counts 3
+# (|fl(xy) - xy| <= sqrt(2) gamma_2 |xy| <= gamma_3 |xy|); a complex times a
+# real counts 1; a complex division counts 12 (CPython divides by Smith's
+# method: each component takes a few roundings relative to |a| / |b|);
+# scaling by 1/2, 2^k or i^k is exact.
+#
+# * Phases.  The package evaluates e^v(t) = exp(2 pi i theta) as
+#   cmath.exp(2j * math.pi * theta_hat).  With T = 1 on the exact path
+#   (theta_hat = (N mod D) / D, one rounding, 0 <= theta < 1) and T an upper
+#   bound of sum_i |v_i q_i| on the float path (each of the d terms takes
+#   v_i / den, q_i and their product, and the sum adds d - 1 roundings), the
+#   argument is off by at most 2 pi gamma_{d+4} T, and cos and sin by at most
+#   an ulp each, so |x_hat - x| <= eps = 2u + 2 pi gamma_{d+4} T.
+# * Radial weights.  G = c exp(-A), A = |<w.lam, beta0_v>| |t| / 2, is
+#   computed from a correctly rounded rate times t: A_hat = A (1 + theta_2),
+#   and exp is within an ulp, so |G_hat / G - 1| <= rho = (1 + 2u) e^(gamma_2 A) - 1.
+# * Determinants.  ``_minors`` copies row 1 and expands each later row k
+#   (k >= 1) by one product and k additions, so every product of an m-row
+#   expansion carries at most e(m) = (m - 1) c + m (m - 1) / 2 roundings, with
+#   c = 1 for real and 3 for complex entries.  Its computed value is then
+#   sum_sigma sgn(sigma) prod a_hat (1 + theta_sigma), |theta_sigma| <= gamma_K,
+#   and with |a_hat - a| <= eps entrywise,
+#       |det_hat - det| <= (1 + gamma_K) perm(|A| + eps) - perm(|A|),
+#   the permanent of the entry moduli standing where an orbit sum has
+#   sum |summand|.  K adds to e(m) the roundings that follow the expansion.
+#   A weight or phase factored out of every product adds its own relative
+#   error as a factor (1 + rho) or (1 + eps).
+# * Division.  V = s N / D with |N_hat - N| <= beta_N and |D_hat - D| <= delta_D |D|:
+#       |V_hat - V| <= (beta_N + |N| delta_D + gamma_12 (|N| + beta_N)) / (|D| (1 - delta_D)).
+#   The denominator e^{rho_g} prod (1 - 1/e^b) has |R+| complex products, and
+#   each factor f = 1 - 1/x_hat is within (1 + u)(eps + gamma_12) / (1 - eps) + u |f|
+#   of its value.
+# * Float orbit sums.  sum_w c_w e^{v_w}, added in order from 0, is within
+#   ((1 + gamma_{|W|+1})(1 + eps)(1 + rho) - 1) sum_w |c_w| of its value.
+
+DIGITS = 50
+
+
+def _mp(x):
+    """An mpf holding the exact rational or float x."""
+    x = Fraction(x)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def gamma(k):
+    u = mpmath.mpf(2) ** -53
+    return k * u / (1 - k * u)
+
+
+def _unit_roundoff():
+    return mpmath.mpf(2) ** -53
+
+
+def _depth(m, c):
+    """e(m): the roundings of one product of an m-row ``_minors`` expansion."""
+    return (m - 1) * c + m * (m - 1) // 2 if m > 1 else 0
+
+
+def _mp_phase(theta):
+    """exp(2 pi i theta) for an exact rational theta, reduced mod 1 first."""
+    theta = Fraction(theta) % 1
+    return mpmath.expjpi(2 * _mp(theta))
+
+
+def _turn(v, angles):
+    return sum((Fraction(c) * Fraction(a) for c, a in zip(v, angles, strict=True)), Fraction(0))
+
+
+def _exact_angles(angles):
+    return all(type(a) is Fraction for a in angles)
+
+
+def phase_error(rs, lam, angles):
+    """eps: the bound on |x_hat - x| for every phase the package takes at
+    these angles: entries lam_j e_i, the su rows that add lam_n e_n or
+    -rho_g, rho_g, the roots, the half roots and the orbit rows of lambda."""
+    d = rs.dim
+    if _exact_angles(angles):
+        T = mpmath.mpf(1)
+    else:
+        big = 2 * max(abs(c) for c in lam.lam.coords) + max(abs(c) for c in rs.rho_g.coords) + 2
+        T = _mp(sum(abs(Fraction(a)) for a in angles) * big)
+    return 2 * _unit_roundoff() + 2 * mpmath.pi * gamma(d + 4) * T
+
+
+def _radial(pairing, log_a):
+    """exp(-|pairing| |log_a| / 2) and its stated relative error rho."""
+    A = abs(_mp(pairing)) * abs(_mp(log_a)) / 2
+    return mpmath.exp(-A), (1 + 2 * _unit_roundoff()) * mpmath.exp(gamma(2) * A) - 1
+
+
+def _permanent(rows):
+    n = len(rows)
+    return mpmath.fsum(mpmath.fprod(rows[i][p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_orbit(rs, lam_coords, compact):
+    """(det w, w.lam) over W(k,t) or W(g,t), closed from dense reflections."""
+    roots = rs.positive_roots(RootKind.COMPACT) if compact else rs.positive_roots()
+    group = _closure(rs, tuple(roots))
+    return tuple((det, dense_apply(m, Weight(lam_coords)).coords) for m, det in group.items())
+
+
+def omega_orbit(rs, lam, chamber):
+    """The W(g,t) orbit of lambda that Omega sums: (det w, c(w.lam), <w.lam,
+    beta0_v>, w.lam) for each w with c(w.lam) != 0, by ``c_sign``."""
+    return _omega_orbit(rs, lam.lam.coords, chamber)
+
+
+@functools.lru_cache(maxsize=None)
+def _omega_orbit(rs, lam_coords, chamber):
+    out = []
+    for det, wl in _dense_orbit(rs, lam_coords, False):
+        c = c_sign(rs, Weight(wl), chamber)
+        if c:
+            out.append((det, c, coroot_pairing(Weight(wl), rs.beta0), wl))
+    return out
+
+
+def mp_numerator(rs, lam, t):
+    """sum_{w in W_k} det(w) e^{w.lam}(t) at DIGITS digits, over the whole orbit."""
+    with mpmath.workdps(DIGITS):
+        return mpmath.fsum(det * _mp_phase(_turn(wl, t.angles)) for det, wl in _dense_orbit(rs, lam.lam.coords, True))
+
+
+def _denominator_factors(rs, xi):
+    """e^{rho_g}(xi) and the factors 1 - e^{-b}(xi) over R+."""
+    return _mp_phase(_turn(rs.rho_g.coords, xi.angles)), [
+        1 - 1 / _mp_phase(_turn(r.coords, xi.angles)) for r in rs.positive_roots()
+    ]
+
+
+def mp_elliptic(rs, lam, xi):
+    """The elliptic term at a regular xi at DIGITS digits, (-1)^{dim p/2} N / D
+    with N = ``mp_numerator`` and D = e^{rho_g}(xi) prod_{R+} (1 - e^{-b}(xi)),
+    as (value, N, D)."""
+    with mpmath.workdps(DIGITS):
+        N = mp_numerator(rs, lam, xi)
+        rho, factors = _denominator_factors(rs, xi)
+        if min(abs(f) for f in factors) == 0:
+            raise ValueError("xi is singular")
+        D = rho * mpmath.fprod(factors)
+        return (-1) ** (rs.dim_p // 2) * N / D, N, D
+
+
+def mp_omega(rs, lam, h):
+    """Omega at DIGITS digits over the whole W(g,t) orbit, 1/2 sum_w det(w)
+    c(w.lam) e^{w.lam - rho_g}(m) exp(-|<w.lam, beta0_v>| |t| / 2)."""
+    with mpmath.workdps(DIGITS):
+        rho = _turn(rs.rho_g.coords, h.compact_angles)
+        radial = {}
+        terms = []
+        for det, c, pairing, wl in omega_orbit(rs, lam, h.chamber):
+            if abs(pairing) not in radial:
+                radial[abs(pairing)] = _radial(pairing, h.log_a)[0]
+            terms.append(det * c * radial[abs(pairing)] * _mp_phase(_turn(wl, h.compact_angles) - rho))
+        return mpmath.fsum(terms) / 2
+
+
+def _entries(lam, angles, rows, cols):
+    """x_ij = e^{lam_j e_i} at DIGITS digits, for i in ``rows`` and j in ``cols``."""
+    q, L = [Fraction(a) for a in angles], lam.lam.coords
+    return [[_mp_phase(L[j] * q[i]) for j in cols] for i in rows]
+
+
+def numerator_budget(rs, lam, xi):
+    """The stated bound on |N_hat - N| for ``chars``' determinant numerator.
+
+    su(n,1): det[x_ij] with row 1 times x_{n+1,n+1}, complex, K = e_C(n):
+        n! ((1 + gamma_K)(1 + eps)^n - 1).
+    so(2n,1): 2^(n-1) (C + i^n S) for the real determinants C = det[Re x],
+    S = det[Im x], K = e_R(n) + 1:
+        2^(n-1) ((1 + gamma_K)(perm(|C| + eps) + perm(|S| + eps)) - perm|C| - perm|S|).
+    sp(n,1): 2^(n+1) i^(n+1) S Im x_{n+1,n+1}, K = e_R(n) + 1:
+        2^(n+1) ((1 + gamma_K) perm(|S| + eps)(|s| + eps) - perm|S| |s|).
+    """
+    with mpmath.workdps(DIGITS):
+        eps = phase_error(rs, lam, xi.angles)
+        family, d = rs.descriptor.family, rs.dim
+        if family is Family.SU:
+            n = d - 1
+            return math.factorial(n) * ((1 + gamma(_depth(n, 3))) * (1 + eps) ** n - 1)
+        n = d if family is Family.SO else d - 1
+        x = _entries(lam, xi.angles, range(n), range(n))
+        K = gamma(_depth(n, 1) + 1)
+        S = [[abs(p.imag) for p in r] for r in x]
+        S_eps = [[v + eps for v in r] for r in S]
+        if family is Family.SO:
+            C = [[abs(p.real) for p in r] for r in x]
+            C_eps = [[v + eps for v in r] for r in C]
+            return 2 ** (n - 1) * (
+                (1 + K) * (_permanent(C_eps) + _permanent(S_eps)) - _permanent(C) - _permanent(S)
+            )
+        s = abs(_entries(lam, xi.angles, [n], [n])[0][0].imag)
+        return 2 ** (n + 1) * ((1 + K) * _permanent(S_eps) * (s + eps) - _permanent(S) * s)
+
+
+def elliptic_budget(rs, lam, xi, N=None):
+    """The stated bound on |V_hat - V| for ``elliptic_orbital_term`` at a
+    regular xi: ``numerator_budget`` through the division (see above), with
+    delta_D = (1 + eps) prod_b (1 + delta_b) (1 + gamma_{3|R+|}) - 1,
+    delta_b = (1 + u)(eps + gamma_12) / ((1 - eps) |1 - e^{-b}(xi)|) + u.
+    ``N`` defaults to ``mp_numerator``."""
+    with mpmath.workdps(DIGITS):
+        u, eps = _unit_roundoff(), phase_error(rs, lam, xi.angles)
+        rho, factors = _denominator_factors(rs, xi)
+        delta_D = (1 + eps) * (1 + gamma(3 * len(factors))) - 1
+        for f in factors:
+            delta_D = (1 + delta_D) * (1 + (1 + u) * (eps + gamma(12)) / ((1 - eps) * abs(f)) + u) - 1
+        if N is None:
+            N = mp_numerator(rs, lam, xi)
+        return _quotient_budget(numerator_budget(rs, lam, xi), N, rho * mpmath.fprod(factors), delta_D)
+
+
+def _quotient_budget(beta_N, N, D, delta_D):
+    """The division bound; infinite where delta_D >= 1, that is where xi lies
+    so near a root hyperplane that the denominator's own stated error is as
+    large as the denominator."""
+    if delta_D >= 1:
+        return mpmath.inf
+    g = gamma(12)
+    return (beta_N + abs(N) * delta_D + g * (abs(N) + beta_N)) / (abs(D) * (1 - delta_D))
+
+
+def omega_budget(rs, lam, h):
+    """The stated bound on |Omega_hat - Omega| for ``chars.omega``, with G the
+    radial weight c exp(-|pairing| |t| / 2) and rho its largest relative error.
+
+    su(n,1), d = n + 1, P = d (d - 1) / 2, K = e_C(d - 2) + P + 4: each of
+    the d! products is G times the pair phase times d - 2 middle entries:
+        1/2 ((1 + gamma_K)(1 + rho)(1 + eps)^(d-1) - 1) sum_sigma |G(lam_sigma1 - lam_sigmad)|.
+    so(2n,1), d = n, K = e_R(d - 1) + d + 4: 2^(d-1) ((1 + gamma_K)(1 + rho)(1 + eps)
+    perm(B_eps) - perm(B)), where row 1 of B is |G(2 lam_j)| |cos alpha_1j|, the
+    other rows |sin alpha_ij|, and B_eps adds eps to each trigonometric entry.
+    sp(n,1), d = n + 1, K = e_R(d - 2) + P + 8: 2^(d-2) ((1 + gamma_K)(1 + rho)(1 + eps)
+    Q_eps - Q), Q = sum_sigma W(sigma_1, sigma_d) prod |sin alpha_{i sigma_i}| over the
+    middle rows, W(a, b) = (|G(lam_a + lam_b)| + |G(lam_a - lam_b)|)
+    (|sin alpha_1a cos alpha_db| + |cos alpha_1a sin alpha_db|), and Q_eps adds
+    eps to each trigonometric factor.
+    """
+    with mpmath.workdps(DIGITS):
+        eps = phase_error(rs, lam, h.compact_angles)
+        family, d, L = rs.descriptor.family, rs.dim, lam.lam.coords
+        weights = {}
+
+        def G(pairing):
+            if pairing not in weights:
+                weights[pairing] = _radial(pairing, h.log_a) if pairing else (mpmath.mpf(0), mpmath.mpf(0))
+            return weights[pairing][0]
+
+        if family is Family.SU:
+            P = d * (d - 1) // 2
+            total = math.factorial(d - 2) * mpmath.fsum(G(L[a] - L[b]) for a in range(d) for b in range(d) if a != b)
+            rho = max(r for _, r in weights.values())
+            K = gamma(_depth(d - 2, 3) + P + 4)
+            return ((1 + K) * (1 + rho) * (1 + eps) ** (d - 1) - 1) * total / 2
+        x = _entries(lam, h.compact_angles, range(d), range(d))
+        sin = [[abs(p.imag) for p in r] for r in x]
+        cos = [[abs(p.real) for p in r] for r in x]
+        if family is Family.SO:
+            B = [[G(2 * L[j]) * cos[0][j] for j in range(d)]] + sin[1:]
+            B_eps = [[G(2 * L[j]) * (cos[0][j] + eps) for j in range(d)]] + [[v + eps for v in r] for r in sin[1:]]
+            rho = max(r for _, r in weights.values())
+            K = gamma(_depth(d - 1, 1) + d + 4)
+            return 2 ** (d - 1) * ((1 + K) * (1 + rho) * (1 + eps) * _permanent(B_eps) - _permanent(B))
+        P = d * (d - 1) // 2
+
+        def Q(e):
+            total = []
+            for p in itertools.permutations(range(d)):
+                a, b = p[0], p[-1]
+                w = (G(L[a] + L[b]) + G(L[a] - L[b])) * (
+                    (sin[0][a] + e) * (cos[-1][b] + e) + (cos[0][a] + e) * (sin[-1][b] + e)
+                )
+                total.append(w * mpmath.fprod(sin[i][p[i]] + e for i in range(1, d - 1)))
+            return mpmath.fsum(total)
+
+        exact, perturbed = Q(0), Q(eps)
+        rho = max(r for _, r in weights.values())
+        K = gamma(_depth(d - 2, 1) + P + 8)
+        return 2 ** (d - 2) * ((1 + K) * (1 + rho) * (1 + eps) * perturbed - exact)
+
+
+@functools.lru_cache(maxsize=None)
+def _float_omega_terms(rs, lam_coords, chamber, group):
+    """(det(w) c(w.lam), |<w.lam, beta0_v>|, den (w.lam - rho_g)) over ``group``
+    for c != 0, with c as in ``c_sign``, on integers over one denominator den."""
+    den = math.lcm(*(Fraction(c).denominator for c in (*lam_coords, *rs.rho_g.coords)))
+    lam = [int(c * den) for c in lam_coords]
+    rho = [int(c * den) for c in rs.rho_g.coords]
+    beta0 = [int(c) for c in rs.beta0.coords]
+    norm = den * sum(b * b for b in beta0)
+    flip = -1 if chamber is Chamber.H_MINUS else 1
+    out = []
+    for w in group:
+        wl = w.act(lam)
+        s = sum(a * b for a, b in zip(wl, beta0))
+        if s:
+            c = flip * (-1 if s > 0 else 1)
+            out.append((w.sign * c, abs(2 * s) / norm, [a - r for a, r in zip(wl, rho)]))
+    return den, out
+
+
+def float_omega_orbit(rs, lam, h, group):
+    """Omega as a float sum over ``group`` (W(g,t) as signed permutations),
+    with phases from the float angles coordinate by coordinate, or from the
+    residue of an integer dot on exact angles; returns (value, sum_w |c_w radial_w|)."""
+    den, terms = _float_omega_terms(rs, lam.lam.coords, h.chamber, group)
+    t = abs(h.log_a)
+    if _exact_angles(h.compact_angles):
+        L = math.lcm(*(a.denominator for a in h.compact_angles))
+        q, mod = [int(a * L) for a in h.compact_angles], den * L
+    else:
+        q, mod = [float(a) / den for a in h.compact_angles], None
+    total, weight = 0.0 + 0.0j, 0.0
+    for coeff, rate, v in terms:
+        radial = math.exp(-rate * t / 2.0)
+        dot = sum(a * b for a, b in zip(v, q))
+        theta = dot % mod / mod if mod else dot
+        total += coeff * radial * cmath.exp(2j * math.pi * theta)
+        weight += radial
+    return 0.5 * total, weight
+
+
+def float_omega_budget(rs, lam, h, group, weight):
+    """The stated bound for ``float_omega_orbit``: 1/2 ((1 + gamma_{|W|+1})
+    (1 + eps)(1 + rho) - 1) sum_w |c_w radial_w|, with the turns taken in
+    floats of d terms (see ``phase_error``) and ``weight`` raised by one part
+    in 10^9 for its own rounding."""
+    with mpmath.workdps(DIGITS):
+        eps = phase_error(rs, lam, h.compact_angles)
+        rate = max(rate for _, rate, _ in _float_omega_terms(rs, lam.lam.coords, h.chamber, group)[1])
+        rho = _radial(rate, h.log_a)[1]
+        K = gamma(len(group) + 1)
+        return ((1 + K) * (1 + eps) * (1 + rho) - 1) * _mp(weight) * (1 + mpmath.mpf(10) ** -9) / 2
+
+
+def character_budget(rs, lam, t, N):
+    """The stated bound on |V_hat - V| for ``ds_character_Treg``: its W_k
+    orbit sum of |W_k| unit terms, within |W_k| ((1 + gamma_{|W_k|+1})(1 + eps) - 1),
+    divided by prod_{R+} (e^{b/2} - e^{-b/2}), whose factors g are each within
+    (1 + u)(eps + (eps + gamma_12) / (1 - eps)) + u |g|, through |R+| complex
+    products.  ``N`` is the numerator's exact value (or a bound on it)."""
+    with mpmath.workdps(DIGITS):
+        u, eps = _unit_roundoff(), phase_error(rs, lam, t.angles)
+        size = len(weyl_group(rs, "compact"))
+        beta_N = size * ((1 + gamma(size + 1)) * (1 + eps) - 1)
+        factors = []
+        for r in rs.positive_roots():
+            e = _mp_phase(_turn(r.coords, t.angles) / 2)
+            factors.append(e - 1 / e)
+        delta = (1 + gamma(3 * len(factors))) - 1
+        for g in factors:
+            delta = (1 + delta) * (1 + (1 + u) * (eps + (eps + gamma(12)) / (1 - eps)) / abs(g) + u) - 1
+        return _quotient_budget(beta_N, N, mpmath.fprod(factors), delta)
+
+
+def mp_numerator_by_det(rs, lam, t):
+    """The regular numerator at DIGITS digits from Weyl's determinant form,
+    by mpmath's own determinant (LU): an exact-enough |N| where the orbit is
+    too large to sum at 50 digits."""
+    with mpmath.workdps(DIGITS):
+        family, d = rs.descriptor.family, rs.dim
+        n = d if family is Family.SO else d - 1
+        x = mpmath.matrix(_entries(lam, t.angles, range(n), range(n)))
+        inv = mpmath.matrix([[1 / v for v in row] for row in x.tolist()])
+        corner = _entries(lam, t.angles, [d - 1], [d - 1])[0][0]
+        if family is Family.SU:
+            return corner * mpmath.det(x)
+        if family is Family.SO:
+            return (mpmath.det(x + inv) + mpmath.det(x - inv)) / 2
+        return mpmath.det(x - inv) * (corner - 1 / corner)

@@ -35,7 +35,16 @@ from ranklef.rootsys import (
     build_root_system,
     weyl_group,
 )
-from reference import all_roots, c_sign, character_exp, full_average_orbital_term, inner, scale, torus_sl2
+from reference import (
+    all_roots,
+    c_sign,
+    character_exp,
+    full_average_orbital_term,
+    inner,
+    omega_orbit,
+    scale,
+    torus_sl2,
+)
 from test_weyl_tables import GROUPS
 
 SL2 = build_root_system(GroupDescriptor.from_name("sl2r"))
@@ -442,18 +451,17 @@ def test_regularity_and_formal_degree_equal_the_fraction_reference(name):
 
 
 def test_c_sign_cases():
-    """full() stores c = -1 for a positive beta0 pairing, +1 for a negative
-    one, and no entry for a zero pairing; H_minus negates c."""
+    """Omega's orbit keeps c = -1 for a positive beta0 pairing, +1 for a
+    negative one, and no entry for a zero pairing; H_minus negates c."""
     for coords in [(3, -3), (2, -2), (Fraction(1, 2), Fraction(-1, 2))]:
-        entries, rows = _param(SL2, coords).full()
-        assert len(entries) == len(rows.ints) == 2  # W(sl2r) = {1, s}, and s.lam = -lam
-        for (_, base, rate), row in zip(entries, rows.ints):
-            wl = Weight(tuple(Fraction(x, rows.den) for x in row)) + SL2.rho_g
-            pairing = 2 * wl.coords[0]  # <wl, beta0_v> with beta0 = e_1 - e_2
-            assert base == (-1 if pairing > 0 else 1) and rate == abs(pairing)
-            assert base == c_sign(SL2, wl, Chamber.H_PLUS) == -c_sign(SL2, wl, Chamber.H_MINUS)
-    entries, rows = _param(SL2, (0, 0)).full()
-    assert entries == rows.ints == []
+        lam = _param(SL2, coords)
+        plus, minus = omega_orbit(SL2, lam, Chamber.H_PLUS), omega_orbit(SL2, lam, Chamber.H_MINUS)
+        assert len(plus) == len(minus) == 2  # W(sl2r) = {1, s}, and s.lam = -lam
+        for (det, base, pairing, wl), (_, flipped, _, _) in zip(plus, minus):
+            assert pairing == 2 * wl[0]  # <wl, beta0_v> with beta0 = e_1 - e_2
+            assert base == (-1 if pairing > 0 else 1) == -flipped
+            assert base == c_sign(SL2, Weight(wl), Chamber.H_PLUS) == -c_sign(SL2, Weight(wl), Chamber.H_MINUS)
+    assert omega_orbit(SL2, _param(SL2, (0, 0)), Chamber.H_PLUS) == []
 
 
 def _identity_h(rs):

@@ -35,3 +35,44 @@ def test_only_chars_reads_the_row_format():
         for line, name in _uses(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert not outside, f"the row format is private to chars: {outside}"
+
+
+def _full_weyl_calls(tree):
+    """Lines that call ``weyl_group`` for W(g,t): with "full" or without ``sub``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name != "weyl_group":
+                continue
+            sub = node.args[1] if len(node.args) > 1 else next((k.value for k in node.keywords if k.arg == "sub"), None)
+            if sub is None or (isinstance(sub, ast.Constant) and sub.value == "full"):
+                yield node.lineno
+
+
+def test_only_cli_builds_the_full_weyl_group():
+    """Omega is a Laplace expansion, so no term walks W(g,t); ``rootsys show``
+    still reports its order."""
+    outside = [
+        f"{path.name}:{line}"
+        for path in PACKAGE
+        if path.name != "cli.py"
+        for line in _full_weyl_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not outside, f"W(g,t) built outside cli: {outside}"
+
+
+DETERMINANT = {"_minors", "_det"}
+
+
+def test_only_chars_names_the_determinant_routine():
+    outside = [
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE
+        if path.name != "chars.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id in DETERMINANT)
+        or (isinstance(node, ast.Attribute) and node.attr in DETERMINANT)
+        or (isinstance(node, ast.alias) and node.name.rpartition(".")[2] in DETERMINANT)
+    ]
+    assert not outside, f"the determinant routine is private to chars: {outside}"

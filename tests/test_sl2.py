@@ -17,6 +17,7 @@ from ranklef.lefschetz import ParabolicIData, assemble, elliptic_term, parabolic
 from ranklef.sl2 import (
     EllipticClassGroup,
     IntegerMatrix,
+    _elliptic_rep_angle,
     _hurwitz_sixths,
     build_geom_sl2z,
     compare,
@@ -369,6 +370,20 @@ def test_elliptic_classes_match_graph_search(n):
     # n <= 10 reaches the non-primitive forms (2,2,2), (2,0,2) and (3,3,3)
     # at discriminants -12, -16 and -27
     assert elliptic_classes(n) == graph_search_classes(n)
+
+
+def test_rational_rep_angles_are_fractions():
+    """Niven's rational angles come back as one Fraction each, whatever n:
+    t^2 = 3n gives 1/12 at (3, 3) and at (9, 27), t^2 = 2n gives 1/8."""
+    assert _elliptic_rep_angle(3, 3) == _elliptic_rep_angle(9, 27) == Fraction(1, 12)
+    assert type(_elliptic_rep_angle(3, 3)) is type(_elliptic_rep_angle(9, 27)) is Fraction
+    assert _elliptic_rep_angle(2, 2) == Fraction(1, 8) and type(_elliptic_rep_angle(2, 2)) is Fraction
+    assert (_elliptic_rep_angle(-2, 2), _elliptic_rep_angle(-3, 3)) == (Fraction(3, 8), Fraction(5, 12))
+    for t, n in ((0, 5), (1, 1), (-1, 1), (4, 8), (-6, 12)):
+        assert type(_elliptic_rep_angle(t, n)) is Fraction
+    for t, n in ((1, 2), (3, 5), (5, 7)):  # t^2 not in {0, n, 2n, 3n}: irrational
+        q = _elliptic_rep_angle(t, n)
+        assert type(q) is float and math.isclose(math.cos(2 * math.pi * q), t / (2 * math.sqrt(n)))
 
 
 def test_trace_zero_classes_have_order_four_reps():
