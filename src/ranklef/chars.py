@@ -470,6 +470,11 @@ def _column_pairs(d: int) -> tuple[tuple[int, int, int, bool], ...]:
     return tuple((a, b, full ^ (1 << a) ^ (1 << b), (d - 1 + a + b) % 2 == 1) for a, b in combinations(range(d), 2))
 
 
+def _weight(p: int, den: int, t: float) -> float:
+    """G = c exp(-|pairing| |t| / 2) at <w.lam, beta0_v> = p / den on H_plus."""
+    return math.copysign(math.exp(-abs(p) / den * t / 2.0), -p) if p else 0.0
+
+
 def omega(rs: RootSystem, lam: HCParameter, h: NoncompactCartanElement) -> complex:
     """Smoothed character numerator on the noncompact Cartan.
 
@@ -501,15 +506,6 @@ def omega(rs: RootSystem, lam: HCParameter, h: NoncompactCartanElement) -> compl
     """
     m = _Torus(h.compact_angles, lam.den, rs.dim)
     t, den = abs(h.log_a), lam.den
-    weights: dict[int, float] = {0: 0.0}
-
-    def weight(p: int) -> float:
-        """G at <w.lam, beta0_v> = p / den on H_plus."""
-        g = weights.get(p)
-        if g is None:
-            g = weights[p] = math.copysign(math.exp(-abs(p) / den * t / 2.0), -p)
-        return g
-
     row, d = lam._row, rs.dim
     x = m.phases(lam.omega_rows)
     half = -0.5 if h.chamber is Chamber.H_MINUS else 0.5
@@ -519,25 +515,26 @@ def omega(rs: RootSystem, lam: HCParameter, h: NoncompactCartanElement) -> compl
         total = 0.0
         firsts, seconds = x[middle::2], x[middle + 1 :: 2]
         for (a, b, mask, negate), u, v in zip(_column_pairs(d), firsts, seconds):
-            term = weight(row[a] - row[b]) * (u + v) * minors[mask]
+            term = _weight(row[a] - row[b], den, t) * (u + v) * minors[mask]
             total += -term if negate else term
         return half * total
-    minors = _minors([p.imag for p in x[d : d * d]], d)
     total = 0.0
     if rs.descriptor.family is Family.SO:
+        minors = _minors([p.imag for p in x[d : d * d]], d)
         full = (1 << d) - 1
         for j in range(d):
-            term = weight(2 * row[j]) * x[j].real * minors[full ^ (1 << j)]
+            term = _weight(2 * row[j], den, t) * x[j].real * minors[full ^ (1 << j)]
             total += -term if j % 2 else term
         scaled = 2.0**d * _i_power(d - 1, total)
     else:
+        minors = _minors([p.imag for p in x[d : d * (d - 1)]], d)
         top, bottom = x[:d], x[d * (d - 1) : d * d]
         s0, c0 = [p.imag for p in top], [p.real for p in top]
         sn, cn = [p.imag for p in bottom], [p.real for p in bottom]
         for a, b, mask, negate in _column_pairs(d):
             u1, u2, v1, v2 = s0[a] * cn[b], c0[a] * sn[b], s0[b] * cn[a], c0[b] * sn[a]
-            pair = weight(row[a] + row[b]) * ((u1 + u2) - (v1 + v2))
-            pair -= weight(row[a] - row[b]) * ((u1 - u2) + (v1 - v2))
+            pair = _weight(row[a] + row[b], den, t) * ((u1 + u2) - (v1 + v2))
+            pair -= _weight(row[a] - row[b], den, t) * ((u1 - u2) + (v1 - v2))
             term = pair * minors[mask]
             total += -term if negate else term
         scaled = 2.0 ** (d - 1) * _i_power(d - 1, total)
