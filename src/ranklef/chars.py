@@ -13,16 +13,13 @@ Conventions fixed here and relied on everywhere downstream:
   exp(<w.lam, beta0_v> t / 2) along the Cayley direction beta0.
 * Central characters carry the rho_g shift: zeta_lam(z) = e^{lam - rho_g}(z),
   which is what makes zeta_lam(-1) = +1 for the even-weight sl(2,R) series.
-* Evaluation runs on integer rows: a weight v is a row of ints over a
-  common denominator den (``_Rows``).  At a torus element whose angles are
-  all Fractions, the angles are scaled to integers by the lcm L of their
-  denominators, the integer dot N = den L <v, q> is reduced mod D = den L,
-  and the phase is exp(2 pi i (N mod D) / D).  Python rounds an int/int
-  quotient once, correctly, so (N mod D) / D is the double of the reduced
-  fraction's (n mod d) / d, and a pairing n / den is the double
-  float(Fraction) gives: the rows change no bit of any value.  Any float
-  angle sends the element down the float path, where the rows are floats
-  x / den summed in coordinate order.
+* Evaluation runs on integer columns (``_Columns``): a set of weights, the
+  W(k,t) orbit of lambda among them, is one column of ints per coordinate
+  over a common denominator den.  At all-Fraction angles, scaled to integers
+  by the lcm L of their denominators, the dot N = den L <v, q> is reduced to
+  a residue r in (-D/2, D/2], D = den L, and the phase is exp(2 pi i r / D),
+  r / D rounded once (a small angle stays small); any float angle sends the
+  element down the float path, where x / den is summed in coordinate order.
 * Every supported Weyl group is a group of signed permutations, so a sum
   over a whole Weyl group is a determinant (Weyl's character formula in
   determinant form).  At a regular elliptic class, one where no root has
@@ -30,8 +27,8 @@ Conventions fixed here and relied on everywhere downstream:
   is the Laplace expansion of one along the beta0 rows; both are taken by
   ``_minors``, the one determinant routine, on the phases
   x_ij = e^{lam_j e_i}(t) that ``_Torus`` gives.  Singular classes (over
-  coset reps), the unipotent sum, ``ds_character_Treg`` and
-  ``central_character`` sum their orbits with ``_Torus.sum``.
+  coset reps), the unipotent sum and ``ds_character_Treg`` go through
+  ``_Torus.sum``, which adds integer coefficients exactly per residue.
 """
 
 from __future__ import annotations
@@ -41,10 +38,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import combinations
-from operator import mul, sub
-from typing import Sequence
+from functools import cached_property, lru_cache, partial, reduce
+from itertools import combinations, compress, repeat
+from operator import add, and_, mul, sub
+from typing import Iterable, Sequence
 
 from .rootsys import Family, RootKind, RootSystem, Weight, weyl_group
 
@@ -58,20 +55,27 @@ class SingularElementError(ValueError):
     pass
 
 
-class _Rows:
-    """Vectors as integer rows over one denominator: vector i is ``ints[i] / den``."""
+def _ints(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
+    """The vectors as integer rows over their common denominator: (rows, den)."""
+    den = math.lcm(*(c.denominator for v in vectors for c in v))
+    return [tuple(c.numerator * (den // c.denominator) for c in v) for v in vectors], den
 
-    def __init__(self, ints: list[tuple[int, ...]], den: int):
-        self.ints, self.den = ints, den
+
+class _Columns(list):
+    """Weights as integer columns over ``den``, one per coordinate, as ``_Torus``
+    reads them; their rows and float copies x / den are built on first use."""
+
+    def __init__(self, columns: Iterable[Sequence[int]], den: int):
+        super().__init__(columns)
+        self.den = den
 
     @cached_property
-    def floats(self) -> list[tuple[float, ...]]:
-        return [tuple(x / self.den for x in row) for row in self.ints]
+    def rows(self) -> list[tuple[int, ...]]:
+        return list(zip(*self))
 
-
-def _rows(vectors: Sequence[Sequence[Fraction]]) -> _Rows:
-    den = math.lcm(*(c.denominator for v in vectors for c in v))
-    return _Rows([tuple(c.numerator * (den // c.denominator) for c in v) for v in vectors], den)
+    @cached_property
+    def floats(self) -> list[list[float]]:
+        return [[x / self.den for x in col] for col in self]
 
 
 def _unit(d: int, *terms: tuple[int, int]) -> tuple[int, ...]:
@@ -82,53 +86,77 @@ def _unit(d: int, *terms: tuple[int, int]) -> tuple[int, ...]:
     return tuple(row)
 
 
+def _combine(q: Sequence, columns: Sequence[Sequence]) -> list | None:
+    """sum_j x_j q_j per row of the columns, one pass per column with q_j != 0; None if none."""
+    acc = None
+    for c, col in zip(q, columns, strict=True):
+        if c:
+            terms = map(mul, col, repeat(c))
+            acc = terms if acc is None else map(add, acc, terms)
+    return None if acc is None else list(acc)
+
+
 class _Torus:
-    """The angles of one torus element, to pair with rows over ``den``: the
-    one evaluator of e^v(t).  ``turns`` gives <v, q> per row, as N mod D on
-    the exact path (0 exactly when e^v(t) = 1) or as a float; ``phase``
-    memoizes exp(2 pi i <v, q>) by that value; ``sum`` sums every orbit."""
+    """The angles of one torus element, to pair with ``_Columns``: the one evaluator of e^v(t).
+    ``turns`` gives <v, q> per row, as N mod D on the exact path (0 exactly when e^v(t) = 1)
+    or as a float; ``phase`` memoizes exp(2 pi i <v, q>) by it; ``sum`` sums every orbit."""
 
     def __init__(self, angles: Sequence[Angle], den: int, dim: int):
         if len(angles) != dim:
             raise ValueError(f"the torus element has {len(angles)} angles, not dim t = {dim}")
         self.exact = all(type(a) is Fraction for a in angles)
         if self.exact:
-            q = _rows([angles])
-            self.q, self.mod = q.ints[0], den * q.den
+            (self.q,), L = _ints([angles])
+            self.mod = den * L
         else:
             self.q = tuple(float(a) for a in angles)
         self._phases: dict[int | float, complex] = {}
 
-    def turns(self, rows: _Rows) -> list[int] | list[float]:
-        q = self.q
+    def turns(self, columns: _Columns) -> list[int] | list[float]:
+        q, n = self.q, len(columns[0])
+        if n < 12:  # a few rows: one dot per row is cheaper than one pass per column
+            if self.exact:
+                return [sum(map(mul, row, q)) % self.mod for row in columns.rows]
+            return [sum(map(mul, row, q)) for row in zip(*columns.floats)]
         if self.exact:
-            return [sum(map(mul, row, q)) % self.mod for row in rows.ints]
-        return [sum(map(mul, row, q)) for row in rows.floats]
+            return [v % self.mod for v in _combine(q, columns) or [0] * n]
+        return _combine(q, columns.floats) or [0.0] * n
 
     def phase(self, x: int | float) -> complex:
+        """exp(2 pi i x / D), x taken in (-D/2, D/2] to keep small angles small, or exp(2 pi i x)."""
         p = self._phases.get(x)
         if p is None:
-            p = self._phases[x] = cmath.exp(2j * math.pi * (x / self.mod if self.exact else x))
+            theta = (x - self.mod if 2 * x > self.mod else x) / self.mod if self.exact else x
+            p = self._phases[x] = cmath.exp(2j * math.pi * theta)
         return p
 
-    def phases(self, rows: _Rows) -> list[complex]:
-        """e^{row}(t) for each row in order, memoized on the exact path only,
-        where residues repeat."""
+    def phases(self, columns: _Columns) -> list[complex]:
+        """e^{row}(t) for each row in order, memoized on the exact path only."""
         if self.exact:
-            return list(map(self.phase, self.turns(rows)))
+            return list(map(self.phase, self.turns(columns)))
         exp, c = cmath.exp, 2j * math.pi
-        return [exp(c * x) for x in self.turns(rows)]
+        return [exp(c * x) for x in self.turns(columns)]
 
     def is_one(self, x: int | float) -> bool:
         """Whether the phase is 1: exactly on the exact path, to UNITY_TOL otherwise."""
         return x == 0 if self.exact else abs(self.phase(x) - 1.0) < UNITY_TOL
 
-    def sum(self, coeffs: Sequence[complex], rows: _Rows) -> complex:
-        """sum_i coeffs[i] e^{rows_i}(t), added in row order."""
+    def by_residue(self, coeffs: Sequence, columns: _Columns) -> dict:
+        """The coefficients added per residue of the exact path, in row order."""
+        table: dict = {}
+        for r, c in zip(self.turns(columns), coeffs):
+            table[r] = table.get(r, 0) + c
+        return table
+
+    def sum(self, coeffs: Sequence, columns: _Columns, scale: int = 1) -> complex:
+        """sum_i coeffs[i] e^{row_i}(t) / scale: per residue (``by_residue``), in residue
+        order, on the exact path, term by term in row order on the float path."""
+        terms = (sorted(self.by_residue(coeffs, columns).items()) if self.exact
+                 else zip(self.turns(columns), coeffs))
         total = 0.0 + 0.0j
-        for c, x in zip(coeffs, self.turns(rows)):
+        for x, c in terms:
             total += c * self.phase(x)
-        return total
+        return total / scale
 
 
 @lru_cache(maxsize=None)
@@ -184,12 +212,7 @@ def _det(entries: Sequence[float] | Sequence[complex], n: int) -> float | comple
 
 def _i_power(k: int, v: float) -> complex:
     """i^k v, exactly."""
-    k %= 4
-    if k == 0:
-        return complex(v, 0.0)
-    if k == 1:
-        return complex(0.0, v)
-    return complex(-v, 0.0) if k == 2 else complex(0.0, -v)
+    return complex(*((v, 0.0), (0.0, v), (-v, 0.0), (0.0, -v))[k % 4])
 
 
 class HCParameter:
@@ -197,73 +220,57 @@ class HCParameter:
     with its Weyl data, shared by every class of one assembly.  This is the
     one place where lambda is paired with a root.
 
-    Vectors are integer rows over ``den``, the common denominator of lambda
-    and rho_g: ``compact`` holds the W(k,t) orbit of lambda in the order of
-    ``weyl_group(rs, "compact")``, with det w in ``signs``, and ``rho_g`` and
-    ``roots`` (R+(g,t) in order) are rows too.  A Weyl element acts on a row
-    as a signed permutation of ints, so no orbit element is a Fraction.  A
-    pairing with a root is an integer dot, its sign read on the integer and
-    divided once.  ``pairings`` holds den^2 <lambda, alpha> for each alpha in
-    R+(g,t); from it the constructor rejects a lambda that is not strictly
-    dominant for the compact roots, sets ``regular`` (no pairing vanishes),
-    and rejects a regular lambda with a negative pairing.  ``cosets`` and
-    the determinant rows ``numerator_rows`` and ``omega_rows`` are built on
-    first use; see there.
+    ``columns`` holds the W(k,t) orbit of lambda (det w in ``signs``), built once by signed
+    permutations of ints, and ``rho_roots`` rho_g and R+(g,t), as ``_Columns`` over ``den``.
+    From ``pairings``, the integer dots den^2 <lambda, alpha> over R+(g,t), the constructor
+    rejects a lambda not strictly dominant for the compact roots, sets ``regular`` and rejects
+    a regular lambda with a negative pairing.
     """
 
     def __init__(self, rs: RootSystem, lam: Weight):
         self.rs = rs
         self.lam = lam
-        base = _rows([lam.coords, rs.rho_g.coords])
-        self.den = den = base.den
-        self._row, rho = base.ints
+        (self._row, self._rho), self.den = _ints([lam.coords, rs.rho_g.coords])
         group = weyl_group(rs, "compact")
         self.signs = [w.sign for w in group]
-        self.compact = _Rows([w.act(self._row) for w in group], den)  # act checks the length of lambda
-        self.rho_g = _Rows([rho], den)
-        self.roots = _Rows([tuple(c.numerator * den for c in r.coords) for r in rs.positive], den)
-        self.pairings = [rs.form_scale * sum(map(mul, self._row, a)) for a in self.roots.ints]
+        self.columns = _Columns(zip(*[w.act(self._row) for w in group]), self.den)  # act checks len(lam)
+        roots = [tuple(c.numerator * self.den for c in r.coords) for r in rs.positive]
+        self.rho_roots = _Columns(zip(self._rho, *roots), self.den)
+        self.pairings = [rs.form_scale * sum(map(mul, self._row, a)) for a in roots]
         if any(p <= 0 for p, r in zip(self.pairings, rs.positive) if r.kind is RootKind.COMPACT):
             raise ValueError("weight is not dominant for the compact positive system")
         self.regular = all(self.pairings)
         if self.regular and min(self.pairings) < 0:
-            raise ValueError(
-                "lambda = mu + rho_k is regular but not dominant; "
-                "present the dominant chamber representative"
-            )
-        self._cosets: dict[tuple[int, ...], tuple[list[complex], _Rows]] = {}
+            raise ValueError("lambda = mu + rho_k is regular but not dominant; "
+                             "present the dominant chamber representative")
+        self._pairing_columns: dict[int, list[int]] = {}
 
-    def cosets(self, fixed: tuple[int, ...]) -> tuple[list[complex], _Rows]:
-        """Coset reps w of W_{k_xi} \\ W_k as coefficients det(w) prod_{a in
-        R+(xi)} <w.lam, a> and the rows of w.lam.
+    def pairing_column(self, i: int) -> list[int]:
+        """den^2 <w.lam, a> over the orbit for a = R+(g,t)[i], from the columns a reads."""
+        if i not in self._pairing_columns:
+            a = [self.rs.form_scale * self.den * int(c) for c in self.rs.positive[i].coords]
+            self._pairing_columns[i] = _combine(a, self.columns)
+        return self._pairing_columns[i]
 
-        ``fixed`` lists the indices into ``rs.positive`` of the roots a with
-        e^a(xi) = 1; W_{k_xi} is generated by the compact ones.  lambda is
-        strictly dominant for the compact roots, so each right coset
-        W_{k_xi} w holds exactly one w with <w.lam, a> > 0 for every compact
-        a in R+(xi), and that w is its rep.  The summand is constant on right
-        cosets, so the sum is a class function of xi.
-        """
-        table = self._cosets.get(fixed)
-        if table is None:
-            rs, den2 = self.rs, self.den * self.den
-            roots = [(self.roots.ints[i], rs.positive[i].kind is RootKind.COMPACT) for i in fixed]
-            coeffs, rows = [], []
-            for sign, row in zip(self.signs, self.compact.ints):
-                coeff = complex(sign)
-                for a, compact in roots:
-                    n = rs.form_scale * sum(map(mul, row, a))
-                    if n <= 0 and compact:
-                        break
-                    coeff *= n / den2
-                else:
-                    coeffs.append(coeff)
-                    rows.append(row)
-            table = self._cosets[fixed] = (coeffs, _Rows(rows, self.den))
-        return table
+    def coset_terms(self, fixed: Sequence[int]) -> tuple[list[int], _Columns, int]:
+        """The sum over W_{k_xi} \\ W_k at a singular xi as (integer coefficients, columns of the
+        reps w, scale den^(2 |R+(xi)|)), for the roots ``fixed`` of R+(xi): lambda is strictly
+        dominant for the compact ones, which generate W_{k_xi}, so each right coset W_{k_xi} w
+        holds one w with <w.lam, a> > 0 for them all, its rep, with det(w) prod den^2 <w.lam, a>."""
+        cols = [self.pairing_column(i) for i in fixed]
+        masks = [map((0).__lt__, c) for c, i in zip(cols, fixed)
+                 if self.rs.positive[i].kind is RootKind.COMPACT]
+        coeffs, reps = self.signs, self.columns
+        if masks:
+            mask = list(reduce(partial(map, and_), masks))
+            coeffs, cols = list(compress(coeffs, mask)), [list(compress(c, mask)) for c in cols]
+            reps = _Columns((list(compress(c, mask)) for c in reps), self.den)
+        for col in cols:
+            coeffs = list(map(mul, coeffs, col))
+        return coeffs, reps, self.den ** (2 * len(fixed))
 
     @cached_property
-    def numerator_rows(self) -> _Rows:
+    def numerator_columns(self) -> _Columns:
         """The weights whose phases are the entries of Weyl's determinant for
         W_k (see ``_weyl_numerator``), row by row: lam_j e_i for i, j < n,
         where n = dim t for so and dim t - 1 otherwise; su adds lam_n e_n to
@@ -275,45 +282,46 @@ class HCParameter:
             rows[:n] = [_unit(d, (0, lam[j]), (n, lam[n])) for j in range(n)]
         if family is Family.SP:
             rows.append(_unit(d, (n, lam[n])))
-        return _Rows(rows, self.den)
+        return _Columns(zip(*rows), self.den)
 
     @cached_property
-    def omega_rows(self) -> _Rows:
+    def omega_columns(self) -> _Columns:
         """The weights whose phases ``omega`` reads, with d = dim t: for so and
         sp, lam_j e_i for i, j < d, then -rho_g; for su, lam_j e_i for
         0 < i < d - 1, then for each pair of columns a < b the two weights
         lam_a e_0 + lam_b e_{d-1} - rho_g and lam_b e_0 + lam_a e_{d-1} - rho_g."""
-        lam, d = self._row, self.rs.dim
-        rho = self.rho_g.ints[0]
+        lam, d, rho = self._row, self.rs.dim, self._rho
         if self.rs.descriptor.family is not Family.SU:
             rows = [_unit(d, (i, lam[j])) for i in range(d) for j in range(d)]
-            return _Rows(rows + [tuple(-r for r in rho)], self.den)
+            return _Columns(zip(*rows, [-r for r in rho]), self.den)
         rows = [_unit(d, (i, lam[j])) for i in range(1, d - 1) for j in range(d)]
         for a, b in combinations(range(d), 2):
             rows += [tuple(map(sub, _unit(d, (0, lam[a]), (d - 1, lam[b])), rho)),
                      tuple(map(sub, _unit(d, (0, lam[b]), (d - 1, lam[a])), rho))]
-        return _Rows(rows, self.den)
+        return _Columns(zip(*rows), self.den)
+
+    def unipotent_terms(
+        self, Rplus_xi0: Sequence[Sequence[Fraction]], z0: Sequence[float], half_dim: int
+    ) -> tuple[list, _Columns, int]:
+        """The unipotent sum as ``coset_terms`` gives a singular one: w has conj(<w.lam, z0>)^half_dim
+        (a float dot) times prod_{a in R+(xi0)} s <w.lam, a>, an integer, with scale s^|R+(xi0)|."""
+        if any(len(a) != self.rs.dim for a in Rplus_xi0):
+            raise ValueError(f"each vector to pair with lambda needs dim t = {self.rs.dim} coordinates")
+        vectors, den = _ints(Rplus_xi0)
+        coeffs: list = [1] * len(self.signs)
+        for a in vectors:
+            col = _combine(a, self.columns) or [0] * len(coeffs)
+            coeffs = [self.rs.form_scale * v * c for v, c in zip(col, coeffs)]
+        if half_dim:
+            z = _combine(z0, self.columns.floats) or [0.0] * len(coeffs)
+            coeffs = [complex(v).conjugate() ** half_dim * c for v, c in zip(z, coeffs)]
+        return coeffs, self.columns, (self.den * den) ** len(vectors)
 
     def unipotent_sum(
         self, eta: TorusElement, Rplus_xi0: Sequence[Sequence[Fraction]], z0: Sequence[float], half_dim: int
     ) -> complex:
-        """sum_{w in W(k,t)} conj(<w.lam, z0>)^half_dim prod_{a in R+(xi0)} <w.lam, a> e^{w.lam}(eta),
-        with the invariant pairing on R+(xi0) and the coordinate dot with z0."""
-        if any(len(a) != self.rs.dim for a in Rplus_xi0):
-            raise ValueError(f"each vector to pair with lambda needs dim t = {self.rs.dim} coordinates")
-        scaled = _rows(Rplus_xi0)
-        den, s = self.den * scaled.den, self.rs.form_scale
-        torus = _Torus(eta.angles, self.den, self.rs.dim)
-        coeffs = []
-        for row, floats in zip(self.compact.ints, self.compact.floats):
-            coeff = 1.0 + 0.0j
-            if half_dim:
-                z = complex(sum(c * p for c, p in zip(floats, z0, strict=True)))
-                coeff = z.conjugate() ** half_dim
-            for a in scaled.ints:
-                coeff *= s * sum(map(mul, row, a)) / den
-            coeffs.append(coeff)
-        return torus.sum(coeffs, self.compact)
+        """sum_{w in W(k,t)} conj(<w.lam, z0>)^half_dim prod_{a in R+(xi0)} <w.lam, a> e^{w.lam}(eta)."""
+        return _Torus(eta.angles, self.den, self.rs.dim).sum(*self.unipotent_terms(Rplus_xi0, z0, half_dim))
 
 
 def hc_parameter(rs: RootSystem, mu: Weight) -> HCParameter:
@@ -374,23 +382,16 @@ class CharacterValue:
 
 def weyl_denominator_T(rs: RootSystem, t: TorusElement) -> complex:
     """prod over R+(g,t) of (e^{b/2} - e^{-b/2})(t); zero exactly on singular t."""
-    torus = _Torus(t.angles, 2, rs.dim)
-    out = 1.0 + 0.0j
-    for x in torus.turns(_Rows([tuple(c.numerator for c in r.coords) for r in rs.positive], 2)):
-        e = torus.phase(x)  # e^{b/2}(t)
-        out *= e - 1 / e
-    return out
+    halves = _Columns(zip(*[[c.numerator for c in r.coords] for r in rs.positive]), 2)  # b/2
+    return math.prod((e - 1 / e for e in _Torus(t.angles, 2, rs.dim).phases(halves)), start=1.0 + 0.0j)
 
 
 def ds_character_Treg(rs: RootSystem, lam: HCParameter, t: TorusElement) -> CharacterValue:
     """Character value sum_{w in W_k} det(w) e^{w.lam}(t) / Delta_T(t) at regular t."""
     den = weyl_denominator_T(rs, t)
     if abs(den) < SINGULAR_TOL:
-        raise SingularElementError(
-            "singular torus element; use elliptic_orbital_term"
-        )
-    num = _Torus(t.angles, lam.den, rs.dim).sum(lam.signs, lam.compact)
-    return CharacterValue(value=num / den)
+        raise SingularElementError("singular torus element; use elliptic_orbital_term")
+    return CharacterValue(value=_Torus(t.angles, lam.den, rs.dim).sum(lam.signs, lam.columns) / den)
 
 
 def _weyl_numerator(rs: RootSystem, lam: HCParameter, torus: _Torus) -> complex:
@@ -406,7 +407,7 @@ def _weyl_numerator(rs: RootSystem, lam: HCParameter, torus: _Torus) -> complex:
     its turns; so and sp take x + 1/x = 2 Re x and x - 1/x = 2i Im x, which
     leaves real determinants and exact powers of 2i.
     """
-    x = torus.phases(lam.numerator_rows)
+    x = torus.phases(lam.numerator_columns)
     family, d = rs.descriptor.family, len(lam._row)
     if family is Family.SU:
         return _det(x, d - 1)
@@ -426,17 +427,17 @@ def elliptic_orbital_term(rs: RootSystem, lam: HCParameter, xi: TorusElement) ->
     where R+(xi) collects the positive roots with e^a(xi) = 1.  For regular
     xi, where R+(xi) is empty, this is (-1)^{dim p/2} times the character
     at xi, and the numerator is a determinant (``_weyl_numerator``); at
-    singular xi the coset reps and their coefficients come from ``lam.cosets``.
+    singular xi it is the coset sum of ``lam.coset_terms``.
     """
     torus = _Torus(xi.angles, lam.den, rs.dim)
-    den = torus.phase(torus.turns(lam.rho_g)[0])
-    fixed = []
-    for i, x in enumerate(torus.turns(lam.roots)):
+    rho, *turns = torus.turns(lam.rho_roots)
+    den, fixed = torus.phase(rho), []
+    for i, x in enumerate(turns):
         if torus.is_one(x):
             fixed.append(i)
         else:
             den *= 1 - 1 / torus.phase(x)
-    num = torus.sum(*lam.cosets(tuple(fixed))) if fixed else _weyl_numerator(rs, lam, torus)
+    num = torus.sum(*lam.coset_terms(fixed)) if fixed else _weyl_numerator(rs, lam, torus)
     return (-1) ** (rs.dim_p // 2) * num / den
 
 
@@ -453,11 +454,11 @@ def formal_degree(rs: RootSystem, lam: HCParameter) -> float:
     # prod_{R+} <lambda, a> / prod_{R+_k} <rho_k, a>, with <lambda, a> =
     # pairings / den^2 and <rho_k, a> = s (rho_k . a) / den_k on integer rows,
     # divided once as int / int: the double float(Fraction) would give.
-    rho_k = _rows([rs.rho_k.coords])
+    (rho_k,), rho_den = _ints([rs.rho_k.coords])
     compact = [[c.numerator for c in r.coords] for r in rs.positive_roots(RootKind.COMPACT)]
-    num = math.prod(lam.pairings) * rho_k.den ** len(compact)
+    num = math.prod(lam.pairings) * rho_den ** len(compact)
     den = lam.den ** (2 * len(lam.pairings))
-    den *= math.prod(rs.form_scale * sum(map(mul, rho_k.ints[0], a)) for a in compact)
+    den *= math.prod(rs.form_scale * sum(map(mul, rho_k, a)) for a in compact)
     return pref * abs(num / den)
 
 
@@ -507,7 +508,7 @@ def omega(rs: RootSystem, lam: HCParameter, h: NoncompactCartanElement) -> compl
     m = _Torus(h.compact_angles, lam.den, rs.dim)
     t, den = abs(h.log_a), lam.den
     row, d = lam._row, rs.dim
-    x = m.phases(lam.omega_rows)
+    x = m.phases(lam.omega_columns)
     half = -0.5 if h.chamber is Chamber.H_MINUS else 0.5
     if rs.descriptor.family is Family.SU:
         middle = d * (d - 2)
@@ -544,7 +545,6 @@ def omega(rs: RootSystem, lam: HCParameter, h: NoncompactCartanElement) -> compl
 def central_character(rs: RootSystem, lam: HCParameter, z: TorusElement) -> complex:
     """zeta_lam(z) = e^{lam - rho_g}(z) on the unit circle; z must be central."""
     torus = _Torus(z.angles, lam.den, rs.dim)
-    if not all(map(torus.is_one, torus.turns(lam.roots))):
+    if not all(map(torus.is_one, torus.turns(lam.rho_roots)[1:])):
         raise ValueError("element is not central: a root is nontrivial on it")
-    shifted = _Rows([tuple(map(sub, lam._row, lam.rho_g.ints[0]))], lam.den)
-    return torus.phase(torus.turns(shifted)[0])
+    return torus.phase(torus.turns(_Columns(zip(map(sub, lam._row, lam._rho)), lam.den))[0])

@@ -3,7 +3,9 @@
 * The pairings and phases: the form-scaled pairing ``inner``, the coroot
   pairing ``coroot_pairing`` and e^beta(t) as ``character_exp``, summed
   coordinate by coordinate in Fractions (floats once an angle is a float),
-  sharing no code with the integer rows of ``ranklef.chars``.
+  sharing no code with the integer columns of ``ranklef.chars``; a
+  rational turn is reduced mod 1 into (-1/2, 1/2], as ``chars`` reduces its
+  residues.
 * Dense Weyl matrices.  ``ranklef.rootsys`` enumerates a Weyl group as signed
   permutations from its closed form; the tests recompute the groups here as
   dense matrices of exact entries, closed from the reflections
@@ -24,10 +26,12 @@
   discriminant, the trace polynomial by the Chebyshev recursion, the
   Eichler-Selberg trace built from both, and tau as the 8th power of Jacobi's
   cube by repeated sparse products.
-* The Weyl orbit sums that ``ranklef.chars`` takes as determinants, at 50
-  digits over the whole orbit (``mp_elliptic``, ``mp_omega``), a float
-  W(g,t) orbit sum for Omega, and the stated error budget of each
-  determinant term and of each float orbit sum; see "Error budgets" below.
+* The Weyl orbit sums of ``ranklef.chars`` at 50 digits over the whole
+  orbit: the ones it takes as determinants (``mp_elliptic``, ``mp_omega``)
+  and the ones it adds per residue (``mp_singular_elliptic``,
+  ``mp_unipotent``, ``mp_character``), a float W(g,t) orbit sum for Omega,
+  and the stated error budget of each determinant term and of each float
+  orbit sum; see "Error budgets" below.
 """
 
 import cmath
@@ -59,9 +63,11 @@ def dot(coords, q):
 
 
 def phase(x):
-    """exp(2 pi i x), reduced mod 1 first when x is a Fraction."""
+    """exp(2 pi i x), reduced mod 1 into (-1/2, 1/2] first when x is a Fraction."""
     if isinstance(x, Fraction):
         x = x - (x.numerator // x.denominator)
+        if x > Fraction(1, 2):
+            x -= 1
         return cmath.exp(2j * math.pi * (x.numerator / x.denominator))
     return cmath.exp(2j * math.pi * x)
 
@@ -450,7 +456,8 @@ def tau_by_cube_products(N):
 #
 # * Phases.  The package evaluates e^v(t) = exp(2 pi i theta) as
 #   cmath.exp(2j * math.pi * theta_hat).  With T = 1 on the exact path
-#   (theta_hat = (N mod D) / D, one rounding, 0 <= theta < 1) and T an upper
+#   (theta_hat = r / D for the residue r of N in (-D/2, D/2], one rounding,
+#   |theta| <= 1/2) and T an upper
 #   bound of sum_i |v_i q_i| on the float path (each of the d terms takes
 #   v_i / den, q_i and their product, and the sum adds d - 1 roundings), the
 #   argument is off by at most 2 pi gamma_{d+4} T, and cos and sin by at most
@@ -476,6 +483,17 @@ def tau_by_cube_products(N):
 #   of its value.
 # * Float orbit sums.  sum_w c_w e^{v_w}, added in order from 0, is within
 #   ((1 + gamma_{|W|+1})(1 + eps)(1 + rho) - 1) sum_w |c_w| of its value.
+#   ``chars._Torus.sum`` adds on the exact path the coefficients per residue
+#   (exactly when they are integers, in row order otherwise), multiplies each
+#   residue's sum by its phase, adds those in residue order and divides by an
+#   integer scale s: each c_w e^{v_w} / s passes through at most
+#   K = 2 |W| + 4 roundings (|W| - 1 within its residue, one int-to-float
+#   conversion, 3 for the phase product, |W| - 1 across residues, 2 for the
+#   division); the float path adds term by term, with fewer.  With |c_hat_w -
+#   c_w| <= beta_w for coefficients that are themselves rounded, the sum is
+#   within ((1 + gamma_K)(1 + eps) - 1) sum_w |c_w| + (1 + gamma_K)(1 + eps)
+#   sum_w beta_w of its value, both sums taken after the division by s
+#   (``orbit_sum_budget``).
 
 DIGITS = 50
 
@@ -640,21 +658,99 @@ def numerator_budget(rs, lam, xi):
         return 2 ** (n + 1) * ((1 + K) * _permanent(S_eps) * (s + eps) - _permanent(S) * s)
 
 
+def _denominator_error(eps, factors):
+    """delta_D = (1 + eps) prod_b (1 + delta_b) (1 + gamma_{3 |factors|}) - 1 for
+    D = e^{rho_g}(xi) prod_b f_b, with f_b = 1 - e^{-b}(xi) and
+    delta_b = (1 + u)(eps + gamma_12) / ((1 - eps) |f_b|) + u."""
+    u = _unit_roundoff()
+    delta_D = (1 + eps) * (1 + gamma(3 * len(factors))) - 1
+    for f in factors:
+        delta_D = (1 + delta_D) * (1 + (1 + u) * (eps + gamma(12)) / ((1 - eps) * abs(f)) + u) - 1
+    return delta_D
+
+
 def elliptic_budget(rs, lam, xi, N=None):
     """The stated bound on |V_hat - V| for ``elliptic_orbital_term`` at a
     regular xi: ``numerator_budget`` through the division (see above), with
-    delta_D = (1 + eps) prod_b (1 + delta_b) (1 + gamma_{3|R+|}) - 1,
-    delta_b = (1 + u)(eps + gamma_12) / ((1 - eps) |1 - e^{-b}(xi)|) + u.
-    ``N`` defaults to ``mp_numerator``."""
+    delta_D from ``_denominator_error`` over R+.  ``N`` defaults to
+    ``mp_numerator``."""
     with mpmath.workdps(DIGITS):
-        u, eps = _unit_roundoff(), phase_error(rs, lam, xi.angles)
+        eps = phase_error(rs, lam, xi.angles)
         rho, factors = _denominator_factors(rs, xi)
-        delta_D = (1 + eps) * (1 + gamma(3 * len(factors))) - 1
-        for f in factors:
-            delta_D = (1 + delta_D) * (1 + (1 + u) * (eps + gamma(12)) / ((1 - eps) * abs(f)) + u) - 1
         if N is None:
             N = mp_numerator(rs, lam, xi)
-        return _quotient_budget(numerator_budget(rs, lam, xi), N, rho * mpmath.fprod(factors), delta_D)
+        D = rho * mpmath.fprod(factors)
+        return _quotient_budget(numerator_budget(rs, lam, xi), N, D, _denominator_error(eps, factors))
+
+
+def orbit_sum_budget(rs, lam, angles, weight, beta=0):
+    """The stated bound for a float orbit sum of ``chars`` (see above) over
+    W(k,t): ((1 + gamma_K)(1 + eps) - 1) sum_w |c_w| + (1 + gamma_K)(1 + eps)
+    sum_w beta_w, K = 2 |W_k| + 4, with ``weight`` = sum_w |c_w| and ``beta``
+    = sum_w beta_w, the bound on the error of the computed coefficients."""
+    with mpmath.workdps(DIGITS):
+        grow = (1 + gamma(2 * len(weyl_group(rs, "compact")) + 4)) * (1 + phase_error(rs, lam, angles))
+        return (grow - 1) * weight + grow * beta
+
+
+def mp_singular_elliptic(rs, lam, xi):
+    """The elliptic term at a singular xi at DIGITS digits, and its stated
+    budget for ``elliptic_orbital_term``.  R+(xi) holds the roots whose turn
+    at xi is an integer (a float angle is the dyadic rational it holds).  For
+    lambda on the weight lattice this is ``full_average_orbital_term``: the
+    sum over all of W_k divided by |W_{k_xi}|.  Off the lattice the summand
+    is not constant on cosets, so the sum runs over the member of each coset
+    with <w.lam, a> > 0 for every compact a in R+(xi), the rep
+    ``test_weyl_tables.ref_coset_reps`` closes.  The budget takes beta_N from
+    ``orbit_sum_budget`` over the reps through the division by D over
+    R+ \\ R+(xi)."""
+    with mpmath.workdps(DIGITS):
+        turns = [_turn(r.coords, xi.angles) for r in rs.positive_roots()]
+        fixed = [r for r, t in zip(rs.positive_roots(), turns) if t.denominator == 1]
+        compact = [r for r in fixed if r.kind is RootKind.COMPACT]
+        size = len(_closure(rs, tuple(compact))) if is_integral(rs, lam.lam) else 1
+        q = [Fraction(a) for a in xi.angles]
+        terms, weight = [], Fraction(0)
+        for det, wl in _dense_orbit(rs, lam.lam.coords, True):
+            if size == 1 and any(inner(rs, Weight(wl), r) <= 0 for r in compact):
+                continue
+            coeff = det * math.prod(inner(rs, Weight(wl), r) for r in fixed)
+            terms.append(_mp(coeff) * _mp_phase(sum(a * b for a, b in zip(wl, q))))
+            weight += abs(coeff)
+        N = mpmath.fsum(terms) / size
+        factors = [1 - 1 / _mp_phase(t) for t in turns if t.denominator != 1]
+        D = _mp_phase(_turn(rs.rho_g.coords, xi.angles)) * mpmath.fprod(factors)
+        beta_N = orbit_sum_budget(rs, lam, xi.angles, _mp(weight) / size)
+        delta_D = _denominator_error(phase_error(rs, lam, xi.angles), factors)
+        return (-1) ** (rs.dim_p // 2) * N / D, _quotient_budget(beta_N, N, D, delta_D)
+
+
+def mp_unipotent(rs, lam, entry):
+    """The unipotent sum of a parabolic I entry at DIGITS digits,
+    sum_{W_k} conj(<w.lam, z0>)^h prod_{a in R+(xi0)} <w.lam, a> e^{w.lam}(eta)
+    with h = dim_n_eta1 / 2 and z0 the dyadic rationals its floats hold, and
+    the stated budget of ``HCParameter.unipotent_sum``: ``orbit_sum_budget``
+    with beta_w = |P_w| ((|z_w| + delta_w)^h - |z_w|^h + gamma_{2h+2} (|z_w| + delta_w)^h),
+    where P_w is the product of pairings and delta_w = gamma_{d+1}
+    sum_j |(w.lam)_j z0_j| bounds the error of the float dot z_w (each term
+    divided, multiplied and added in coordinate order), and the power (at
+    most 2h real roundings for h <= 100) and the product with P_w add
+    2h + 2 roundings."""
+    h = entry.dim_n_eta1 // 2
+    z0 = [Fraction(p) for p in entry.z0_pairing]
+    with mpmath.workdps(DIGITS):
+        terms, weight, beta = [], mpmath.mpf(0), mpmath.mpf(0)
+        for _, wl in _dense_orbit(rs, lam.lam.coords, True):
+            P = _mp(math.prod((inner(rs, Weight(wl), Weight(a)) for a in entry.Rplus_xi0), start=Fraction(1)))
+            z = _mp(sum((c * p for c, p in zip(wl, z0, strict=True)), Fraction(0))) if h else 0
+            coeff = z**h * P
+            terms.append(coeff * _mp_phase(_turn(wl, entry.eta_torus.angles)))
+            weight += abs(coeff)
+            if h:
+                delta = gamma(rs.dim + 1) * _mp(sum(abs(c * p) for c, p in zip(wl, z0)))
+                grown = (abs(z) + delta) ** h
+                beta += abs(P) * (grown - abs(z) ** h + gamma(2 * h + 2) * grown)
+        return mpmath.fsum(terms), orbit_sum_budget(rs, lam, entry.eta_torus.angles, weight, beta)
 
 
 def _quotient_budget(beta_N, N, D, delta_D):
@@ -782,14 +878,13 @@ def float_omega_budget(rs, lam, h, group, weight):
 
 def character_budget(rs, lam, t, N):
     """The stated bound on |V_hat - V| for ``ds_character_Treg``: its W_k
-    orbit sum of |W_k| unit terms, within |W_k| ((1 + gamma_{|W_k|+1})(1 + eps) - 1),
+    orbit sum of |W_k| unit terms, within ``orbit_sum_budget`` of weight |W_k|,
     divided by prod_{R+} (e^{b/2} - e^{-b/2}), whose factors g are each within
     (1 + u)(eps + (eps + gamma_12) / (1 - eps)) + u |g|, through |R+| complex
     products.  ``N`` is the numerator's exact value (or a bound on it)."""
     with mpmath.workdps(DIGITS):
         u, eps = _unit_roundoff(), phase_error(rs, lam, t.angles)
-        size = len(weyl_group(rs, "compact"))
-        beta_N = size * ((1 + gamma(size + 1)) * (1 + eps) - 1)
+        beta_N = orbit_sum_budget(rs, lam, t.angles, len(weyl_group(rs, "compact")))
         factors = []
         for r in rs.positive_roots():
             e = _mp_phase(_turn(r.coords, t.angles) / 2)
@@ -798,6 +893,15 @@ def character_budget(rs, lam, t, N):
         for g in factors:
             delta = (1 + delta) * (1 + (1 + u) * (eps + (eps + gamma(12)) / (1 - eps)) / abs(g) + u) - 1
         return _quotient_budget(beta_N, N, mpmath.fprod(factors), delta)
+
+
+def mp_character(rs, lam, t):
+    """``ds_character_Treg`` at DIGITS digits, ``mp_numerator`` over
+    prod_{R+} (e^{b/2} - e^{-b/2}), and its stated budget."""
+    with mpmath.workdps(DIGITS):
+        N = mp_numerator(rs, lam, t)
+        halves = [_mp_phase(_turn(r.coords, t.angles) / 2) for r in rs.positive_roots()]
+        return N / mpmath.fprod(e - 1 / e for e in halves), character_budget(rs, lam, t, N)
 
 
 def mp_numerator_by_det(rs, lam, t):

@@ -18,7 +18,7 @@ then its name.  The copy committed as ``tests/reports/grid.sha256`` is the
 manifest that ``test_report_grid`` holds every tree to; a change that moves
 report bytes on purpose refreshes it by copying the new file over it.
 
-The grid:
+The grid, 240 commands:
 
 * ``rootsys show`` on fifteen groups, so each family's root builder runs at
   both ends of its range;
@@ -37,7 +37,11 @@ The grid:
   wide geometry (angle denominators 5, 7, 12, 97 and 2**61 - 1, negative
   numerators, numerators near 2**52 and above 2**64, mixed Fraction and float
   vectors, R+(xi0) vectors with denominators) at mu = 4/3 and 5/3 times
-  rho_g - rho_k.
+  rho_g - rho_k;
+* ``lefschetz assemble --geom`` at MAX_TORUS_DIM (``max_dim_commands``):
+  su(5,1), so(12,1) and sp(5,1) on the benchmark's geometry generator with
+  seed 1, at mu = rho_g - rho_k and mu = 0, so that the singular classes and
+  the unipotent sum over the largest W(k,t) are pinned.
 
 A command that reads a file runs from the file's directory and names it
 without a directory, so its report does not depend on where the file lies.
@@ -65,7 +69,8 @@ from ranklef.rootsys import GroupDescriptor, build_root_system  # noqa: E402
 from reference import geometry_to_dict  # noqa: E402
 from test_cli import PINNED_REPORTS  # noqa: E402
 from test_weyl_tables import GROUPS as WIDE_GROUPS, make_geometry  # noqa: E402
-from workloads import Rank1Cli  # noqa: E402  (imports no ranklef code)
+from workloads import Rank1Cli, geometry_json, rho_n  # noqa: E402  (imports no ranklef code)
+from workloads import make_geometry as bench_geometry  # noqa: E402
 
 GROUPS = (
     "sl2r", "su(2,1)", "su(3,1)", "su(4,1)", "su(5,1)",
@@ -74,6 +79,7 @@ GROUPS = (
 )
 OVERFLOW_COMPARES = ((1000, 10), (1000, 2000), (500, 2000))
 SEEDS = (1, 2, 3)
+MAX_DIM_GROUPS = ("su(5,1)", "so(12,1)", "sp(5,1)")
 
 
 def sl2z_commands():
@@ -141,6 +147,20 @@ def wide_commands(workdir):
             yield f"wide-assemble-{slug}-rho{c.numerator}over3", argv
 
 
+def max_dim_commands(workdir):
+    """Write the benchmark's geometry (its generator, seed 1) for each group of
+    ``MAX_DIM_GROUPS`` to ``workdir``, and assemble it at mu = rho_g - rho_k
+    and mu = 0: the singular classes and the unipotent sum at MAX_TORUS_DIM."""
+    for group in MAX_DIM_GROUPS:
+        slug = re.sub(r"\W", "", group)
+        data = geometry_json(bench_geometry(random.Random(1), group))
+        (Path(workdir) / f"geom-{slug}.json").write_text(json.dumps(data), encoding="utf-8")
+        rho = rho_n(group)
+        for label, mu in (("rho", rho), ("zero", [0] * len(rho))):
+            argv = ["lefschetz", "assemble", "--group", group, "--mu", ",".join(map(str, mu))]
+            yield f"maxdim-assemble-{slug}-{label}", argv + ["--geom", f"geom-{slug}.json"]
+
+
 def run(argv, cwd):
     """Run one command in this process from ``cwd``: (stdout, stderr, exit code)."""
     out, err = io.StringIO(), io.StringIO()
@@ -167,6 +187,9 @@ def grid(workdir):
     wide_dir = Path(workdir) / "wide"
     wide_dir.mkdir()
     commands += [(name, argv, wide_dir) for name, argv in wide_commands(wide_dir)]
+    max_dir = Path(workdir) / "maxdim"
+    max_dir.mkdir()
+    commands += [(name, argv, max_dir) for name, argv in max_dim_commands(max_dir)]
     for name, argv, cwd in commands:
         yield (name, *run(argv, cwd))
 

@@ -1,10 +1,11 @@
-"""The determinant terms of ``chars`` against their stated error budgets.
+"""The float terms of ``chars`` against their stated error budgets.
 
 ``chars`` takes the elliptic term at a regular class and Omega as
-determinants of phases, not as Weyl orbit sums.  Each such term must lie
-within its stated budget (see "Error budgets" in ``reference``) of the same
-sum taken over the whole orbit at 50 digits: on the ``rank1-cli`` benchmark
-inputs of seeds 1-3 and on the SL(2,Z) preset.  At MAX_TORUS_DIM, where a
+determinants of phases, not as Weyl orbit sums, and adds the other orbit
+sums per residue.  Each such term must lie within its stated budget (see
+"Error budgets" in ``reference``) of the same sum taken over the whole
+orbit at 50 digits: on the ``rank1-cli`` benchmark inputs of seeds 1-3 (the
+orbit sums on seed 1) and on the SL(2,Z) preset.  At MAX_TORUS_DIM, where a
 50-digit orbit is too long, the determinants are held to the float orbit
 sums within both budgets.  The wide geometries are covered in
 ``test_weyl_tables``.
@@ -30,7 +31,7 @@ from ranklef.chars import (
     hc_parameter,
     omega,
 )
-from ranklef.lefschetz import geometry_from_dict
+from ranklef.lefschetz import elliptic_term, geometry_from_dict, parabolic_I_term
 from ranklef.rootsys import GroupDescriptor, Weight, build_root_system, weyl_group
 from ranklef.sl2 import MATCH_TOL, build_geom_sl2z, mu_from_weight, sl2_root_system
 from reference import (
@@ -43,7 +44,15 @@ from reference import (
     omega_budget,
     scale,
 )
-from test_weyl_tables import _torus, assert_moved_terms_within_budget, ref_vanishing_roots
+from test_weyl_tables import (
+    _torus,
+    assert_moved_terms_within_budget,
+    ref_elliptic_term,
+    ref_parabolic_I_term,
+    ref_vanishing_roots,
+    singular_part,
+    within,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import RANK1_GROUPS, Rank1Cli  # noqa: E402  (imports no ranklef code)
@@ -81,14 +90,24 @@ def _rank1_inputs(seed):
 
 @pytest.mark.parametrize("name", RANK1_GROUPS)
 def test_moved_terms_within_budget_on_the_rank1_cli_inputs(name):
+    """The determinant terms, and on seed 1 the orbit sums added per residue:
+    the elliptic term over the singular classes and the parabolic I term
+    (their residue tables are checked in ``test_weyl_tables``)."""
     rs = _rs(name)
     checked = 0
     for seed in (1, 2, 3):
         for group, mu, geom in _rank1_inputs(seed):
             if group == name:
-                moved, unbounded = assert_moved_terms_within_budget(rs, hc_parameter(rs, Weight(mu)), geom)
+                lam = hc_parameter(rs, Weight(mu))
+                moved, unbounded = assert_moved_terms_within_budget(rs, lam, geom)
                 assert unbounded == 0
                 checked += moved
+                if seed == 1:
+                    singular = singular_part(rs, geom)
+                    value, budget, unbounded = ref_elliptic_term(rs, lam, singular, tables=False)
+                    assert within(elliptic_term(rs, lam, singular), value, budget) and unbounded == 0
+                    assert within(parabolic_I_term(rs, lam, geom), *ref_parabolic_I_term(rs, lam, geom, tables=False))
+                    checked += len(singular.elliptic_classes)
     assert checked > 0
 
 

@@ -1,9 +1,12 @@
-"""The integer-row format stays inside ``chars``.
+"""The integer-column format stays inside ``chars``.
 
-``chars._Rows`` holds weights as integer rows over one denominator and
+``chars`` holds weights as integer columns over one denominator
+(``chars._Columns``), the W(k,t) orbit of lambda as ``HCParameter.columns``
+and its pairings with the roots as ``HCParameter.pairing_column``, and
 ``chars._Torus`` evaluates them; every Weyl orbit sum goes through
-``_Torus.sum``.  No other module of ``src/ranklef/`` may name either class or
-read a row's ``ints`` or ``floats``: it asks ``chars`` for the sum instead.
+``_Torus.sum``.  No other module of ``src/ranklef/`` may name either class,
+the orbit columns or the pairing columns: it asks ``chars`` for the sum
+instead.
 """
 
 import ast
@@ -11,13 +14,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "ranklef").glob("*.py"))
-CLASSES = {"_Rows", "_Torus"}
-ATTRIBUTES = CLASSES | {"ints", "floats"}
+CLASSES = {"_Columns", "_Torus"}
+ATTRIBUTES = CLASSES | {"columns", "rho_roots", "pairing_column", "_pairing_columns"}
 
 
 def _uses(tree):
-    """(line, name) for each use of a row class, by name, attribute or import,
-    and each read of a row's ``ints`` or ``floats``."""
+    """(line, name) for each use of ``_Columns`` or ``_Torus``, by name,
+    attribute or import, and each read of the columns or the pairing columns."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and node.id in CLASSES:
             yield node.lineno, node.id
@@ -34,7 +37,7 @@ def test_only_chars_reads_the_row_format():
         if path.name != "chars.py"
         for line, name in _uses(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    assert not outside, f"the row format is private to chars: {outside}"
+    assert not outside, f"the column format is private to chars: {outside}"
 
 
 def _full_weyl_calls(tree):
