@@ -86,14 +86,14 @@ def _unit(d: int, *terms: tuple[int, int]) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _combine(q: Sequence, columns: Sequence[Sequence]) -> list | None:
-    """sum_j x_j q_j per row of the columns, one pass per column with q_j != 0; None if none."""
+def _combine(q: Sequence, columns: Sequence[Sequence]) -> list:
+    """sum_j x_j q_j per row of the columns, one pass per column with q_j != 0; zeros if none."""
     acc = None
     for c, col in zip(q, columns, strict=True):
         if c:
             terms = map(mul, col, repeat(c))
             acc = terms if acc is None else map(add, acc, terms)
-    return None if acc is None else list(acc)
+    return [0] * len(columns[0]) if acc is None else list(acc)
 
 
 class _Torus:
@@ -119,8 +119,8 @@ class _Torus:
                 return [sum(map(mul, row, q)) % self.mod for row in columns.rows]
             return [sum(map(mul, row, q)) for row in zip(*columns.floats)]
         if self.exact:
-            return [v % self.mod for v in _combine(q, columns) or [0] * n]
-        return _combine(q, columns.floats) or [0.0] * n
+            return [v % self.mod for v in _combine(q, columns)]
+        return _combine(q, columns.floats)
 
     def phase(self, x: int | float) -> complex:
         """exp(2 pi i x / D), x taken in (-D/2, D/2] to keep small angles small, or exp(2 pi i x)."""
@@ -131,11 +131,8 @@ class _Torus:
         return p
 
     def phases(self, columns: _Columns) -> list[complex]:
-        """e^{row}(t) for each row in order, memoized on the exact path only."""
-        if self.exact:
-            return list(map(self.phase, self.turns(columns)))
-        exp, c = cmath.exp, 2j * math.pi
-        return [exp(c * x) for x in self.turns(columns)]
+        """e^{row}(t) for each row in order."""
+        return list(map(self.phase, self.turns(columns)))
 
     def is_one(self, x: int | float) -> bool:
         """Whether the phase is 1: exactly on the exact path, to UNITY_TOL otherwise."""
@@ -204,12 +201,6 @@ def _minors(entries: Sequence[float] | Sequence[complex], n: int) -> list:
     return m
 
 
-def _det(entries: Sequence[float] | Sequence[complex], n: int) -> float | complex:
-    """The determinant of the n x n matrix given row by row: its one entry
-    when n = 1, the full minor of ``_minors`` otherwise."""
-    return entries[0] if n == 1 else _minors(entries, n)[-1]
-
-
 def _i_power(k: int, v: float) -> complex:
     """i^k v, exactly."""
     return complex(*((v, 0.0), (0.0, v), (-v, 0.0), (0.0, -v))[k % 4])
@@ -234,30 +225,30 @@ class HCParameter:
         group = weyl_group(rs, "compact")
         self.signs = [w.sign for w in group]
         self.columns = _Columns(zip(*[w.act(self._row) for w in group]), self.den)  # act checks len(lam)
-        roots = [tuple(c.numerator * self.den for c in r.coords) for r in rs.positive]
-        self.rho_roots = _Columns(zip(self._rho, *roots), self.den)
-        self.pairings = [rs.form_scale * sum(map(mul, self._row, a)) for a in roots]
+        self._roots = [tuple(c.numerator * self.den for c in r.coords) for r in rs.positive]
+        self.rho_roots = _Columns(zip(self._rho, *self._roots), self.den)
+        self.pairings = [rs.form_scale * sum(map(mul, self._row, a)) for a in self._roots]
         if any(p <= 0 for p, r in zip(self.pairings, rs.positive) if r.kind is RootKind.COMPACT):
             raise ValueError("weight is not dominant for the compact positive system")
         self.regular = all(self.pairings)
         if self.regular and min(self.pairings) < 0:
             raise ValueError("lambda = mu + rho_k is regular but not dominant; "
                              "present the dominant chamber representative")
-        self._pairing_columns: dict[int, list[int]] = {}
+        self._pairing_columns: dict[tuple[int, ...], list[int]] = {}
 
-    def pairing_column(self, i: int) -> list[int]:
-        """den^2 <w.lam, a> over the orbit for a = R+(g,t)[i], from the columns a reads."""
-        if i not in self._pairing_columns:
-            a = [self.rs.form_scale * self.den * int(c) for c in self.rs.positive[i].coords]
-            self._pairing_columns[i] = _combine(a, self.columns)
-        return self._pairing_columns[i]
+    def pairing_column(self, a: tuple[int, ...]) -> list[int]:
+        """s (w.lam . a) over the orbit for an integer vector a, s = form_scale, kept by a:
+        den^2 <w.lam, b> when a is den b for a root b of R+(g,t)."""
+        if a not in self._pairing_columns:
+            self._pairing_columns[a] = _combine([self.rs.form_scale * c for c in a], self.columns)
+        return self._pairing_columns[a]
 
     def coset_terms(self, fixed: Sequence[int]) -> tuple[list[int], _Columns, int]:
         """The sum over W_{k_xi} \\ W_k at a singular xi as (integer coefficients, columns of the
         reps w, scale den^(2 |R+(xi)|)), for the roots ``fixed`` of R+(xi): lambda is strictly
         dominant for the compact ones, which generate W_{k_xi}, so each right coset W_{k_xi} w
         holds one w with <w.lam, a> > 0 for them all, its rep, with det(w) prod den^2 <w.lam, a>."""
-        cols = [self.pairing_column(i) for i in fixed]
+        cols = [self.pairing_column(self._roots[i]) for i in fixed]
         masks = [map((0).__lt__, c) for c, i in zip(cols, fixed)
                  if self.rs.positive[i].kind is RootKind.COMPACT]
         coeffs, reps = self.signs, self.columns
@@ -310,10 +301,9 @@ class HCParameter:
         vectors, den = _ints(Rplus_xi0)
         coeffs: list = [1] * len(self.signs)
         for a in vectors:
-            col = _combine(a, self.columns) or [0] * len(coeffs)
-            coeffs = [self.rs.form_scale * v * c for v, c in zip(col, coeffs)]
+            coeffs = list(map(mul, self.pairing_column(a), coeffs))
         if half_dim:
-            z = _combine(z0, self.columns.floats) or [0.0] * len(coeffs)
+            z = _combine(z0, self.columns.floats)
             coeffs = [complex(v).conjugate() ** half_dim * c for v, c in zip(z, coeffs)]
         return coeffs, self.columns, (self.den * den) ** len(vectors)
 
@@ -410,11 +400,11 @@ def _weyl_numerator(rs: RootSystem, lam: HCParameter, torus: _Torus) -> complex:
     x = torus.phases(lam.numerator_columns)
     family, d = rs.descriptor.family, len(lam._row)
     if family is Family.SU:
-        return _det(x, d - 1)
+        return _minors(x, d - 1)[-1]
     n = d if family is Family.SO else d - 1
     if family is Family.SP:
-        return 2.0 ** (n + 1) * _i_power(n + 1, _det([p.imag for p in x[:-1]], n) * x[-1].imag)
-    return 2.0 ** (n - 1) * (_det([p.real for p in x], n) + _i_power(n, _det([p.imag for p in x], n)))
+        return 2.0 ** (n + 1) * _i_power(n + 1, _minors([p.imag for p in x[:-1]], n)[-1] * x[-1].imag)
+    return 2.0 ** (n - 1) * (_minors([p.real for p in x], n)[-1] + _i_power(n, _minors([p.imag for p in x], n)[-1]))
 
 
 def elliptic_orbital_term(rs: RootSystem, lam: HCParameter, xi: TorusElement) -> complex:

@@ -198,19 +198,19 @@ def elliptic_classes(n: int) -> tuple[EllipticClassGroup, ...]:
     and the centralizer of M is the automorphism group of its form.  The
     form is positive definite for c > 0 and negative definite for c < 0, one
     orientation each, so every reduced positive form of discriminant
-    t^2 - 4n stands for two classes (Cohen, GTM 138, section 5.3).
+    t^2 - 4n stands for two classes (Cohen, GTM 138, section 5.3).  t and -t
+    share their forms, so each |t| is enumerated once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    groups: list[EllipticClassGroup] = []
     tmax = isqrt(4 * n - 1)
-    for t in range(-tmax, tmax + 1):
+    by_trace: list[list[tuple[int, int]]] = []
+    for t in range(tmax + 1):
         by_order: dict[int, int] = {}
         for _, _, _, aut in _reduced_forms(4 * n - t * t):
             by_order[aut] = by_order.get(aut, 0) + 2
-        for w in sorted(by_order):
-            groups.append(EllipticClassGroup(t, by_order[w], w))
-    return tuple(groups)
+        by_trace.append(sorted(by_order.items()))
+    return tuple(EllipticClassGroup(t, count, w) for t in range(-tmax, tmax + 1) for w, count in by_trace[abs(t)])
 
 
 # ---------------------------------------------------------------------------

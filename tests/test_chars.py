@@ -20,6 +20,8 @@ from ranklef.chars import (
     NoncompactCartanElement,
     SingularElementError,
     TorusElement,
+    _Columns,
+    _Torus,
     central_character,
     ds_character_Treg,
     elliptic_orbital_term,
@@ -29,6 +31,7 @@ from ranklef.chars import (
     weyl_denominator_T,
 )
 from ranklef.rootsys import (
+    MAX_TORUS_DIM,
     GroupDescriptor,
     RootKind,
     Weight,
@@ -567,3 +570,32 @@ def test_hc_parameter_wrapper():
     lam = hc_parameter(SL2, mu)
     assert lam.lam == mu  # rho_k = 0 here
     assert lam.regular
+
+
+# ---------------------------------------------------------------------------
+# The two paths of _Torus.turns
+
+
+def _turn_tori(dim):
+    """A rational element, its float copy, and the identity on both paths."""
+    rng = random.Random(22)
+    exact = [Fraction(rng.randint(-60, 60), rng.choice((5, 7, 12, 97))) for _ in range(dim)]
+    return exact, [float(a) for a in exact], [Fraction(0)] * dim, [0.0] * dim
+
+
+@pytest.mark.parametrize("name", ["su(5,1)", "so(12,1)", "sp(5,1)"])
+def test_turns_agree_below_and_above_twelve_rows(name):
+    """``_Torus.turns`` takes one dot per row below 12 rows and one pass per
+    column (``_combine``, a zero column at the identity) from 12 rows on;
+    both give the same turns, on the exact path and on the float path."""
+    rs = build_root_system(GroupDescriptor.from_name(name))
+    assert rs.dim == MAX_TORUS_DIM
+    lam = hc_parameter(rs, rs.rho_g - rs.rho_k)
+    rows = lam.columns.rows
+    assert len(rows) >= 12
+    head, few, many = (_Columns(zip(*part), lam.den) for part in (rows[:11], rows[:5], rows[:5] * 3))
+    for angles in _turn_tori(rs.dim):
+        torus = _Torus(angles, lam.den, rs.dim)
+        assert torus.exact is (type(angles[0]) is Fraction)
+        assert torus.turns(head) == torus.turns(lam.columns)[:11]
+        assert torus.turns(many) == torus.turns(few) * 3

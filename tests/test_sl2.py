@@ -348,7 +348,7 @@ def test_elliptic_classes_golden_n2():
     )
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 100, 997, 2000])
 def test_elliptic_classes_hurwitz_coherence(n):
     groups = elliptic_classes(n)
     by_trace = {}
