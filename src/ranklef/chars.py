@@ -63,7 +63,8 @@ def _ints(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]],
 
 class _Columns(list):
     """Weights as integer columns over ``den``, one per coordinate, as ``_Torus``
-    reads them; their rows and float copies x / den are built on first use."""
+    reads them; their rows and float copies x / den (columns over den 1) are
+    built on first use."""
 
     def __init__(self, columns: Iterable[Sequence[int]], den: int):
         super().__init__(columns)
@@ -74,8 +75,8 @@ class _Columns(list):
         return list(zip(*self))
 
     @cached_property
-    def floats(self) -> list[list[float]]:
-        return [[x / self.den for x in col] for col in self]
+    def floats(self) -> _Columns:
+        return _Columns(([x / self.den for x in col] for col in self), 1)
 
 
 def _unit(d: int, *terms: tuple[int, int]) -> tuple[int, ...]:
@@ -99,7 +100,7 @@ def _combine(q: Sequence, columns: Sequence[Sequence]) -> list:
 class _Torus:
     """The angles of one torus element, to pair with ``_Columns``: the one evaluator of e^v(t).
     ``turns`` gives <v, q> per row, as N mod D on the exact path (0 exactly when e^v(t) = 1)
-    or as a float; ``phase`` memoizes exp(2 pi i <v, q>) by it; ``sum`` sums every orbit."""
+    or as a float; ``phase`` takes exp(2 pi i <v, q>) of it; ``sum`` sums every orbit."""
 
     def __init__(self, angles: Sequence[Angle], den: int, dim: int):
         if len(angles) != dim:
@@ -110,25 +111,21 @@ class _Torus:
             self.mod = den * L
         else:
             self.q = tuple(float(a) for a in angles)
-        self._phases: dict[int | float, complex] = {}
 
     def turns(self, columns: _Columns) -> list[int] | list[float]:
-        q, n = self.q, len(columns[0])
-        if n < 12:  # a few rows: one dot per row is cheaper than one pass per column
-            if self.exact:
-                return [sum(map(mul, row, q)) % self.mod for row in columns.rows]
-            return [sum(map(mul, row, q)) for row in zip(*columns.floats)]
-        if self.exact:
-            return [v % self.mod for v in _combine(q, columns)]
-        return _combine(q, columns.floats)
+        q = self.q
+        if not self.exact:
+            columns = columns.floats
+        if len(columns[0]) < 12:  # a few rows: one dot per row is cheaper than one pass per column
+            v = [sum(map(mul, row, q)) for row in columns.rows]
+        else:
+            v = _combine(q, columns)
+        return [x % self.mod for x in v] if self.exact else v
 
     def phase(self, x: int | float) -> complex:
         """exp(2 pi i x / D), x taken in (-D/2, D/2] to keep small angles small, or exp(2 pi i x)."""
-        p = self._phases.get(x)
-        if p is None:
-            theta = (x - self.mod if 2 * x > self.mod else x) / self.mod if self.exact else x
-            p = self._phases[x] = cmath.exp(2j * math.pi * theta)
-        return p
+        theta = (x - self.mod if 2 * x > self.mod else x) / self.mod if self.exact else x
+        return cmath.exp(2j * math.pi * theta)
 
     def phases(self, columns: _Columns) -> list[complex]:
         """e^{row}(t) for each row in order."""

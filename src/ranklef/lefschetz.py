@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chars import (
+    UNITY_TOL,
     Chamber,
     HCParameter,
     NoncompactCartanElement,
@@ -31,8 +32,6 @@ from .chars import (
 )
 from .jsonin import Fields, angles, number
 from .rootsys import RootSystem, Weight
-
-CENTRAL_CHARACTER_TOL = 1e-9
 
 
 class MissingResidueError(ValueError):
@@ -112,7 +111,7 @@ def central_term(rs: RootSystem, lam: HCParameter, geom: GeometricData) -> compl
     if not geom.central_classes:
         return 0.0
     trivial = all(
-        abs(central_character(rs, lam, cc.z) - 1.0) < CENTRAL_CHARACTER_TOL
+        abs(central_character(rs, lam, cc.z) - 1.0) < UNITY_TOL
         for cc in geom.central_classes
     )
     if not trivial:

@@ -14,10 +14,10 @@ two independent classical oracles:
   expanded trace polynomial, and the divisor boundary term.
 
 Measure conventions of the preset (all volumes in one calibration unit):
-vol(Gamma\\G) = pi/3, an elliptic entry weighs (classes in its group) /
-|centralizer|, the compact factor M = {+-1} carries probability Haar so
-finite quotients weigh 1/2.  The global calibration constant is frozen on
-the (k=12, n=1) datum.
+vol(Gamma\\G) = pi/3, the elliptic entry of a trace and orientation weighs
+the sum of 1/|centralizer| over its classes, the compact factor M = {+-1}
+carries probability Haar so finite quotients weigh 1/2.  The global
+calibration constant is frozen on the (k=12, n=1) datum.
 """
 
 from __future__ import annotations
@@ -181,36 +181,25 @@ def _reduced_forms(D: int):
         A += 1
 
 
-@dataclass(frozen=True)
-class EllipticClassGroup:
-    trace: int
-    class_count: int
-    centralizer_order: int
-
-
 @lru_cache(maxsize=None)
-def elliptic_classes(n: int) -> tuple[EllipticClassGroup, ...]:
-    """Conjugacy classes of elliptic determinant-n matrices, grouped by
-    (trace, centralizer order).
+def elliptic_classes(n: int) -> tuple[tuple[int, int], ...]:
+    """(t, 12 w) for each trace t of an elliptic determinant-n matrix, where w
+    is the sum of 1/|centralizer| over its conjugacy classes of one orientation.
 
     M = [[a,b],[c,d]] corresponds to the form c x^2 + (d-a) xy - b y^2 of
     discriminant t^2 - 4n: SL(2,Z)-conjugation of M is equivalence of forms,
     and the centralizer of M is the automorphism group of its form.  The
     form is positive definite for c > 0 and negative definite for c < 0, one
     orientation each, so every reduced positive form of discriminant
-    t^2 - 4n stands for two classes (Cohen, GTM 138, section 5.3).  t and -t
-    share their forms, so each |t| is enumerated once.
+    t^2 - 4n stands for two classes (Cohen, GTM 138, section 5.3), and
+    12 w = sum 12 // |Aut| over those forms = 6 H(4n - t^2), an integer.  t
+    and -t share their forms, so each |t| is enumerated once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     tmax = isqrt(4 * n - 1)
-    by_trace: list[list[tuple[int, int]]] = []
-    for t in range(tmax + 1):
-        by_order: dict[int, int] = {}
-        for _, _, _, aut in _reduced_forms(4 * n - t * t):
-            by_order[aut] = by_order.get(aut, 0) + 2
-        by_trace.append(sorted(by_order.items()))
-    return tuple(EllipticClassGroup(t, count, w) for t in range(-tmax, tmax + 1) for w, count in by_trace[abs(t)])
+    twelve_w = [sum(12 // aut for *_, aut in _reduced_forms(4 * n - t * t)) for t in range(tmax + 1)]
+    return tuple((t, twelve_w[abs(t)]) for t in range(-tmax, tmax + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +344,12 @@ def build_geom_sl2z(n: int, extra_class_reps: tuple[IntegerMatrix, ...] = ()) ->
         for tag, angles in zip((f"{r}I", f"-{r}I"), _PLUS_MINUS_I):
             central.append(CentralClass(tag=tag, z=TorusElement(angles)))
 
-    # the classes of one group and orientation give equal terms: one entry each
+    # the classes of one trace and orientation give equal terms: one entry each
     elliptic: list[EllipticClass] = []
-    for grp in elliptic_classes(n):
-        q = _elliptic_rep_angle(grp.trace, n)
-        weight = (grp.class_count // 2) / grp.centralizer_order
+    for t, twelve_w in elliptic_classes(n):
+        q = _elliptic_rep_angle(t, n)
         for angles in ((q, -q), (-q, q)):
-            elliptic.append(EllipticClass(rep=TorusElement(angles), vol_quotient=weight))
+            elliptic.append(EllipticClass(rep=TorusElement(angles), vol_quotient=twelve_w / 12))
 
     # No parabolic I entries: at eta = +-sqrt(n) I, c- = -c+ and C- = C+, so
     # c+ C+ + c- C- is exactly 0, as Eichler-Selberg has no unipotent term.

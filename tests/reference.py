@@ -20,7 +20,8 @@
 * ``all_roots``, the full root set R(g,t) = R+ and -R+.
 * ``torus_sl2``, the su(1,1) torus element with a given root angle.
 * ``c_sign``, the sign function of the character formula on H.
-* ``unfolded_sl2z_elliptic``, the SL(2,Z) elliptic entries one per class.
+* ``unfolded_sl2z_elliptic``, the SL(2,Z) elliptic entries one per reduced
+  form and orientation.
 * The classical oracles by their direct definitions, sharing no code with
   ``ranklef.sl2``: Hurwitz class numbers by a reduced-form loop per
   discriminant, the trace polynomial by the Chebyshev recursion, the
@@ -45,7 +46,7 @@ import mpmath
 from ranklef.chars import Chamber, TorusElement
 from ranklef.lefschetz import EllipticClass
 from ranklef.rootsys import Family, Root, RootKind, Weight, WeylElement, weyl_group
-from ranklef.sl2 import IntegerMatrix, _elliptic_rep_angle, elliptic_classes
+from ranklef.sl2 import IntegerMatrix, _elliptic_rep_angle, _reduced_forms
 
 # ---------------------------------------------------------------------------
 # Pairings and phases
@@ -323,19 +324,15 @@ def c_sign(rs, mu, chamber):
 
 def unfolded_sl2z_elliptic(n):
     """The elliptic entries of ``sl2.build_geom_sl2z(n)`` before equal classes
-    were folded: class_count // 2 copies per group and orientation, each
-    weighted 1 / |centralizer|."""
+    were folded: one per reduced form of discriminant t^2 - 4n and orientation,
+    each weighted 1 / |Aut| = 1 / |centralizer|."""
     entries = []
-    for grp in elliptic_classes(n):
-        q = _elliptic_rep_angle(grp.trace, n)
+    for t in range(-math.isqrt(4 * n - 1), math.isqrt(4 * n - 1) + 1):
+        q = _elliptic_rep_angle(t, n)
         for oriented_q in (q, -q):
-            for _ in range(grp.class_count // 2):
+            for *_, aut in _reduced_forms(4 * n - t * t):
                 entries.append(
-                    EllipticClass(
-                        rep=TorusElement((oriented_q, -oriented_q)),
-                        vol_quotient=1.0 / grp.centralizer_order,
-                        d_xi=1.0,
-                    )
+                    EllipticClass(rep=TorusElement((oriented_q, -oriented_q)), vol_quotient=1.0 / aut, d_xi=1.0)
                 )
     return tuple(entries)
 

@@ -36,7 +36,8 @@ PINNED_REPORTS = {
     "lefschetz-assemble-sl2z-k12-n2.json": [
         "lefschetz", "assemble", "--preset", "sl2z", "--k", "12", "--n", "2"
     ],
-    # n = 12 has class groups of four classes, so these guard their folding
+    # at n = 12, trace 0 has four classes per orientation, with centralizers
+    # of orders 2 and 6, so these guard their folding into one entry
     "sl2-compare-k12-n12.json": ["sl2", "compare", "--k", "12", "--n", "12"],
     "lefschetz-assemble-sl2z-k12-n12.json": [
         "lefschetz", "assemble", "--preset", "sl2z", "--k", "12", "--n", "12"

@@ -15,7 +15,6 @@ from ranklef.cli import json_default
 from ranklef.epstein import ClassProgression, EpsteinSpec, zeta_constant_terms
 from ranklef.lefschetz import ParabolicIData, assemble, elliptic_term, parabolic_I_term
 from ranklef.sl2 import (
-    EllipticClassGroup,
     IntegerMatrix,
     _elliptic_rep_angle,
     _hurwitz_sixths,
@@ -217,21 +216,19 @@ def centralizer_order(m):
 
 
 def graph_search_classes(n):
-    """elliptic_classes(n) by conjugation-graph search; the class count of
-    every trace must be the same on a box twice as large."""
+    """elliptic_classes(n) by conjugation-graph search: per trace, 12 // |centralizer|
+    summed over the class reps found, halved for the two orientations; the class
+    count of every trace must be the same on a box twice as large."""
     base = max(8, 2 * n)
-    groups = []
+    sums = []
     tmax = math.isqrt(4 * n - 1)
     for t in range(-tmax, tmax + 1):
         reps = _component_count(n, t, base)
         assert len(reps) == len(_component_count(n, t, 2 * base)), (n, t)
-        by_order = {}
-        for m in reps:
-            w = centralizer_order(IntegerMatrix(*m))
-            by_order[w] = by_order.get(w, 0) + 1
-        for w in sorted(by_order):
-            groups.append(EllipticClassGroup(t, by_order[w], w))
-    return tuple(groups)
+        both, odd = divmod(sum(12 // centralizer_order(IntegerMatrix(*m)) for m in reps), 2)
+        assert not odd, (n, t)
+        sums.append((t, both))
+    return tuple(sums)
 
 
 def test_hurwitz_small_table():
@@ -329,34 +326,21 @@ def test_hurwitz_sieve_sizes_its_table_to_the_level(monkeypatch):
 
 
 def test_elliptic_classes_golden_n1():
-    got = elliptic_classes(1)
-    assert got == (
-        EllipticClassGroup(-1, 2, 6),
-        EllipticClassGroup(0, 2, 4),
-        EllipticClassGroup(1, 2, 6),
-    )
+    # (t, 12 w): one form per trace, (1, 1, 1) with |Aut| = 6 and (1, 0, 1) with 4
+    assert elliptic_classes(1) == ((-1, 2), (0, 3), (1, 2))
 
 
 def test_elliptic_classes_golden_n2():
-    got = elliptic_classes(2)
-    assert got == (
-        EllipticClassGroup(-2, 2, 4),
-        EllipticClassGroup(-1, 2, 2),
-        EllipticClassGroup(0, 2, 2),
-        EllipticClassGroup(1, 2, 2),
-        EllipticClassGroup(2, 2, 4),
-    )
+    assert elliptic_classes(2) == ((-2, 3), (-1, 6), (0, 6), (1, 6), (2, 3))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 100, 997, 2000])
 def test_elliptic_classes_hurwitz_coherence(n):
-    groups = elliptic_classes(n)
-    by_trace = {}
-    for g in groups:
-        by_trace.setdefault(g.trace, Fraction(0))
-        by_trace[g.trace] += Fraction(g.class_count, g.centralizer_order)
-    for t, weight in by_trace.items():
-        assert weight == hurwitz_class_number(4 * n - t * t)
+    classes = elliptic_classes(n)
+    assert [t for t, _ in classes] == list(range(-math.isqrt(4 * n - 1), math.isqrt(4 * n - 1) + 1))
+    for t, twelve_w in classes:
+        assert type(twelve_w) is int
+        assert Fraction(twelve_w, 6) == hurwitz_class_number(4 * n - t * t)
 
 
 def test_centralizer_spot_checks():
@@ -387,9 +371,8 @@ def test_rational_rep_angles_are_fractions():
 
 
 def test_trace_zero_classes_have_order_four_reps():
-    for g in elliptic_classes(1):
-        if g.trace == 0:
-            assert g.centralizer_order == 4
+    # 12 // 4: one class per orientation at n = 1, of centralizer order 4
+    assert dict(elliptic_classes(1))[0] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +574,13 @@ def test_geom_hyperbolic_injection_is_discarded():
         build_geom_sl2z(2, extra_class_reps=(IntegerMatrix(0, -1, 2, 0),))
 
 
-def test_geom_has_one_elliptic_entry_per_class_group_and_orientation():
+def test_geom_has_one_elliptic_entry_per_trace_and_orientation():
     for n in range(1, 31):
-        groups = elliptic_classes(n)
+        classes = elliptic_classes(n)
         entries = build_geom_sl2z(n).elliptic_classes
-        assert len(entries) == 2 * len(groups), n
-        weights = [(g.class_count // 2) / g.centralizer_order for g in groups for _ in "+-"]
+        assert len(entries) == 2 * len(classes), n
+        assert len({c.rep for c in entries}) == len(entries), n
+        weights = [twelve_w / 12 for _, twelve_w in classes for _ in "+-"]
         assert [c.vol_quotient for c in entries] == weights, n
         # the reps of the one-entry-per-class list, each run of copies once
         unfolded_reps = [rep for rep, _ in itertools.groupby(c.rep for c in unfolded_sl2z_elliptic(n))]
