@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import combinations, compress, repeat
 from operator import add, and_, mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .rootsys import Family, RootKind, RootSystem, Weight, weyl_group
 
@@ -317,8 +316,7 @@ def hc_parameter(rs: RootSystem, mu: Weight) -> HCParameter:
     return HCParameter(rs, mu + rs.rho_k)
 
 
-@dataclass(frozen=True)
-class TorusElement:
+class TorusElement(NamedTuple):
     """t = exp(2 pi i diag(q)) for a coordinate vector q over the epsilon basis."""
 
     angles: tuple[Angle, ...]
@@ -345,25 +343,31 @@ def _chamber(log_a: float) -> Chamber:
     raise ValueError(f"log_a must be a number, not {log_a!r}")
 
 
-@dataclass(frozen=True)
-class NoncompactCartanElement:
-    """h = m a with m given by compact angles and a by the split coordinate."""
-
+class _NoncompactCartanFields(NamedTuple):
     compact_angles: tuple[Angle, ...]
     log_a: float
     chamber: Chamber
 
-    def __post_init__(self) -> None:
+
+class NoncompactCartanElement(_NoncompactCartanFields):
+    """h = m a with m given by compact angles and a by the split coordinate."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if _chamber(self.log_a) is not self.chamber:
             raise ValueError(f"chamber {self.chamber.value} requires log_a {_LOG_A_SIGN[self.chamber]}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
     @staticmethod
     def from_log_a(compact_angles: Sequence[Angle], log_a: float) -> "NoncompactCartanElement":
         return NoncompactCartanElement(tuple(compact_angles), float(log_a), _chamber(log_a))
 
 
-@dataclass(frozen=True)
-class CharacterValue:
+class CharacterValue(NamedTuple):
     value: complex
 
 

@@ -10,7 +10,6 @@ there.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -36,7 +35,7 @@ EXIT_NONINTEGRAL = 3
 
 # Largest Hecke level n the SL(2,Z) commands accept.  At n = 2000 a cold compare
 # takes about 0.016 s: 0.009 s the geometry (mostly the reduced forms behind its
-# 374 elliptic entries), 0.004 s the trace, whose sieve builds every class-number
+# 358 elliptic entries), 0.004 s the trace, whose sieve builds every class-number
 # table up to N = 8192 (medians of 7 fresh processes, Python 3.11, 2-vCPU shared
 # host).  A cold `sl2 oracle --k 12` takes 0.027 s, 0.014 s of it the tau table.
 MAX_SL2Z_LEVEL = 2000
@@ -58,15 +57,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def json_default(obj):
-    """The ``json.dumps`` hook for every report: a dataclass as its fields, a
-    complex number as an object with keys ``im`` and ``re``, and a rational as
-    its string."""
+    """The ``json.dumps`` hook for every report: a complex number as an object
+    with keys ``im`` and ``re``, and a rational as its string.  A record is a
+    tuple, which ``json.dumps`` writes as an array without calling this hook,
+    so a record reaches a report as its ``_asdict()``."""
     if isinstance(obj, complex):
         return {"im": obj.imag, "re": obj.real}
     if isinstance(obj, Fraction):
         return str(obj)
-    if dataclasses.is_dataclass(obj):
-        return vars(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -122,7 +120,7 @@ def _cmd_rootsys_show(args) -> int:
         "dim_p": rs.dim_p,
         "num_compact_positive": len(rs.positive_roots(RootKind.COMPACT)),
         "num_positive": len(rs.positive_roots()),
-        "positive_roots": rs.positive_roots(),
+        "positive_roots": [r._asdict() for r in rs.positive],
         "rho_g": rs.rho_g.coords,
         "rho_k": rs.rho_k.coords,
         "rho_p": rs.rho_p.coords,
@@ -167,7 +165,7 @@ def _cmd_assemble(args) -> int:
     mu = _resolve_mu(args, rs)
     bd = lef.assemble(rs, mu, geom)
     provenance = {"group": rs.descriptor.name(), "mu": mu.coords, "source": source}
-    _emit({**vars(bd), "provenance": provenance}, args.out)
+    _emit({**bd._asdict(), "provenance": provenance}, args.out)
     index_case = args.preset is not None and args.n == 1
     if index_case and bd.rounding_defect >= INTEGRALITY_TOL:
         print(
@@ -193,7 +191,7 @@ def _cmd_sl2_oracle(args) -> int:
 def _cmd_sl2_compare(args) -> int:
     _check_sl2z_bounds(args.n, args.k)
     rep = sl2.compare(args.k, args.n)
-    _emit(rep, args.out)
+    _emit(rep._asdict(), args.out)
     if not rep.match:
         print(
             f"MISMATCH: lefschetz {rep.lefschetz_value} vs oracle {rep.oracle_value} "
@@ -206,7 +204,7 @@ def _cmd_sl2_compare(args) -> int:
 
 def _cmd_epstein_const(args) -> int:
     spec = _read_json(args.spec, EpsteinSpec.from_dict, "bad Epstein spec")
-    _emit(zeta_constant_terms(spec), args.out)
+    _emit(zeta_constant_terms(spec)._asdict(), args.out)
     return EXIT_OK
 
 

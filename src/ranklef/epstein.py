@@ -17,8 +17,8 @@ correction terms, good to better than 1e-10 relative error on |s| <= 10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .jsonin import Fields
 
@@ -108,30 +108,44 @@ def digamma(a: float) -> float:
     return head + out
 
 
-@dataclass(frozen=True)
-class ClassProgression:
-    """One family of unipotent classes: weight w, norms {scale * (m + offset)}."""
-
+class _ProgressionFields(NamedTuple):
     weight: float
     scale: float
     offset: float = 1.0
 
-    def __post_init__(self) -> None:
-        if not all(0 < x < math.inf for x in (self.weight, self.scale, self.offset)):
+
+class ClassProgression(_ProgressionFields):
+    """One family of unipotent classes: weight w, norms {scale * (m + offset)}."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not all(0 < x < math.inf for x in self):
             raise ValueError("progression data must be finite and positive")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
 
-@dataclass(frozen=True)
-class EpsteinSpec:
+class _EpsteinSpecFields(NamedTuple):
     classes: tuple[ClassProgression, ...]
     lattice_vol: float
     exponent_base: int
 
-    def __post_init__(self) -> None:
+
+class EpsteinSpec(_EpsteinSpecFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.lattice_vol < math.inf:
             raise ValueError("lattice_vol must be finite and positive")
         if not 1 <= self.exponent_base <= MAX_EXPONENT_BASE:
             raise ValueError(f"exponent_base must be an integer from 1 to {MAX_EXPONENT_BASE}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
     @staticmethod
     def from_dict(data: dict) -> "EpsteinSpec":
@@ -160,15 +174,22 @@ class EpsteinSpec:
         return spec
 
 
-@dataclass(frozen=True)
-class LaurentConstant:
+class _LaurentFields(NamedTuple):
     constant_term: float
     pole_order_at_0: int
     residue_at_0: float = 0.0
 
-    def __post_init__(self) -> None:
+
+class LaurentConstant(_LaurentFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.pole_order_at_0 not in (0, 1):
             raise AssertionError("pole order at 0 must be 0 or 1")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
 
 def zeta_constant_terms(spec: EpsteinSpec) -> LaurentConstant:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chars import (
     UNITY_TOL,
@@ -38,21 +38,18 @@ class MissingResidueError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CentralClass:
+class CentralClass(NamedTuple):
     tag: str
     z: TorusElement
 
 
-@dataclass(frozen=True)
-class EllipticClass:
+class EllipticClass(NamedTuple):
     rep: TorusElement
     vol_quotient: float
     d_xi: float = 1.0
 
 
-@dataclass(frozen=True)
-class ParabolicIData:
+class _ParabolicIFields(NamedTuple):
     delta_flag: bool
     c_eta_plus: float
     c_eta_minus: float
@@ -63,21 +60,27 @@ class ParabolicIData:
     Rplus_xi0: tuple[tuple[Fraction, ...], ...] = ()
     z0_pairing: tuple[float, ...] = ()
 
-    def __post_init__(self) -> None:
+
+class ParabolicIData(_ParabolicIFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.dim_n_eta1 % 2 != 0:
             raise ValueError(f"dim_n_eta1 must be even, not {self.dim_n_eta1}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
 
-@dataclass(frozen=True)
-class ParabolicIIData:
+class ParabolicIIData(NamedTuple):
     vol_M: float
     det_Ad_n: float
     coset_index: int
     eta_H: NoncompactCartanElement
 
 
-@dataclass(frozen=True)
-class GeometricData:
+class GeometricData(NamedTuple):
     total_vol: float
     central_classes: tuple[CentralClass, ...] = ()
     elliptic_classes: tuple[EllipticClass, ...] = ()
@@ -87,8 +90,7 @@ class GeometricData:
     calibration: float = 1.0
 
 
-@dataclass(frozen=True)
-class LefschetzBreakdown:
+class LefschetzBreakdown(NamedTuple):
     central: complex
     elliptic: complex
     parabolic_I: complex

@@ -17,12 +17,11 @@ so(2n+1,1) has unequal rank and is rejected at construction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Vector = tuple[Fraction, ...]
 # Largest dim t accepted: |W| grows factorially, and at the bound so(12,1)
@@ -42,8 +41,7 @@ class RootKind(str, Enum):
     NONCOMPACT = "noncompact"
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(NamedTuple):
     """One of su(n,1), so(2n,1), sp(n,1); ``n`` is the first parameter."""
 
     family: Family
@@ -74,14 +72,12 @@ class GroupDescriptor:
         return GroupDescriptor(Family(fam), first)
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     coords: Vector
     kind: RootKind
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple):
     coords: Vector
 
     def __add__(self, other: "Weight") -> "Weight":
@@ -91,8 +87,7 @@ class Weight:
         return Weight(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """A Weyl element as the signed permutation it is in every supported
     family: coordinate i of w.x is ``signs[i] * x[perm[i]]``; ``sign`` is det w."""
 
@@ -107,8 +102,7 @@ class WeylElement:
         return tuple(x[j] if s == 1 else -x[j] for j, s in zip(self.perm, self.signs))
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     descriptor: GroupDescriptor
     positive: tuple[Root, ...]  # R+(g,t), in builder order; -R+ is implied
     rho_g: Weight

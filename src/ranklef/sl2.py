@@ -23,10 +23,10 @@ calibration constant is frozen on the (k=12, n=1) datum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 from .lefschetz import (
     CentralClass,
@@ -51,8 +51,7 @@ MATCH_TOL = 1e-6
 _PLUS_MINUS_I = ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(-1, 2)))
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(NamedTuple):
     a: int
     b: int
     c: int
@@ -70,8 +69,7 @@ class IntegerMatrix:
         return self.b == 0 and self.c == 0 and self.a == self.d
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     k: int
     n: int
     lefschetz_value: complex

@@ -240,7 +240,7 @@ def test_branch_exclusivity():
 
 
 def test_geometry_type_has_no_hyperbolic_slot():
-    fields = set(GeometricData.__dataclass_fields__)
+    fields = set(GeometricData._fields)
     assert fields == {
         "total_vol", "central_classes", "elliptic_classes",
         "parabolic_I", "parabolic_II", "residue_scalar", "calibration",
@@ -265,7 +265,7 @@ def test_geometry_json_roundtrip():
 
 def test_breakdown_dict_is_stable():
     bd = assemble(SL2, MU12, empty_geom(central_classes=(CentralClass("e", IDENTITY_Z),)))
-    report = {**vars(bd), "provenance": {"source": "unit"}}
+    report = {**bd._asdict(), "provenance": {"source": "unit"}}
     a = json.dumps(report, default=json_default, sort_keys=True)
     b = json.dumps(report, default=json_default, sort_keys=True)
     assert a == b

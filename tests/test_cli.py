@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from ranklef import cli, rootsys, sl2
+from ranklef import cli, epstein, rootsys, sl2
+from ranklef import lefschetz as lef
 from reference import geometry_to_dict
 
 
@@ -58,6 +59,30 @@ def test_report_bytes_are_pinned(capsys, expected):
     code, out, err = run(capsys, PINNED_REPORTS[expected])
     assert code == 0 and err == ""
     assert out == (REPORTS / expected).read_text(encoding="utf-8")
+
+
+# The keys of each report that is a record's fields: a record is a tuple, which
+# json.dumps would write as an array, so the CLI passes its _asdict().
+RECORD_KEYS = {
+    ("sl2", "compare"): set(sl2.OracleReport._fields),
+    ("lefschetz", "assemble"): set(lef.LefschetzBreakdown._fields) | {"provenance"},
+    ("epstein", "const"): set(epstein.LaurentConstant._fields),
+}
+
+
+@pytest.mark.parametrize("expected", PINNED_REPORTS)
+def test_reports_are_objects_with_record_fields_as_keys(capsys, expected):
+    argv = PINNED_REPORTS[expected]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    report = json.loads(out)
+    assert isinstance(report, dict), f"{expected} is a {type(report).__name__}, not an object"
+    if tuple(argv[:2]) in RECORD_KEYS:
+        assert set(report) == RECORD_KEYS[tuple(argv[:2])]
+    if argv[:2] == ["rootsys", "show"]:
+        assert report["positive_roots"]
+        for i, root in enumerate(report["positive_roots"]):
+            assert isinstance(root, dict) and set(root) == {"coords", "kind"}, f"positive_roots[{i}] is {root!r}"
 
 
 def test_rootsys_show(capsys):
@@ -144,9 +169,7 @@ def test_compare_mismatch_exit_two(capsys, monkeypatch):
 
 def test_assemble_nonintegral_exit_three(capsys, monkeypatch):
     geom = sl2.build_geom_sl2z(1)
-    from dataclasses import replace
-
-    bad = replace(geom, calibration=geom.calibration * 1.07)
+    bad = geom._replace(calibration=geom.calibration * 1.07)
     monkeypatch.setattr(sl2, "build_geom_sl2z", lambda n: bad)
     code, _, err = run(capsys, ["lefschetz", "assemble", "--preset", "sl2z", "--k", "12", "--n", "1"])
     assert code == 3 and "integer" in err

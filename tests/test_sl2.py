@@ -1,6 +1,5 @@
 """Hecke coset enumeration, class counts, and the oracles."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -550,11 +549,11 @@ def test_preset_cusp_entries_vanish_exactly(k, n):
     # the preset carries no parabolic I entries because these would add 0.0
     rs, mu = sl2_root_system(), mu_from_weight(k)
     geom = build_geom_sl2z(n)
-    with_cusps = dataclasses.replace(geom, parabolic_I=_cusp_entries(n, geom))
+    with_cusps = geom._replace(parabolic_I=_cusp_entries(n, geom))
     assert len(with_cusps.parabolic_I) == 2
     assert parabolic_I_term(rs, hc_parameter(rs, mu), with_cusps) == 0
     reports = [
-        json.dumps(vars(assemble(rs, mu, g)), default=json_default, sort_keys=True, indent=2)
+        json.dumps(assemble(rs, mu, g)._asdict(), default=json_default, sort_keys=True, indent=2)
         for g in (geom, with_cusps)
     ]
     assert reports[0] == reports[1]
@@ -595,7 +594,7 @@ def test_folded_elliptic_term_matches_one_entry_per_class(k, n):
     folded = build_geom_sl2z(n)
     unfolded = unfolded_sl2z_elliptic(n)
     got = elliptic_term(rs, lam, folded)
-    want = elliptic_term(rs, lam, dataclasses.replace(folded, elliptic_classes=unfolded))
+    want = elliptic_term(rs, lam, folded._replace(elliptic_classes=unfolded))
     # two recursive float sums of the same N1 and N2 products, each product
     # rounded once, differ per component by at most (N1 + N2) u sum |w_i T_i|
     # with u = 2^-53; the worst seen is about 2.8 N u |term| (k = 12, n = 1000)

@@ -30,7 +30,6 @@ lambda, singular ones included.  The parabolic II term is held to the sum of
 its entries' budgets of its assembly from ``mp_omega``.
 """
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -290,7 +289,7 @@ def singular_part(rs, geom):
     """The geometry with only its singular elliptic classes, whose terms still
     sum coset reps."""
     kept = tuple(c for c in geom.elliptic_classes if ref_vanishing_roots(rs, c.rep))
-    return dataclasses.replace(geom, elliptic_classes=kept)
+    return geom._replace(elliptic_classes=kept)
 
 
 # ---------------------------------------------------------------------------
