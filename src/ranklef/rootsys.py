@@ -129,10 +129,10 @@ def _positive_roots(family: Family, dim: int) -> tuple[Root, ...]:
     e_i (so) or the compact 2e_i (sp)."""
 
     def vec(*terms: tuple[int, int]) -> Vector:
-        coords = [Fraction(0)] * dim
+        coords = [0] * dim
         for i, c in terms:
             coords[i] += c
-        return tuple(coords)
+        return tuple(map(Fraction, coords))
 
     signs = (-1,) if family is Family.SU else (1, -1)
     roots = []
@@ -148,7 +148,8 @@ def _positive_roots(family: Family, dim: int) -> tuple[Root, ...]:
 
 
 def _half_sum(roots: Sequence[Root], dim: int) -> Weight:
-    return Weight(tuple(sum((r.coords[i] for r in roots), Fraction(0)) / 2 for i in range(dim)))
+    # root coordinates are integers, so each half sum is its numerators' over 2
+    return Weight(tuple(Fraction(sum(r.coords[i].numerator for r in roots), 2) for i in range(dim)))
 
 
 def build_root_system(desc: GroupDescriptor) -> RootSystem:
@@ -201,11 +202,10 @@ def spinor_dims(rs: RootSystem) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _weyl_group_cached(rs: RootSystem, sub: str) -> tuple[WeylElement, ...]:
+def _weyl_group_cached(family: Family, dim: int, sub: str) -> tuple[WeylElement, ...]:
     # W(g,t) is S_{n+1} for su and every signed permutation for so and sp.
     # W(k,t) fixes the last coordinate for su, flips an even number of signs
     # for so, and sends the last coordinate to +- itself for sp.
-    dim, family = rs.dim, rs.descriptor.family
     all_signs = [(1,) * dim] if family is Family.SU else list(product((1, -1), repeat=dim))
     elements = []
     for perm in permutations(range(dim)):
@@ -227,9 +227,9 @@ def weyl_group(rs: RootSystem, sub: str = "full") -> tuple[WeylElement, ...]:
     ``sub`` is "full" for W(g,t) or "compact" for W(k,t), the subgroup
     generated by reflections in compact roots.  Elements come back in a
     deterministic order (sorted by the entries of their matrices), each with
-    its determinant; the group is cached per root system, and every call
-    returns the same tuple.
+    its determinant.  The group depends only on the family and dim t, so it
+    is cached per (family, dim t), and every call returns the same tuple.
     """
     if sub not in ("full", "compact"):
         raise ValueError("sub must be 'full' or 'compact'")
-    return _weyl_group_cached(rs, sub)
+    return _weyl_group_cached(rs.descriptor.family, rs.dim, sub)

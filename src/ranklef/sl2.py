@@ -243,19 +243,19 @@ def eichler_selberg(k: int, n: int) -> int:
     # P_k(t, n) = sum_j (-1)^j C(k-2-j, j) n^j t^(k-2-2j), the expansion of the
     # Chebyshev U_{k-2} recursion, is a polynomial in t^2 for even k, so t and
     # -t contribute alike; it is evaluated by Horner's rule in t^2.
-    coeffs = [(-1) ** j * math.comb(k - 2 - j, j) * n**j for j in range(k // 2)]
+    first, *rest = [(-1) ** j * math.comb(k - 2 - j, j) * n**j for j in range(k // 2)]
     # 24 times the trace, in integers: the denominator of H(N) divides 12
-    # (it is 12 only for H(0) = -1/12).
+    # (it is 12 only for H(0) = -1/12).  No term vanishes: 4n - t^2 is 0 or
+    # 3 mod 4, and H(N) >= 1/3 there for N > 0, from (1, 0, N/4) or
+    # (1, 1, (N+1)/4).
     total24 = 0
     for t in range(isqrt(4 * n) + 1):
         tt = t * t
-        H = hurwitz_class_number(4 * n - tt)
-        if H:
-            twelve_h = 12 // H.denominator * H.numerator
-            p = 0
-            for c in coeffs:
-                p = p * tt + c
-            total24 -= (2 if t else 1) * twelve_h * p
+        num, den = hurwitz_class_number(4 * n - tt).as_integer_ratio()
+        p = first
+        for c in rest:
+            p = p * tt + c
+        total24 -= (24 if t else 12) // den * num * p
     # boundary term: each divisor pair d * (n/d) = n with d < n/d counts twice
     r = isqrt(n)
     for d in range(1, r + 1):

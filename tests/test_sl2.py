@@ -456,9 +456,26 @@ def test_eichler_selberg_matches_recursion_reference(k):
         assert eichler_selberg(k, n) == eichler_selberg_by_recursion(k, n), n
 
 
-@pytest.mark.parametrize("n", [1, 2, 2000])
+@pytest.mark.parametrize("n", [1, 2, 1024, 1936, 2000])
 def test_eichler_selberg_matches_recursion_reference_at_the_weight_bound(n):
+    # at the squares 1024 and 1936 the trace t = 2 sqrt(n) reads H(0) = -1/12
     assert eichler_selberg(1000, n) == eichler_selberg_by_recursion(1000, n)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 1936, 2000])
+def test_eichler_selberg_reads_one_class_number_per_trace(monkeypatch, n):
+    # the benchmark counts hurwitz_class_number cache misses, so the oracle
+    # reads every class number through it, once for each t >= 0
+    calls = []
+
+    def spy(N):
+        calls.append(N)
+        return hurwitz_class_number(N)
+
+    monkeypatch.setattr(sl2, "hurwitz_class_number", spy)
+    assert eichler_selberg(12, n) == eichler_selberg_by_recursion(12, n)
+    assert calls == [4 * n - t * t for t in range(math.isqrt(4 * n) + 1)]
+    assert "_hurwitz_sixths" not in sl2.eichler_selberg.__code__.co_names
 
 
 def test_eichler_selberg_matches_dimensions():
