@@ -3,9 +3,10 @@
 The Hecke set at level n is the full family of integer matrices of
 determinant n (equivalently the union of double cosets generated by
 diag(1, n) and its imprimitive translates), embedded in SL(2,R) by dividing
-by sqrt(n).  This module enumerates its coset representatives and conjugacy
-classes, builds the geometric data consumed by the assembler, and provides
-two independent classical oracles:
+by sqrt(n).  This module enumerates its coset representatives, weighs its
+elliptic conjugacy classes of every trace in one pass over the reduced forms,
+builds the geometric data consumed by the assembler, and provides two
+independent classical oracles:
 
 * exact coefficients of the weight-12 cusp form q prod (1-q^m)^24, from
   Miller's power recurrence on Jacobi's cube prod (1-q^m)^3, and
@@ -153,32 +154,6 @@ def hurwitz_class_number(N: int) -> Fraction:
 # Gamma-conjugacy classes of elliptic elements, from reduced forms
 
 
-def _reduced_forms(D: int):
-    """Reduced positive forms (A, B, C) of discriminant -D, with the order of
-    their automorphism group in SL(2,Z): (A, B, C, |Aut|).
-
-    |B| <= A <= C and B >= 0 whenever |B| = A or A = C; non-primitive forms
-    are included.  |Aut| is 6 for (A,A,A), 4 for (A,0,A) and 2 otherwise.
-    """
-    A = 1
-    while 3 * A * A <= D:
-        # B^2 = -D mod 4 fixes the parity of B; B = -A is never reduced
-        for B in range(-A + 2 - (A + D) % 2, A + 1, 2):
-            rem = B * B + D
-            if rem % (4 * A) != 0:
-                continue
-            C = rem // (4 * A)
-            if C < A or (B < 0 and C == A):
-                continue
-            if A == B == C:
-                yield A, B, C, 6
-            elif A == C and B == 0:
-                yield A, B, C, 4
-            else:
-                yield A, B, C, 2
-        A += 1
-
-
 @lru_cache(maxsize=None)
 def elliptic_classes(n: int) -> tuple[tuple[int, int], ...]:
     """(t, 12 w) for each trace t of an elliptic determinant-n matrix, where w
@@ -190,13 +165,36 @@ def elliptic_classes(n: int) -> tuple[tuple[int, int], ...]:
     form is positive definite for c > 0 and negative definite for c < 0, one
     orientation each, so every reduced positive form of discriminant
     t^2 - 4n stands for two classes (Cohen, GTM 138, section 5.3), and
-    12 w = sum 12 // |Aut| over those forms = 6 H(4n - t^2), an integer.  t
-    and -t share their forms, so each |t| is enumerated once.
+    12 w = sum 12 // |Aut| over those forms = 6 H(4n - t^2), an integer.
+
+    One pass over the pairs (A, B), |B| <= A, serves every t >= 0 at once (t
+    and -t share their forms): (A, B, C) is reduced of discriminant t^2 - 4n
+    when 4AC = 4n + B^2 - t^2 with C >= A, B > -A, and B >= 0 at C = A.  It
+    adds 12 // |Aut|: 2 for (A, A, A), 3 for (A, 0, A) and 6 otherwise.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     tmax = isqrt(4 * n - 1)
-    twelve_w = [sum(12 // aut for *_, aut in _reduced_forms(4 * n - t * t)) for t in range(tmax + 1)]
+    twelve_w = [0] * (tmax + 1)
+    # 3 A^2 <= 4AC - B^2 = 4n - t^2 bounds A
+    for A in range(1, isqrt(4 * n // 3) + 1):
+        step = 4 * A
+        # t = r (mod 4A) for the residues r with r^2 = 4n + B^2 (mod 4A)
+        roots: dict[int, list[int]] = {}
+        for r in range(min(step, tmax + 1)):
+            roots.setdefault(r * r % step, []).append(r)
+        for B in range(1 - A, A + 1):
+            rem = 4 * n + B * B
+            edge = rem - step * A  # t^2 at C = A
+            if edge < 0:
+                continue
+            top = min(tmax, isqrt(edge))
+            for r in roots.get(rem % step, ()):
+                for t in range(r, top + 1, step):
+                    if t * t < edge:  # C > A
+                        twelve_w[t] += 6
+                    elif B >= 0:
+                        twelve_w[t] += 2 if B == A else 3 if B == 0 else 6
     return tuple((t, twelve_w[abs(t)]) for t in range(-tmax, tmax + 1))
 
 

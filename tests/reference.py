@@ -20,13 +20,17 @@
 * ``all_roots``, the full root set R(g,t) = R+ and -R+.
 * ``torus_sl2``, the su(1,1) torus element with a given root angle.
 * ``c_sign``, the sign function of the character formula on H.
-* ``unfolded_sl2z_elliptic``, the SL(2,Z) elliptic entries one per reduced
-  form and orientation.
+* ``_reduced_forms``, the reduced forms of one discriminant at a time, the
+  oracle of ``sl2.elliptic_classes``, which finds the forms of every trace
+  in one pass over (A, B); ``ranklef`` has no per-discriminant loop.
+  ``unfolded_sl2z_elliptic`` gives from it the SL(2,Z) elliptic entries one
+  per reduced form and orientation.
+* ``sl2z_geometry_on_so21``, a preset geometry moved from su(1,1) to so(2,1).
 * The classical oracles by their direct definitions, sharing no code with
-  ``ranklef.sl2``: Hurwitz class numbers by a reduced-form loop per
-  discriminant, the trace polynomial by the Chebyshev recursion, the
-  Eichler-Selberg trace built from both, and tau as the 8th power of Jacobi's
-  cube by repeated sparse products.
+  ``ranklef.sl2``: Hurwitz class numbers from ``_reduced_forms``, the trace
+  polynomial by the Chebyshev recursion, the Eichler-Selberg trace built
+  from both, and tau as the 8th power of Jacobi's cube by repeated sparse
+  products.
 * The Weyl orbit sums of ``ranklef.chars`` at 50 digits over the whole
   orbit: the ones it takes as determinants (``mp_elliptic``, ``mp_omega``)
   and the ones it adds per residue (``mp_singular_elliptic``,
@@ -43,10 +47,10 @@ from fractions import Fraction
 
 import mpmath
 
-from ranklef.chars import Chamber, TorusElement
+from ranklef.chars import Chamber, NoncompactCartanElement, TorusElement
 from ranklef.lefschetz import EllipticClass
 from ranklef.rootsys import Family, Root, RootKind, Weight, WeylElement, weyl_group
-from ranklef.sl2 import IntegerMatrix, _elliptic_rep_angle, _reduced_forms
+from ranklef.sl2 import IntegerMatrix, _elliptic_rep_angle
 
 # ---------------------------------------------------------------------------
 # Pairings and phases
@@ -322,6 +326,36 @@ def c_sign(rs, mu, chamber):
     return -base if chamber is Chamber.H_MINUS else base
 
 
+# ---------------------------------------------------------------------------
+# The SL(2,Z) preset by reduced forms, one discriminant at a time
+
+
+def _reduced_forms(D: int):
+    """Reduced positive forms (A, B, C) of discriminant -D, with the order of
+    their automorphism group in SL(2,Z): (A, B, C, |Aut|).
+
+    |B| <= A <= C and B >= 0 whenever |B| = A or A = C; non-primitive forms
+    are included.  |Aut| is 6 for (A,A,A), 4 for (A,0,A) and 2 otherwise.
+    """
+    A = 1
+    while 3 * A * A <= D:
+        # B^2 = -D mod 4 fixes the parity of B; B = -A is never reduced
+        for B in range(-A + 2 - (A + D) % 2, A + 1, 2):
+            rem = B * B + D
+            if rem % (4 * A) != 0:
+                continue
+            C = rem // (4 * A)
+            if C < A or (B < 0 and C == A):
+                continue
+            if A == B == C:
+                yield A, B, C, 6
+            elif A == C and B == 0:
+                yield A, B, C, 4
+            else:
+                yield A, B, C, 2
+        A += 1
+
+
 def unfolded_sl2z_elliptic(n):
     """The elliptic entries of ``sl2.build_geom_sl2z(n)`` before equal classes
     were folded: one per reduced form of discriminant t^2 - 4n and orientation,
@@ -335,6 +369,27 @@ def unfolded_sl2z_elliptic(n):
                     EllipticClass(rep=TorusElement((oriented_q, -oriented_q)), vol_quotient=1.0 / aut, d_xi=1.0)
                 )
     return tuple(entries)
+
+
+def sl2z_geometry_on_so21(geom):
+    """A geometry of the su(1,1) preset moved to so(2,1), which shares its
+    Lie algebra: each angle pair (a, b) becomes (a - b), the root's own angle
+    on both sides, and log_a stays.  Assembled on so(2,1) at mu = ((k-1)/2),
+    whose coroot pairing is the preset's k - 1, it gives the preset's total
+    through other root data and other determinant shapes."""
+
+    def angle(pair):
+        a, b = pair
+        return (a - b,)
+
+    return geom._replace(
+        central_classes=tuple(c._replace(z=TorusElement(angle(c.z.angles))) for c in geom.central_classes),
+        elliptic_classes=tuple(c._replace(rep=TorusElement(angle(c.rep.angles))) for c in geom.elliptic_classes),
+        parabolic_II=tuple(
+            p._replace(eta_H=NoncompactCartanElement.from_log_a(angle(p.eta_H.compact_angles), p.eta_H.log_a))
+            for p in geom.parabolic_II
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -370,27 +425,7 @@ def hurwitz_by_forms(N):
         return Fraction(-1, 12)
     if N % 4 in (1, 2):
         return Fraction(0)
-    sixths = 0
-    a = 1
-    while 3 * a * a <= N:
-        # b^2 + N = 4ac forces b = N (mod 2)
-        for b in range(-a + (a + N) % 2, a + 1, 2):
-            rem = b * b + N
-            if rem % (4 * a) != 0:
-                continue
-            c = rem // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (a == c or -b == a):
-                continue
-            if a == b == c:
-                sixths += 2
-            elif a == c and b == 0:
-                sixths += 3
-            else:
-                sixths += 6
-        a += 1
-    return Fraction(sixths, 6)
+    return Fraction(sum(12 // aut for *_, aut in _reduced_forms(N)), 6)
 
 
 def trace_polynomial(k, t, n):

@@ -18,13 +18,13 @@ then its name.  The copy committed as ``tests/reports/grid.sha256`` is the
 manifest that ``test_report_grid`` holds every tree to; a change that moves
 report bytes on purpose refreshes it by copying the new file over it.
 
-The grid, 240 commands:
+The grid, 243 commands:
 
 * ``rootsys show`` on fifteen groups, so each family's root builder runs at
   both ends of its range;
-* ``sl2 compare`` for k in {12, 24, 40} and n in 1..30, 100, 500 and 1000,
-  and at three points whose scaled trace overflows a float
-  (``OVERFLOW_COMPARES``);
+* ``sl2 compare`` for k in {12, 24, 40} and n in 1..30, 100, 500, 1000 and
+  2000, the level bound ``cli.MAX_SL2Z_LEVEL``, and at three points whose
+  scaled trace overflows a float (``OVERFLOW_COMPARES``);
 * ``sl2 oracle`` for k = 12 and n in {1, 50, 475};
 * ``lefschetz assemble --preset sl2z --k 12`` for n in {1, 2, 6, 12};
 * the commands pinned in ``tests/reports/`` (``test_cli.PINNED_REPORTS``);
@@ -85,7 +85,7 @@ MAX_DIM_GROUPS = ("su(5,1)", "so(12,1)", "sp(5,1)")
 def sl2z_commands():
     for group in GROUPS:
         yield f"rootsys-show-{group}", ["rootsys", "show", group]
-    points = [(k, n) for k in (12, 24, 40) for n in [*range(1, 31), 100, 500, 1000]]
+    points = [(k, n) for k in (12, 24, 40) for n in [*range(1, 31), 100, 500, 1000, 2000]]
     for k, n in points + list(OVERFLOW_COMPARES):
         yield f"sl2-compare-k{k}-n{n}", ["sl2", "compare", "--k", str(k), "--n", str(n)]
     for n in (1, 50, 475):

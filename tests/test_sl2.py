@@ -1,10 +1,12 @@
 """Hecke coset enumeration, class counts, and the oracles."""
 
+import ast
 import itertools
 import json
 import math
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from ranklef.chars import Chamber, elliptic_orbital_term, hc_parameter
 from ranklef.cli import json_default
 from ranklef.epstein import ClassProgression, EpsteinSpec, zeta_constant_terms
 from ranklef.lefschetz import ParabolicIData, assemble, elliptic_term, parabolic_I_term
+from ranklef.rootsys import GroupDescriptor, Weight, build_root_system
 from ranklef.sl2 import (
     IntegerMatrix,
     _elliptic_rep_angle,
@@ -30,6 +33,7 @@ from ranklef.sl2 import (
     sl2_root_system,
 )
 from reference import (
+    _reduced_forms,
     adjugate,
     eichler_selberg_by_recursion,
     entries,
@@ -37,6 +41,7 @@ from reference import (
     hurwitz_by_forms,
     hurwitz_sixths_one_pass,
     int_mat_mul,
+    sl2z_geometry_on_so21,
     tau_by_cube_products,
     trace_polynomial,
     unfolded_sl2z_elliptic,
@@ -342,6 +347,24 @@ def test_elliptic_classes_hurwitz_coherence(n):
         assert Fraction(twelve_w, 6) == hurwitz_class_number(4 * n - t * t)
 
 
+def test_elliptic_classes_match_reduced_forms_per_trace():
+    # the one pass over (A, B) against one discriminant at a time
+    for n in [*range(1, 401), 997, 1000, 1999, 2000, 4096]:
+        traces = range(-math.isqrt(4 * n - 1), math.isqrt(4 * n - 1) + 1)
+        want = tuple((t, sum(12 // aut for *_, aut in _reduced_forms(4 * n - t * t))) for t in traces)
+        assert elliptic_classes.__wrapped__(n) == want, n
+
+
+def test_elliptic_classes_sum_to_the_class_number_relation():
+    # sum_{t in Z} H(4n - t^2) = 2 sigma(n) - sum_{d | n} min(d, n/d) (Cohen,
+    # GTM 138, section 5.3), where t = +-2 sqrt(n) reads H(0) = -1/12 each: a
+    # count from divisors alone, so a form lost or counted twice shows
+    for n in range(1, 2001):
+        got = sum(twelve_w for _, twelve_w in elliptic_classes.__wrapped__(n))
+        minima = sum(min(d, n // d) for d in range(1, n + 1) if n % d == 0)
+        assert got == 12 * sigma(n) - 6 * minima + (math.isqrt(n) ** 2 == n), n
+
+
 def test_centralizer_spot_checks():
     assert centralizer_order(IntegerMatrix(0, -1, 1, 0)) == 4  # order-4 rotation
     assert centralizer_order(IntegerMatrix(1, -1, 1, 0)) == 6  # order-6 element
@@ -475,7 +498,48 @@ def test_eichler_selberg_reads_one_class_number_per_trace(monkeypatch, n):
     monkeypatch.setattr(sl2, "hurwitz_class_number", spy)
     assert eichler_selberg(12, n) == eichler_selberg_by_recursion(12, n)
     assert calls == [4 * n - t * t for t in range(math.isqrt(4 * n) + 1)]
-    assert "_hurwitz_sixths" not in sl2.eichler_selberg.__code__.co_names
+
+
+SL2_SOURCE = ast.parse(Path(sl2.__file__).read_text(encoding="utf-8"))
+REFERENCE_SOURCE = ast.parse((Path(__file__).parent / "reference.py").read_text(encoding="utf-8"))
+
+
+def _names(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+@pytest.mark.parametrize(
+    "function, unnamed",
+    [
+        ("eichler_selberg", {"_hurwitz_sixths"}),
+        ("elliptic_classes", {"hurwitz_class_number", "_hurwitz_sixths"}),
+        ("build_geom_sl2z", {"hurwitz_class_number", "_hurwitz_sixths"}),
+    ],
+)
+def test_oracle_and_geometry_keep_their_own_class_counts(function, unnamed):
+    # the oracle reads class numbers only through hurwitz_class_number, and the
+    # geometry counts its classes without reading class numbers at all
+    (node,) = [n for n in SL2_SOURCE.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    assert not _names(node) & unnamed
+
+
+def test_reference_imports_no_enumerator_or_oracle_from_sl2():
+    # the test oracles must not share code with what they check
+    checked = {
+        "_reduced_forms", "elliptic_classes", "_hurwitz_sixths", "hurwitz_class_number", "eichler_selberg", "delta_coeffs",
+    }
+    imported = set()
+    for node in ast.walk(REFERENCE_SOURCE):
+        if isinstance(node, ast.ImportFrom) and node.module == "ranklef.sl2":
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "ranklef":
+            imported |= {f"ranklef.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert "ranklef.sl2" not in imported
+    assert not imported & checked
 
 
 def test_eichler_selberg_matches_dimensions():
@@ -644,6 +708,17 @@ def test_breakdown_k12_values():
     assert abs(bd.parabolic_I) < 1e-12
     assert abs(bd.parabolic_II + 0.5) < 1e-12
     assert bd.rounded == 1 and bd.branch == "regular"
+
+
+@pytest.mark.parametrize("k", [12, 16, 24, 40])
+def test_preset_through_so21_matches_su11(k):
+    # su(1,1) and so(2,1) share their Lie algebra but not their root data or
+    # determinant shapes, so the totals agree only up to rounding
+    rs = build_root_system(GroupDescriptor.from_name("so(2,1)"))
+    for n in (1, 2, 3, 5, 12, 30, 97, 200, 2000):
+        got = assemble(rs, Weight((Fraction(k - 1, 2),)), sl2z_geometry_on_so21(build_geom_sl2z(n))).total
+        want = lefschetz_sl2z(k, n).total
+        assert abs(got - want) <= 1e-13 * abs(want), n
 
 
 # The error budget near the level bound, far inside MATCH_TOL.  With one
