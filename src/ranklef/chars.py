@@ -42,6 +42,7 @@ from itertools import combinations, compress, repeat
 from operator import add, and_, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
+from .jsonin import Checked
 from .rootsys import Family, RootKind, RootSystem, Weight, weyl_group
 
 Angle = Fraction | float
@@ -349,18 +350,14 @@ class _NoncompactCartanFields(NamedTuple):
     chamber: Chamber
 
 
-class NoncompactCartanElement(_NoncompactCartanFields):
+class NoncompactCartanElement(Checked, _NoncompactCartanFields):
     """h = m a with m given by compact angles and a by the split coordinate."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if _chamber(self.log_a) is not self.chamber:
             raise ValueError(f"chamber {self.chamber.value} requires log_a {_LOG_A_SIGN[self.chamber]}")
-        return self
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
     @staticmethod
     def from_log_a(compact_angles: Sequence[Angle], log_a: float) -> "NoncompactCartanElement":

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .jsonin import Fields
+from .jsonin import Checked, Fields
 
 # B_2, B_4, ..., B_24
 _BERNOULLI = (
@@ -114,18 +114,14 @@ class _ProgressionFields(NamedTuple):
     offset: float = 1.0
 
 
-class ClassProgression(_ProgressionFields):
+class ClassProgression(Checked, _ProgressionFields):
     """One family of unipotent classes: weight w, norms {scale * (m + offset)}."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if not all(0 < x < math.inf for x in self):
             raise ValueError("progression data must be finite and positive")
-        return self
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
 
 class _EpsteinSpecFields(NamedTuple):
@@ -134,18 +130,14 @@ class _EpsteinSpecFields(NamedTuple):
     exponent_base: int
 
 
-class EpsteinSpec(_EpsteinSpecFields):
+class EpsteinSpec(Checked, _EpsteinSpecFields):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if not 0 < self.lattice_vol < math.inf:
             raise ValueError("lattice_vol must be finite and positive")
         if not 1 <= self.exponent_base <= MAX_EXPONENT_BASE:
             raise ValueError(f"exponent_base must be an integer from 1 to {MAX_EXPONENT_BASE}")
-        return self
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
     @staticmethod
     def from_dict(data: dict) -> "EpsteinSpec":
@@ -180,16 +172,12 @@ class _LaurentFields(NamedTuple):
     residue_at_0: float = 0.0
 
 
-class LaurentConstant(_LaurentFields):
+class LaurentConstant(Checked, _LaurentFields):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.pole_order_at_0 not in (0, 1):
             raise AssertionError("pole order at 0 must be 0 or 1")
-        return self
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
 
 def zeta_constant_terms(spec: EpsteinSpec) -> LaurentConstant:

@@ -6,7 +6,8 @@ and raises ``ValueError`` naming it, e.g. ``elliptic_classes[0].vol_quotient
 must be positive``, so a malformed file ends in the CLI's exit code 1.
 Numbers must be finite; JSON booleans are not numbers.  A key that no read
 asks for is rejected by name, so a misspelt optional key is not read as absent,
-and ``unique_keys`` rejects a key given twice in one object.
+and ``unique_keys`` rejects a key given twice in one object.  ``Checked`` is
+the base of the five records that check their values when built.
 """
 
 from __future__ import annotations
@@ -17,6 +18,19 @@ from typing import Any
 
 _REQUIRED = object()
 _MAX = sys.float_info.max
+
+
+class Checked:
+    """Listed before a NamedTuple: ``_check`` runs however the record is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
 
 def _kind(value: Any) -> str:

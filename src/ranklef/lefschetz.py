@@ -30,7 +30,7 @@ from .chars import (
     hc_parameter,
     omega,
 )
-from .jsonin import Fields, angles, number
+from .jsonin import Checked, Fields, angles, number
 from .rootsys import RootSystem, Weight
 
 
@@ -61,16 +61,12 @@ class _ParabolicIFields(NamedTuple):
     z0_pairing: tuple[float, ...] = ()
 
 
-class ParabolicIData(_ParabolicIFields):
+class ParabolicIData(Checked, _ParabolicIFields):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.dim_n_eta1 % 2 != 0:
             raise ValueError(f"dim_n_eta1 must be even, not {self.dim_n_eta1}")
-        return self
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
 
 class ParabolicIIData(NamedTuple):
@@ -177,25 +173,24 @@ def residue_term(geom: GeometricData) -> complex:
 def _check_dims(rs: RootSystem, mu: Weight, geom: GeometricData) -> None:
     """mu, every torus element and every R+(xi0) root must have one entry per
     coordinate of t, and so must the Z0 pairing when n_{eta,1} is nonzero."""
-    vectors = [("mu", mu.coords, "coordinates")]
-    vectors += [(f"central_classes[{i}].z", c.z.angles, "angles") for i, c in enumerate(geom.central_classes)]
-    vectors += [
-        (f"elliptic_classes[{i}].rep", c.rep.angles, "angles") for i, c in enumerate(geom.elliptic_classes)
-    ]
+
+    def check(v, unit: str, name: str, *index: int) -> None:
+        if len(v) != rs.dim:  # the name is formatted only on error
+            raise ValueError(f"{name % index} has {len(v)} {unit}; {rs.descriptor.name()} needs dim t = {rs.dim}")
+
+    check(mu.coords, "coordinates", "mu")
+    for i, c in enumerate(geom.central_classes):
+        check(c.z.angles, "angles", "central_classes[%d].z", i)
+    for i, c in enumerate(geom.elliptic_classes):
+        check(c.rep.angles, "angles", "elliptic_classes[%d].rep", i)
     for i, p in enumerate(geom.parabolic_I):
-        vectors.append((f"parabolic_I[{i}].eta_torus", p.eta_torus.angles, "angles"))
+        check(p.eta_torus.angles, "angles", "parabolic_I[%d].eta_torus", i)
         if p.dim_n_eta1 > 0:
-            vectors.append((f"parabolic_I[{i}].Z0_pairing", p.z0_pairing, "entries"))
-        vectors += [(f"parabolic_I[{i}].Rplus_xi0[{j}]", r, "coordinates") for j, r in enumerate(p.Rplus_xi0)]
-    vectors += [
-        (f"parabolic_II[{i}].eta_H.compact_angles", p.eta_H.compact_angles, "angles")
-        for i, p in enumerate(geom.parabolic_II)
-    ]
-    for name, vector, unit in vectors:
-        if len(vector) != rs.dim:
-            raise ValueError(
-                f"{name} has {len(vector)} {unit}; {rs.descriptor.name()} needs dim t = {rs.dim}"
-            )
+            check(p.z0_pairing, "entries", "parabolic_I[%d].Z0_pairing", i)
+        for j, r in enumerate(p.Rplus_xi0):
+            check(r, "coordinates", "parabolic_I[%d].Rplus_xi0[%d]", i, j)
+    for i, p in enumerate(geom.parabolic_II):
+        check(p.eta_H.compact_angles, "angles", "parabolic_II[%d].eta_H.compact_angles", i)
 
 
 def assemble(rs: RootSystem, mu: Weight, geom: GeometricData) -> LefschetzBreakdown:

@@ -3,10 +3,13 @@ built without the ``dataclasses`` machinery.
 
 Five records check their values on construction.  A ``NamedTuple`` class body
 cannot define ``__new__``, so each of them is a subclass with
-``__slots__ = ()`` whose ``__new__`` runs the check; its ``_make``, and so
-``_replace``, goes through ``__new__`` too.  A subclass without the empty
-``__slots__`` would get a ``__dict__`` and accept new attributes, which
-``test_records_are_immutable`` catches.
+``__slots__ = ()`` that lists ``jsonin.Checked`` before its NamedTuple and
+defines only ``_check``.  ``Checked.__new__`` builds the tuple and runs
+``_check``, and ``Checked._make``, and so ``_replace``, goes through
+``__new__`` too; ``test_one_construction_path_for_the_checked_records`` fails
+if another class in ``src`` defines ``__new__`` or ``_make``.  A subclass
+without the empty ``__slots__`` would get a ``__dict__`` and accept new
+attributes, which ``test_records_are_immutable`` catches.
 """
 
 import ast
@@ -133,6 +136,38 @@ def _imports(tree):
             yield from ((node.lineno, alias.name) for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module:
             yield node.lineno, node.module
+
+
+def _class_defs():
+    """(file:line, class node) for each class defined in ``src``."""
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                yield f"{path.name}:{node.lineno}", node
+
+
+def _defines(node, name):
+    """Whether a class body defines or assigns ``name``."""
+    for stmt in node.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == name:
+            return True
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return True
+    return False
+
+
+def test_one_construction_path_for_the_checked_records():
+    constructors = sorted(
+        f"{where} {node.name}.{name}"
+        for where, node in _class_defs()
+        for name in ("__new__", "_make")
+        if _defines(node, name) and not (where.startswith("jsonin.py:") and node.name == "Checked")
+    )
+    assert not constructors, f"only jsonin.Checked builds a checked record: {constructors}"
+    bases = {node.name: [ast.unparse(b) for b in node.bases] for _, node in _class_defs() if _defines(node, "_check")}
+    assert {cls.__name__ for cls, *_ in INVALID} <= set(bases)
+    assert all(names[0] == "Checked" for names in bases.values()), bases
 
 
 def test_no_module_imports_dataclasses():
