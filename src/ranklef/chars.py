@@ -131,9 +131,10 @@ class _Torus:
         """e^{row}(t) for each row in order."""
         return list(map(self.phase, self.turns(columns)))
 
-    def is_one(self, x: int | float) -> bool:
-        """Whether the phase is 1: exactly on the exact path, to UNITY_TOL otherwise."""
-        return x == 0 if self.exact else abs(self.phase(x) - 1.0) < UNITY_TOL
+    def phase_unless_one(self, x: int | float) -> complex | None:
+        """``phase(x)``, or None where it is 1: exactly on the exact path, to UNITY_TOL otherwise."""
+        p = None if self.exact and x == 0 else self.phase(x)
+        return None if not self.exact and abs(p - 1.0) < UNITY_TOL else p
 
     def by_residue(self, coeffs: Sequence, columns: _Columns) -> dict:
         """The coefficients added per residue of the exact path, in row order."""
@@ -420,11 +421,11 @@ def elliptic_orbital_term(rs: RootSystem, lam: HCParameter, xi: TorusElement) ->
     torus = _Torus(xi.angles, lam.den, rs.dim)
     rho, *turns = torus.turns(lam.rho_roots)
     den, fixed = torus.phase(rho), []
-    for i, x in enumerate(turns):
-        if torus.is_one(x):
+    for i, p in enumerate(map(torus.phase_unless_one, turns)):
+        if p is None:
             fixed.append(i)
         else:
-            den *= 1 - 1 / torus.phase(x)
+            den *= 1 - 1 / p
     num = torus.sum(*lam.coset_terms(fixed)) if fixed else _weyl_numerator(rs, lam, torus)
     return (-1) ** (rs.dim_p // 2) * num / den
 
@@ -533,6 +534,6 @@ def omega(rs: RootSystem, lam: HCParameter, h: NoncompactCartanElement) -> compl
 def central_character(rs: RootSystem, lam: HCParameter, z: TorusElement) -> complex:
     """zeta_lam(z) = e^{lam - rho_g}(z) on the unit circle; z must be central."""
     torus = _Torus(z.angles, lam.den, rs.dim)
-    if not all(map(torus.is_one, torus.turns(lam.rho_roots)[1:])):
+    if any(torus.phase_unless_one(x) is not None for x in torus.turns(lam.rho_roots)[1:]):
         raise ValueError("element is not central: a root is nontrivial on it")
     return torus.phase(torus.turns(_Columns(zip(map(sub, lam._row, lam._rho)), lam.den))[0])

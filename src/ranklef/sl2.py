@@ -287,6 +287,7 @@ def mu_from_weight(k: int) -> Weight:
 
 # t^2 = ratio n: the rational angle q for t > 0 and for t < 0
 _NIVEN_ANGLES = {
+    0: (Fraction(1, 4), Fraction(1, 4)),
     1: (Fraction(1, 6), Fraction(1, 3)),
     2: (Fraction(1, 8), Fraction(3, 8)),
     3: (Fraction(1, 12), Fraction(5, 12)),
@@ -298,15 +299,11 @@ def _elliptic_rep_angle(t: int, n: int):
 
     The representative torus element carries angles (q, -q), so that
     e^{alpha}(rep) = e^{2 i phi} is the adjoint eigenvalue of a rotation by
-    phi.  By Niven's theorem q is rational exactly when t^2 is 0, n, 2n or 3n,
-    and each of those comes back as a Fraction: 1/4 at t = 0, 1/6 or 1/3 at
-    t^2 = n, 1/8 or 3/8 at t^2 = 2n, and 1/12 or 5/12 at t^2 = 3n (the larger
-    one for t < 0).  So each rational angle has one value, and its classes
-    take the exact path of the torus evaluation; the other angles are atan2
-    floats.
+    phi.  By Niven's theorem q is rational exactly when t^2 is 0, n, 2n or 3n:
+    then it is the one Fraction of ``_NIVEN_ANGLES`` for t's sign, whatever n,
+    so its classes take the exact path of the torus evaluation; the other
+    angles are atan2 floats.
     """
-    if t == 0:
-        return Fraction(1, 4)
     for ratio, (plus, minus) in _NIVEN_ANGLES.items():
         if t * t == ratio * n:
             return plus if t > 0 else minus
@@ -354,7 +351,7 @@ def build_geom_sl2z(n: int, extra_class_reps: tuple[IntegerMatrix, ...] = ()) ->
         if n % a:
             continue
         d = n // a
-        log_a = math.log(a / d) if a != d else 0.0
+        log_a = math.log(a / d)
         for angles in _PLUS_MINUS_I:
             parabolic_II.append(
                 ParabolicIIData(

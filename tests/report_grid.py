@@ -1,6 +1,7 @@
 """Write a fixed grid of CLI reports to a directory, to diff two source trees.
 
     PYTHONPATH=src python tests/report_grid.py OUTDIR
+    PYTHONPATH=src python tests/report_grid.py --compare OLDDIR NEWDIR
 
 Each command runs through ``ranklef.cli.main`` in this process, and for each
 one the script writes ``NAME.stdout``, ``NAME.stderr`` and ``NAME.exit`` (the
@@ -11,6 +12,11 @@ that differs between them:
     PYTHONPATH=/path/to/other/src python tests/report_grid.py other
     PYTHONPATH=src python tests/report_grid.py this
     diff -r other this
+
+or list the moved reports with ``--compare other this``: for each command
+whose digest differs, the largest change of a number relative to the
+report's ``total``, the keys that moved, and whether ``rounded``, ``branch``,
+the exit code or stderr moved (``compare``).
 
 It also writes ``grid.sha256`` to OUTDIR: one line per command, the SHA-256
 of its stdout, a NUL byte, its stderr, a NUL byte and its ``NAME.exit`` text,
@@ -51,6 +57,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -199,13 +206,72 @@ def digest(stdout, stderr, code):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def read_manifest():
-    """The committed manifest as {name: digest}."""
-    lines = MANIFEST.read_text(encoding="utf-8").splitlines()
+def read_manifest(path=MANIFEST):
+    """A manifest, by default the committed one, as {name: digest}."""
+    lines = path.read_text(encoding="utf-8").splitlines()
     return {name: value for value, name in (line.split("  ", 1) for line in lines)}
 
 
+def _leaves(report, path=""):
+    """(path, value) for every leaf of a JSON report, an {im, re} object as one complex."""
+    if isinstance(report, dict) and report.keys() == {"im", "re"}:
+        yield path, complex(report["re"], report["im"])
+    elif isinstance(report, (dict, list)):
+        items = report.items() if isinstance(report, dict) else enumerate(report)
+        for key, value in items:
+            yield from _leaves(value, f"{path}.{key}" if path else str(key))
+    else:
+        yield path, report
+
+
+def _is_number(x):
+    return isinstance(x, (int, float, complex)) and not isinstance(x, bool)
+
+
+def moved_report(old, new):
+    """How one command's output moved, from two (stdout, stderr, exit text):
+    (largest |change| of a number over |total|, or None where the report has no
+    numeric ``total`` or is not JSON; the moved leaf keys; the moved names among
+    ``rounded``, ``branch``, ``exit`` and ``stderr``)."""
+    try:
+        before, after = (dict(_leaves(json.loads(out))) for out, _, _ in (old, new))
+    except ValueError:
+        before, after = {}, {}
+    keys = sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
+    total = before.get("total")
+    rel = None
+    if _is_number(total):
+        changes = [abs(after[k] - before[k]) for k in keys
+                   if _is_number(before.get(k)) and _is_number(after.get(k))]
+        rel = max(changes, default=0.0) / abs(total) if total else math.inf
+    if not before and old[0] != new[0]:
+        keys = ["stdout"]
+    flags = [k for k in ("rounded", "branch") if k in keys]
+    flags += [name for name, i in (("exit", 2), ("stderr", 1)) if old[i] != new[i]]
+    return rel, keys, flags
+
+
+def compare(old_dir, new_dir):
+    """Print one line per command whose digest differs between two grid directories."""
+    manifests = [read_manifest(d / "grid.sha256") for d in (old_dir, new_dir)]
+    names = [name for name in manifests[0] | manifests[1] if manifests[0].get(name) != manifests[1].get(name)]
+    for name in names:
+        if not all(name in m for m in manifests):
+            print(f"{name}: only in {old_dir if name in manifests[0] else new_dir}")
+            continue
+        outputs = [tuple((d / f"{name}.{ext}").read_text(encoding="utf-8") for ext in ("stdout", "stderr", "exit"))
+                   for d in (old_dir, new_dir)]
+        rel, keys, flags = moved_report(*outputs)
+        size = "no total" if rel is None else f"{rel:.2g} of |total|"
+        also = f"; MOVED {', '.join(flags)}" if flags else "; rounded, branch, exit and stderr kept"
+        print(f"{name}: {size}; keys {', '.join(keys) or 'none'}{also}")
+    print(f"{len(names)} of {len(manifests[1])} commands moved", file=sys.stderr)
+    return 0
+
+
 def main(argv):
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2

@@ -219,6 +219,19 @@ def test_elliptic_orbital_consistency_regular(name):
         assert abs(lhs - rhs) < 1e-9
 
 
+def test_elliptic_orbital_takes_one_exponential_per_root(monkeypatch):
+    """At a float regular class the term exponentiates rho_g and each positive
+    root once, and each entry of Weyl's determinant once; the value is the same."""
+    lam = hc_parameter(SU21, SU21.rho_g - SU21.rho_k)
+    xi = TorusElement((0.1, 0.25, -0.35))
+    value = elliptic_orbital_term(SU21, lam, xi)
+    args = []
+    exp = cmath.exp
+    monkeypatch.setattr("ranklef.chars.cmath.exp", lambda z: args.append(z) or exp(z))
+    assert elliptic_orbital_term(SU21, lam, xi) == value
+    assert len(args) == 1 + len(SU21.positive) + len(lam.numerator_columns.rows)
+
+
 def test_elliptic_orbital_sl2_frozen_value():
     # (-1)^{dim p/2} Theta at the quarter-angle element; frozen from the
     # character value (1+i)/2 computed above.

@@ -9,6 +9,7 @@ so no normalization of the invariant form is assumed anywhere.
 """
 
 from fractions import Fraction
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -426,12 +427,24 @@ WEYL_GROUPS = [
 @pytest.mark.parametrize("sub", ["full", "compact"])
 @pytest.mark.parametrize("name", WEYL_GROUPS)
 def test_weyl_group_order_is_the_dense_order(name, sub):
-    # Downstream float sums follow this order, which is the sort order of the
-    # dense matrices; the signs are the dets.
+    # (a) The elements and dets are the dense closure's, in any order.
     rs = build_root_system(GroupDescriptor.from_name(name))
     group = weyl_group(rs, sub)
     reference = dense_closure(rs, simple_roots(rs, compact_only=(sub == "compact")))
-    assert [(dense(w), w.sign) for w in group] == sorted(reference.items())
+    assert sorted((dense(w), w.sign) for w in group) == sorted(reference.items())
+    # (b) Downstream float sums follow the generation order: the permutations in
+    # itertools order (the W(k,t) of su and sp fixes the last coordinate), each
+    # followed by its sign vectors in product((1, -1)) order (su flips none, and
+    # the W(k,t) of so flips evenly many).
+    family, d = rs.descriptor.family, rs.dim
+    fixes_last = sub == "compact" and family is not Family.SO
+    perms = [p for p in permutations(range(d)) if not fixes_last or p[-1] == d - 1]
+    signs = list(product((1, -1), repeat=d))
+    if family is Family.SU:
+        signs = [s for s in signs if -1 not in s]
+    if sub == "compact" and family is Family.SO:
+        signs = [s for s in signs if s.count(-1) % 2 == 0]
+    assert [(w.perm, w.signs) for w in group] == [(p, s) for p in perms for s in signs]
 
 
 def test_regularity_stable_on_dominance_preserving_orbit():
