@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from operator import neg
 from typing import NamedTuple
 
 from .chars import (
@@ -119,9 +120,25 @@ def central_term(rs: RootSystem, lam: HCParameter, geom: GeometricData) -> compl
 
 
 def elliptic_term(rs: RootSystem, lam: HCParameter, geom: GeometricData) -> complex:
+    """sum vol_quotient / d_xi times the orbital term of each class.
+
+    A class with a float angle whose inverse came earlier takes the conjugate
+    of that term: the float path evaluates -q as the mirror image of q, bit
+    for bit, and reads float(a), never a zero's sign, so the plain tuple keys
+    the table.  Exact classes are evaluated each time: a turn at residue D/2
+    is its own negative, so xi and xi^-1 both read e^{i pi} = -1 + 1.22e-16i.
+    """
     total = 0.0 + 0.0j
+    floats: dict[tuple, complex] = {}  # the evaluated float-path terms
     for cls in geom.elliptic_classes:
-        total += (cls.vol_quotient / cls.d_xi) * elliptic_orbital_term(rs, lam, cls.rep)
+        angles = cls.rep.angles
+        if float not in map(type, angles):
+            term = elliptic_orbital_term(rs, lam, cls.rep)
+        elif (inverse := floats.get(tuple(map(neg, angles)))) is not None:
+            term = inverse.conjugate()
+        else:
+            term = floats[angles] = elliptic_orbital_term(rs, lam, cls.rep)
+        total += (cls.vol_quotient / cls.d_xi) * term
     return total
 
 

@@ -24,7 +24,7 @@ then its name.  The copy committed as ``tests/reports/grid.sha256`` is the
 manifest that ``test_report_grid`` holds every tree to; a change that moves
 report bytes on purpose refreshes it by copying the new file over it.
 
-The grid, 243 commands:
+The grid, 249 commands:
 
 * ``rootsys show`` on fifteen groups, so each family's root builder runs at
   both ends of its range;
@@ -47,7 +47,13 @@ The grid, 243 commands:
 * ``lefschetz assemble --geom`` at MAX_TORUS_DIM (``max_dim_commands``):
   su(5,1), so(12,1) and sp(5,1) on the benchmark's geometry generator with
   seed 1, at mu = rho_g - rho_k and mu = 0, so that the singular classes and
-  the unipotent sum over the largest W(k,t) are pinned.
+  the unipotent sum over the largest W(k,t) are pinned;
+* ``lefschetz assemble --geom`` on geometries that repeat torus elements
+  (``inverse_commands``): su(2,1), so(6,1) and sp(2,1), each elliptic class
+  beside its inverse and the inverse's float copy, each cusp compact element
+  named five times and beside its float copy, so that the terms a class
+  shares with its inverse, and the Omega phases the entries at one compact
+  element share, are pinned.
 
 A command that reads a file runs from the file's directory and names it
 without a directory, so its report does not depend on where the file lies.
@@ -72,6 +78,8 @@ MANIFEST = REPORTS / "grid.sha256"
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 
 from ranklef import cli  # noqa: E402
+from ranklef.chars import TorusElement  # noqa: E402
+from ranklef.lefschetz import CentralClass  # noqa: E402
 from ranklef.rootsys import GroupDescriptor, build_root_system  # noqa: E402
 from reference import geometry_to_dict  # noqa: E402
 from test_cli import PINNED_REPORTS  # noqa: E402
@@ -87,6 +95,7 @@ GROUPS = (
 OVERFLOW_COMPARES = ((1000, 10), (1000, 2000), (500, 2000))
 SEEDS = (1, 2, 3)
 MAX_DIM_GROUPS = ("su(5,1)", "so(12,1)", "sp(5,1)")
+INVERSE_GROUPS = ("su(2,1)", "so(6,1)", "sp(2,1)")
 
 
 def sl2z_commands():
@@ -154,6 +163,52 @@ def wide_commands(workdir):
             yield f"wide-assemble-{slug}-rho{c.numerator}over3", argv
 
 
+def _inverse(t):
+    return TorusElement(tuple(-a for a in t.angles))
+
+
+def _as_floats(angles):
+    return tuple(map(float, angles))
+
+
+def _with_first(angles, first, su):
+    """The angles with ``first`` as coordinate 0, and for su the last one
+    moved to keep the sum 0."""
+    middle = angles[1:-1] if su else angles[1:]
+    return (first, *middle, -(first + sum(middle))) if su else (first, *middle)
+
+
+def inverse_commands(workdir):
+    """Write for each group of ``INVERSE_GROUPS`` a geometry in which each
+    elliptic class (exact, float, mixed, with a 0.0 coordinate) stands beside
+    its inverse and the float copy of that inverse, and whose parabolic II
+    entries name three compact elements, the float copy of one of them and
+    the identity, which is also a central class, five times each; assemble
+    it at mu = rho_g - rho_k and twice that."""
+    for group in INVERSE_GROUPS:
+        rs = build_root_system(GroupDescriptor.from_name(group))
+        su = rs.descriptor.family.value == "su"
+        geom = make_geometry(rs, seed=4, n_exact=4, n_float=3)
+        last = geom.elliptic_classes[-1]
+        extra = [last._replace(rep=TorusElement(_with_first(last.rep.angles, a, su))) for a in (Fraction(1, 7), 0.0)]
+        elliptic = [c._replace(rep=rep) for c in geom.elliptic_classes + tuple(extra)
+                    for rep in (c.rep, _inverse(c.rep), TorusElement(_as_floats(_inverse(c.rep).angles)))]
+        identity = (Fraction(0),) * rs.dim
+        compact = [p.eta_H.compact_angles for p in geom.parabolic_II[:3]]
+        compact += [_as_floats(compact[1]), identity]
+        parabolic_II = [p._replace(eta_H=p.eta_H._replace(compact_angles=angles))
+                        for p in geom.parabolic_II for angles in compact]
+        geom = geom._replace(central_classes=(CentralClass("1", TorusElement(identity)),),
+                             elliptic_classes=tuple(elliptic), parabolic_II=tuple(parabolic_II))
+        slug = re.sub(r"\W", "", group)
+        (Path(workdir) / f"inverses-{slug}.json").write_text(json.dumps(geometry_to_dict(geom)), encoding="utf-8")
+        rho = rs.rho_g - rs.rho_k
+        for label, c in (("rho", 1), ("2rho", 2)):
+            mu = ",".join(str(c * x) for x in rho.coords)
+            argv = ["lefschetz", "assemble", "--group", group, "--mu", mu, "--geom", f"inverses-{slug}.json"]
+            yield f"inverses-assemble-{slug}-{label}", argv
+
+
 def max_dim_commands(workdir):
     """Write the benchmark's geometry (its generator, seed 1) for each group of
     ``MAX_DIM_GROUPS`` to ``workdir``, and assemble it at mu = rho_g - rho_k
@@ -197,6 +252,9 @@ def grid(workdir):
     max_dir = Path(workdir) / "maxdim"
     max_dir.mkdir()
     commands += [(name, argv, max_dir) for name, argv in max_dim_commands(max_dir)]
+    inverse_dir = Path(workdir) / "inverses"
+    inverse_dir.mkdir()
+    commands += [(name, argv, inverse_dir) for name, argv in inverse_commands(inverse_dir)]
     for name, argv, cwd in commands:
         yield (name, *run(argv, cwd))
 

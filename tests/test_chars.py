@@ -48,7 +48,7 @@ from reference import (
     scale,
     torus_sl2,
 )
-from test_weyl_tables import GROUPS
+from test_weyl_tables import GROUPS, make_geometry, mu_choices
 
 SL2 = build_root_system(GroupDescriptor.from_name("sl2r"))
 SU21 = build_root_system(GroupDescriptor.from_name("su(2,1)"))
@@ -230,6 +230,51 @@ def test_elliptic_orbital_takes_one_exponential_per_root(monkeypatch):
     monkeypatch.setattr("ranklef.chars.cmath.exp", lambda z: args.append(z) or exp(z))
     assert elliptic_orbital_term(SU21, lam, xi) == value
     assert len(args) == 1 + len(SU21.positive) + len(lam.numerator_columns.rows)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_a_float_inverse_gives_the_conjugate_term(name):
+    """On the float path the term at xi^-1 equals the conjugate of the term at
+    xi, part for part (``lefschetz.elliptic_term`` reuses it).  A zero part
+    may differ in sign only, and adding to a sum started at +0.0 erases that.
+    The term is also the same at the all-float copy of xi and with the sign
+    of each zero flipped, which is why that table is keyed by the plain
+    tuple.  Classes: the regular float ones, float copies of the exact ones
+    (the identity, all 0.0, and others singular to UNITY_TOL), one with a
+    single 0.0 coordinate, and the wide Fraction/float mixtures."""
+    rs = build_root_system(GroupDescriptor.from_name(name))
+    reps = [c.rep for c in make_geometry(rs, seed=1).elliptic_classes]
+    wide = [c.rep for c in make_geometry(rs, seed=3, n_exact=10, n_float=6, wide=True).elliptic_classes]
+    regular = [t for t in reps if float in map(type, t.angles)]
+    classes = regular + [TorusElement(tuple(map(float, t.angles))) for t in reps if t not in regular]
+    classes += [t for t in wide if float in map(type, t.angles)]
+    q = list(regular[0].angles)
+    q[0] = 0.0
+    if rs.descriptor.family.value == "su":
+        q[-1] = -sum(q[:-1])
+    classes.append(TorusElement(tuple(q)))
+    assert sum(abs(weyl_denominator_T(rs, t)) < 1e-12 for t in classes) > 1
+    assert any(len(set(map(type, t.angles))) == 2 for t in classes) or name == "sl2r"  # sl2r has no mixed vector
+    for mu in mu_choices(rs):
+        lam = hc_parameter(rs, mu)
+        for xi in classes:
+            conjugate = elliptic_orbital_term(rs, lam, xi).conjugate()
+            inverse = elliptic_orbital_term(rs, lam, TorusElement(tuple(-a for a in xi.angles)))
+            assert inverse == conjugate, (mu, xi)
+            assert repr(0j + inverse) == repr(0j + conjugate), (mu, xi)
+            flipped = tuple(-a if a == 0 and type(a) is float else a for a in xi.angles)
+            for copy in (tuple(map(float, xi.angles)), flipped):
+                assert elliptic_orbital_term(rs, lam, TorusElement(copy)) == conjugate.conjugate(), (mu, xi, copy)
+
+
+def test_an_exact_inverse_at_half_a_turn_is_not_the_conjugate():
+    """Why exact classes are evaluated each time: at xi = (1/4, -1/4) the root
+    turns by 1/2, residue D/2, at xi and at xi^-1 alike, so both read
+    e^{i pi} = -1 + 1.22e-16i and the terms are not conjugate."""
+    xi, inverse = TorusElement((Fraction(1, 4), Fraction(-1, 4))), TorusElement((Fraction(-1, 4), Fraction(1, 4)))
+    term, other = elliptic_orbital_term(SL2, LAM11, xi), elliptic_orbital_term(SL2, LAM11, inverse)
+    assert other != term.conjugate()
+    assert abs(other - term.conjugate()) < 1e-15
 
 
 def test_elliptic_orbital_sl2_frozen_value():

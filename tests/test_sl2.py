@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ranklef import sl2
+from ranklef import chars, cli, lefschetz, sl2
 from ranklef.chars import Chamber, elliptic_orbital_term, hc_parameter
 from ranklef.cli import json_default
 from ranklef.epstein import ClassProgression, EpsteinSpec, zeta_constant_terms
@@ -46,6 +46,12 @@ from reference import (
     trace_polynomial,
     unfolded_sl2z_elliptic,
 )
+
+
+def _clear_sl2_caches():
+    for value in vars(sl2).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
 
 
 def sigma(n, k=1):
@@ -298,9 +304,7 @@ def test_hurwitz_sieve_tables_equal_a_one_pass_sieve():
 
 
 def test_hurwitz_sieve_extends_the_half_table(monkeypatch):
-    for value in vars(sl2).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+    _clear_sl2_caches()
     sizes = []
     sieve = sl2._hurwitz_sixths
 
@@ -315,9 +319,7 @@ def test_hurwitz_sieve_extends_the_half_table(monkeypatch):
 
 def test_hurwitz_sieve_sizes_its_table_to_the_level(monkeypatch):
     # cold compare requests at small levels must not pay for a large table
-    for value in vars(sl2).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+    _clear_sl2_caches()
     sizes = []
 
     def spy(X):
@@ -682,6 +684,47 @@ def test_folded_elliptic_term_matches_one_entry_per_class(k, n):
     mass = sum(abs(c.vol_quotient * elliptic_orbital_term(rs, lam, c.rep)) for c in unfolded)
     bound = (len(unfolded) + len(folded.elliptic_classes)) * 2.0**-53 * mass
     assert abs(got.real - want.real) <= bound and abs(got.imag - want.imag) <= bound
+
+
+def test_cold_compares_evaluate_a_float_inverse_once(monkeypatch):
+    """Each trace gives a class (q, -q) and its inverse (-q, q).  Where q is a
+    float the inverse takes the conjugate of the term, so over cold compares
+    at n = 1..14 the 228 float entries make 114 evaluations and the 56 exact
+    ones 56, where every entry made one (284)."""
+    evaluated = []
+    term = chars.elliptic_orbital_term
+
+    def spy(rs, lam, xi):
+        evaluated.append(xi)
+        return term(rs, lam, xi)
+
+    for module in (chars, lefschetz):
+        monkeypatch.setattr(module, "elliptic_orbital_term", spy)
+    for n in range(1, 15):
+        _clear_sl2_caches()
+        assert compare(12, n).match
+    exact = [xi for xi in evaluated if float not in map(type, xi.angles)]
+    assert (len(evaluated), len(exact)) == (170, 56)
+
+
+def test_preset_assembly_builds_one_omega_row_per_compact_element(monkeypatch, capsys):
+    """At n = 12 the 2 d(12) = 12 parabolic II entries sit on the 2 compact
+    elements +-I, and Omega takes its phases at each of them once."""
+    lams, rows = [], []
+    make, phases = lefschetz.hc_parameter, chars._Torus.phases
+
+    def spy_phases(torus, columns):
+        rows.append((torus.q, columns))
+        return phases(torus, columns)
+
+    monkeypatch.setattr(lefschetz, "hc_parameter", lambda rs, mu: lams.append(make(rs, mu)) or lams[-1])
+    monkeypatch.setattr(chars._Torus, "phases", spy_phases)
+    assert cli.main(["lefschetz", "assemble", "--preset", "sl2z", "--k", "12", "--n", "12"]) == 0
+    assert len(build_geom_sl2z(12).parabolic_II) == 12
+    [lam] = lams
+    omega_rows = [q for q, columns in rows if columns is lam.omega_columns]
+    assert len(omega_rows) == len(set(omega_rows)) == 2
+    assert json.loads(capsys.readouterr().out)["rounded"] == lefschetz_sl2z(12, 12).rounded
 
 
 # ---------------------------------------------------------------------------
