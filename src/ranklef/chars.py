@@ -213,8 +213,7 @@ class HCParameter:
     permutations of ints, and ``rho_roots`` rho_g and R+(g,t), as ``_Columns`` over ``den``.
     From ``pairings``, the integer dots den^2 <lambda, alpha> over R+(g,t), the constructor
     rejects a lambda not strictly dominant for the compact roots, sets ``regular`` and rejects
-    a regular lambda with a negative pairing.  ``torus`` and ``omega_row`` build a compact
-    element's ``_Torus`` and Omega phases once, for every central class and cusp entry at it.
+    a regular lambda with a negative pairing.
     """
 
     def __init__(self, rs: RootSystem, lam: Weight):
@@ -234,8 +233,6 @@ class HCParameter:
             raise ValueError("lambda = mu + rho_k is regular but not dominant; "
                              "present the dominant chamber representative")
         self._pairing_columns: dict[tuple[int, ...], list[int]] = {}
-        self._tori: dict[str, _Torus] = {}
-        self._omega_rows: dict[_Torus, list[complex]] = {}
 
     def pairing_column(self, a: tuple[int, ...]) -> list[int]:
         """s (w.lam . a) over the orbit for an integer vector a, s = form_scale, kept by a:
@@ -243,23 +240,6 @@ class HCParameter:
         if a not in self._pairing_columns:
             self._pairing_columns[a] = _combine([self.rs.form_scale * c for c in a], self.columns)
         return self._pairing_columns[a]
-
-    def torus(self, angles: Sequence[Angle]) -> _Torus:
-        """The ``_Torus`` of a compact element that several entries may name (a central z, the
-        m of Omega's h = m a), built once.  It is kept by the repr of the angles, which, unlike
-        their tuple, keeps a Fraction apart from an equal float (the other path) and 0.0 from -0.0."""
-        key = repr(tuple(angles))
-        torus = self._tori.get(key)
-        if torus is None:
-            torus = self._tori[key] = _Torus(angles, self.den, self.rs.dim)
-        return torus
-
-    def omega_row(self, torus: _Torus) -> list[complex]:
-        """The phases of ``omega_columns`` at a ``_Torus`` from ``torus``, taken once."""
-        row = self._omega_rows.get(torus)
-        if row is None:
-            row = self._omega_rows[torus] = torus.phases(self.omega_columns)
-        return row
 
     def coset_terms(self, fixed: Sequence[int]) -> tuple[list[int], _Columns, int]:
         """The sum over W_{k_xi} \\ W_k at a singular xi as (integer coefficients, columns of the
@@ -514,9 +494,10 @@ def omega(rs: RootSystem, lam: HCParameter, h: NoncompactCartanElement) -> compl
     2i (G(lam_a + lam_b) (sin(alpha_1a + alpha_{n+1}b) - sin(alpha_1b + alpha_{n+1}a))
         - G(lam_a - lam_b) (sin(alpha_1a - alpha_{n+1}b) + sin(alpha_1b - alpha_{n+1}a))).
     """
+    m = _Torus(h.compact_angles, lam.den, rs.dim)
     t, den = abs(h.log_a), lam.den
     row, d = lam._row, rs.dim
-    x = lam.omega_row(lam.torus(h.compact_angles))
+    x = m.phases(lam.omega_columns)
     half = -0.5 if h.chamber is Chamber.H_MINUS else 0.5
     if rs.descriptor.family is Family.SU:
         middle = d * (d - 2)
@@ -552,7 +533,7 @@ def omega(rs: RootSystem, lam: HCParameter, h: NoncompactCartanElement) -> compl
 
 def central_character(rs: RootSystem, lam: HCParameter, z: TorusElement) -> complex:
     """zeta_lam(z) = e^{lam - rho_g}(z) on the unit circle; z must be central."""
-    torus = lam.torus(z.angles)
+    torus = _Torus(z.angles, lam.den, rs.dim)
     if any(torus.phase_unless_one(x) is not None for x in torus.turns(lam.rho_roots)[1:]):
-        raise ValueError("element is not central: a root is nontrivial on it")
+        raise ValueError("z is not central: a root is nontrivial on it")
     return torus.phase(torus.turns(_Columns(zip(map(sub, lam._row, lam._rho)), lam.den))[0])

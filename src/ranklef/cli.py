@@ -34,12 +34,12 @@ EXIT_MISMATCH = 2
 EXIT_NONINTEGRAL = 3
 
 # Largest Hecke level n the SL(2,Z) commands accept.  At n = 2000 a cold compare
-# takes about 0.012 s: 0.0035-0.0041 s the geometry, most of it the one pass over the
-# reduced forms behind its 358 elliptic entries, 0.0024-0.0032 s the assembly, which
-# evaluates 180 of them (a float class's inverse takes the conjugate term), and
-# 0.0046-0.0061 s the trace.  A cold `sl2 oracle --k 12 --n 2000` takes 0.022-0.034 s,
-# three quarters of it the tau table (medians of 11 fresh processes in three sets,
-# Python 3.11, 2-vCPU shared host).
+# takes about 0.009 s: 0.0030 s the geometry, most of it the one pass over the reduced
+# forms behind its 358 elliptic entries, 0.0022-0.0023 s the assembly, which evaluates
+# 180 of them (a float class's inverse takes the conjugate term) and Omega at each of
+# its 40 cusp entries, and 0.0039-0.0041 s the trace.  A cold `sl2 oracle --k 12
+# --n 2000` takes 0.017-0.018 s, three quarters of it the tau table (medians of 11
+# fresh processes in three sets, Python 3.11, 2-vCPU shared host).
 MAX_SL2Z_LEVEL = 2000
 # Largest weight k of `sl2 oracle` and `sl2 compare`, at every level: a
 # k = 1000 trace at n = 2000 has about 1650 digits, below the 4300 Python will

@@ -103,20 +103,19 @@ def central_term(rs: RootSystem, lam: HCParameter, geom: GeometricData) -> compl
     """delta(mu, Xi) vol(Gamma\\G) d(lambda), scaled by the calibration unit.
 
     delta counts the central classes when the central character is trivial
-    on every one of them, and is zero otherwise.
+    on every one of them, and is zero otherwise; the term is pinned to zero
+    at a singular lambda, where the residue replaces it.  On either branch a
+    z on which a root is nontrivial raises ValueError naming its entry.
     """
-    if not lam.regular:
-        raise ValueError("central term is defined only for regular parameters")
-    if not geom.central_classes:
+    characters = []
+    for i, cc in enumerate(geom.central_classes):
+        try:
+            characters.append(central_character(rs, lam, cc.z))
+        except ValueError as exc:
+            raise ValueError(f"central_classes[{i}].{exc}") from None
+    if not (lam.regular and characters and all(abs(c - 1.0) < UNITY_TOL for c in characters)):
         return 0.0
-    trivial = all(
-        abs(central_character(rs, lam, cc.z) - 1.0) < UNITY_TOL
-        for cc in geom.central_classes
-    )
-    if not trivial:
-        return 0.0
-    delta = len(geom.central_classes)
-    return delta * geom.total_vol * formal_degree(rs, lam) * geom.calibration
+    return len(characters) * geom.total_vol * formal_degree(rs, lam) * geom.calibration
 
 
 def elliptic_term(rs: RootSystem, lam: HCParameter, geom: GeometricData) -> complex:
@@ -219,15 +218,14 @@ def assemble(rs: RootSystem, mu: Weight, geom: GeometricData) -> LefschetzBreakd
     """
     _check_dims(rs, mu, geom)
     lam = hc_parameter(rs, mu)
+    cen = central_term(rs, lam, geom)  # on both branches, so that every z is checked
     ell = elliptic_term(rs, lam, geom)
     p1 = parabolic_I_term(rs, lam, geom)
     if lam.regular:
-        cen = central_term(rs, lam, geom)
         p2 = parabolic_II_term(rs, lam, geom)
         res = 0.0 + 0.0j
         branch = "regular"
     else:
-        cen = 0.0 + 0.0j
         p2 = 0.0 + 0.0j
         res = residue_term(geom)
         branch = "singular"

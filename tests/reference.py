@@ -25,7 +25,9 @@
   in one pass over (A, B); ``ranklef`` has no per-discriminant loop.
   ``unfolded_sl2z_elliptic`` gives from it the SL(2,Z) elliptic entries one
   per reduced form and orientation.
-* ``sl2z_geometry_on_so21``, a preset geometry moved from su(1,1) to so(2,1).
+* ``sl2z_geometry_on_so21``, a preset geometry moved from su(1,1) to so(2,1),
+  and ``sp11_geometry_on_so41`` with ``sp11_weight_on_so41``, an sp(1,1)
+  geometry and weight moved to so(4,1).
 * The classical oracles by their direct definitions, sharing no code with
   ``ranklef.sl2``: Hurwitz class numbers from ``_reduced_forms``, the trace
   polynomial by the Chebyshev recursion, the Eichler-Selberg trace built
@@ -387,6 +389,37 @@ def sl2z_geometry_on_so21(geom):
         elliptic_classes=tuple(c._replace(rep=TorusElement(angle(c.rep.angles))) for c in geom.elliptic_classes),
         parabolic_II=tuple(
             p._replace(eta_H=NoncompactCartanElement.from_log_a(angle(p.eta_H.compact_angles), p.eta_H.log_a))
+            for p in geom.parabolic_II
+        ),
+    )
+
+
+def sp11_weight_on_so41(mu):
+    """A weight (a, b) of sp(1,1) as the weight ((a + b)/2, (a - b)/2) of
+    so(4,1), which pairs with the moved angles of ``sp11_geometry_on_so41``
+    as (a, b) pairs with (q1, q2).  It sends R+ of sp(1,1), rho_k and beta0
+    to those of so(4,1): 2e_1, 2e_2, e_1 + e_2 and e_1 - e_2 become
+    e_1 + e_2, e_1 - e_2, e_1 and e_2, with their kinds."""
+    a, b = mu.coords
+    return Weight(((a + b) / 2, (a - b) / 2))
+
+
+def sp11_geometry_on_so41(geom):
+    """A geometry of sp(1,1) moved to so(4,1), which shares its Lie algebra:
+    each angle pair (q1, q2), Omega's compact angles too, becomes
+    (q1 + q2, q1 - q2); log_a and the chamber stay.  Assembled at the moved weight
+    (``sp11_weight_on_so41``), each term is the sp(1,1) one through other
+    ``rootsys`` branches and other determinant shapes."""
+
+    def angle(pair):
+        q1, q2 = pair
+        return (q1 + q2, q1 - q2)
+
+    return geom._replace(
+        central_classes=tuple(c._replace(z=TorusElement(angle(c.z.angles))) for c in geom.central_classes),
+        elliptic_classes=tuple(c._replace(rep=TorusElement(angle(c.rep.angles))) for c in geom.elliptic_classes),
+        parabolic_II=tuple(
+            p._replace(eta_H=p.eta_H._replace(compact_angles=angle(p.eta_H.compact_angles)))
             for p in geom.parabolic_II
         ),
     )

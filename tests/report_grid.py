@@ -24,7 +24,7 @@ then its name.  The copy committed as ``tests/reports/grid.sha256`` is the
 manifest that ``test_report_grid`` holds every tree to; a change that moves
 report bytes on purpose refreshes it by copying the new file over it.
 
-The grid, 249 commands:
+The grid, 251 commands:
 
 * ``rootsys show`` on fifteen groups, so each family's root builder runs at
   both ends of its range;
@@ -34,7 +34,7 @@ The grid, 249 commands:
 * ``sl2 oracle`` for k = 12 and n in {1, 50, 475};
 * ``lefschetz assemble --preset sl2z --k 12`` for n in {1, 2, 6, 12};
 * the commands pinned in ``tests/reports/`` (``test_cli.PINNED_REPORTS``);
-* fifteen commands that exit 1 with an ``error:`` line (``ERROR_COMMANDS``),
+* seventeen commands that exit 1 with an ``error:`` line (``ERROR_COMMANDS``),
   each cheap on any tree;
 * on the ``rank1-cli`` benchmark inputs of seeds 1-3, ``epstein const`` for
   each group and ``lefschetz assemble --geom`` for each (group, mu);
@@ -51,9 +51,9 @@ The grid, 249 commands:
 * ``lefschetz assemble --geom`` on geometries that repeat torus elements
   (``inverse_commands``): su(2,1), so(6,1) and sp(2,1), each elliptic class
   beside its inverse and the inverse's float copy, each cusp compact element
-  named five times and beside its float copy, so that the terms a class
-  shares with its inverse, and the Omega phases the entries at one compact
-  element share, are pinned.
+  named five times and beside its float copy, so that the terms a float
+  class shares with its inverse, and the bytes at a repeated compact element,
+  are pinned.
 
 A command that reads a file runs from the file's directory and names it
 without a directory, so its report does not depend on where the file lies.
@@ -111,6 +111,8 @@ def sl2z_commands():
 
 
 ASSEMBLE_SL2Z = ["lefschetz", "assemble", "--preset", "sl2z"]
+# sl2r with one central class at z = (1/3, -1/3), on which the root is nontrivial
+ASSEMBLE_NONCENTRAL = ["lefschetz", "assemble", "--group", "sl2r", "--geom", "geometry-sl2r-noncentral.json"]
 ERROR_COMMANDS = {
     "mu-short": ASSEMBLE_SL2Z + ["--n", "1", "--mu", "11/2"],
     "mu-long": ASSEMBLE_SL2Z + ["--n", "1", "--mu", "11/2,-11/2,99"],
@@ -127,6 +129,8 @@ ERROR_COMMANDS = {
     "compare-n2001": ["sl2", "compare", "--k", "12", "--n", "2001"],
     "rootsys-show-so(5,1)": ["rootsys", "show", "so(5,1)"],
     "rootsys-show-su(6,1)": ["rootsys", "show", "su(6,1)"],
+    "noncentral-k12": ASSEMBLE_NONCENTRAL + ["--k", "12"],
+    "noncentral-mu0": ASSEMBLE_NONCENTRAL + ["--mu", "0,0"],
 }
 
 
@@ -184,7 +188,9 @@ def inverse_commands(workdir):
     its inverse and the float copy of that inverse, and whose parabolic II
     entries name three compact elements, the float copy of one of them and
     the identity, which is also a central class, five times each; assemble
-    it at mu = rho_g - rho_k and twice that."""
+    it at mu = rho_g - rho_k and twice that.  Every entry at a repeated
+    compact element is evaluated on its own, so these pin its bytes, not a
+    shared evaluation."""
     for group in INVERSE_GROUPS:
         rs = build_root_system(GroupDescriptor.from_name(group))
         su = rs.descriptor.family.value == "su"

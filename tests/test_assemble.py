@@ -69,6 +69,17 @@ def test_central_counts_classes():
     assert abs(central_term(SL2, lam, geom) - want) < 1e-14
 
 
+@pytest.mark.parametrize("mu", [MU11, MU_SING], ids=["regular", "singular"])
+def test_a_central_class_that_is_not_central_is_refused_by_name(mu):
+    # at the odd weight zeta(-I) = -1, so delta is 0 whatever the third class
+    # gives; it is refused all the same, on both branches
+    third = TorusElement((Fraction(1, 3), Fraction(-1, 3)))
+    classes = (CentralClass("e", IDENTITY_Z), CentralClass("-e", MINUS_Z), CentralClass("third", third))
+    geom = empty_geom(central_classes=classes, residue_scalar=0.5)
+    with pytest.raises(ValueError, match=r"^central_classes\[2\]\.z is not central: a root is nontrivial on it$"):
+        assemble(SL2, mu, geom)
+
+
 def test_elliptic_empty_and_single_class():
     lam = hc_parameter(SL2, MU12)
     assert elliptic_term(SL2, lam, empty_geom()) == 0

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ranklef import chars, cli, lefschetz, sl2
+from ranklef import chars, lefschetz, sl2
 from ranklef.chars import Chamber, elliptic_orbital_term, hc_parameter
 from ranklef.cli import json_default
 from ranklef.epstein import ClassProgression, EpsteinSpec, zeta_constant_terms
@@ -705,26 +705,6 @@ def test_cold_compares_evaluate_a_float_inverse_once(monkeypatch):
         assert compare(12, n).match
     exact = [xi for xi in evaluated if float not in map(type, xi.angles)]
     assert (len(evaluated), len(exact)) == (170, 56)
-
-
-def test_preset_assembly_builds_one_omega_row_per_compact_element(monkeypatch, capsys):
-    """At n = 12 the 2 d(12) = 12 parabolic II entries sit on the 2 compact
-    elements +-I, and Omega takes its phases at each of them once."""
-    lams, rows = [], []
-    make, phases = lefschetz.hc_parameter, chars._Torus.phases
-
-    def spy_phases(torus, columns):
-        rows.append((torus.q, columns))
-        return phases(torus, columns)
-
-    monkeypatch.setattr(lefschetz, "hc_parameter", lambda rs, mu: lams.append(make(rs, mu)) or lams[-1])
-    monkeypatch.setattr(chars._Torus, "phases", spy_phases)
-    assert cli.main(["lefschetz", "assemble", "--preset", "sl2z", "--k", "12", "--n", "12"]) == 0
-    assert len(build_geom_sl2z(12).parabolic_II) == 12
-    [lam] = lams
-    omega_rows = [q for q, columns in rows if columns is lam.omega_columns]
-    assert len(omega_rows) == len(set(omega_rows)) == 2
-    assert json.loads(capsys.readouterr().out)["rounded"] == lefschetz_sl2z(12, 12).rounded
 
 
 # ---------------------------------------------------------------------------

@@ -51,11 +51,13 @@ from ranklef.chars import (
     weyl_denominator_T,
 )
 from ranklef.lefschetz import (
+    CentralClass,
     EllipticClass,
     GeometricData,
     ParabolicIData,
     ParabolicIIData,
     assemble,
+    central_term,
     elliptic_term,
     parabolic_I_term,
     parabolic_II_term,
@@ -93,6 +95,8 @@ from reference import (
     reflection_matrix,
     scale,
     simple_roots,
+    sp11_geometry_on_so41,
+    sp11_weight_on_so41,
 )
 
 GROUPS = ["sl2r", "su(2,1)", "su(3,1)", "so(6,1)", "so(8,1)", "sp(2,1)", "sp(3,1)"]
@@ -540,3 +544,35 @@ def test_weyl_orbits_are_built_once_per_assemble(monkeypatch):
     # is a Laplace expansion and builds no W(g,t) orbit
     assert 0 < counts[0] == counts[1]
     assert counts[0] <= len(weyl_group(rs, "compact"))
+
+
+# ---------------------------------------------------------------------------
+# One Lie algebra through two root data: sp(1,1) = so(4,1)
+
+
+def test_sp11_terms_equal_their_so41_images():
+    """sp(1,1) and so(4,1) share their Lie algebra but not their ``rootsys``
+    branch or determinant shapes.  A seeded sp(1,1) geometry with central,
+    exact and float elliptic, and parabolic II entries, moved to so(4,1),
+    gives each term within 1e-11 relative at mu = rho_g - rho_k and twice
+    that.  Parabolic I is left out: its data are not moved here."""
+    sp, so = _rs("sp(1,1)"), _rs("so(4,1)")
+    kinds = {sp11_weight_on_so41(Weight(r.coords)): r.kind for r in sp.positive}
+    assert kinds == {Weight(r.coords): r.kind for r in so.positive}
+    assert sp11_weight_on_so41(sp.rho_k) == so.rho_k
+    assert sp11_weight_on_so41(Weight(sp.beta0.coords)) == Weight(so.beta0.coords)
+    half = Fraction(1, 2)
+    central = tuple(CentralClass(tag, TorusElement(z)) for tag, z in (("1", (0, 0)), ("-1", (half, half))))
+    geom = make_geometry(sp, seed=1)._replace(central_classes=central, parabolic_I=())
+    assert {float in map(type, c.rep.angles) for c in geom.elliptic_classes} == {True, False}
+    moved = sp11_geometry_on_so41(geom)
+    rho_n, nonzero = sp.rho_g - sp.rho_k, 0
+    for mu in (rho_n, scale(rho_n, 2)):
+        lam, image = hc_parameter(sp, mu), hc_parameter(so, sp11_weight_on_so41(mu))
+        assert lam.regular and image.regular
+        for term in (central_term, elliptic_term, parabolic_II_term):
+            want, got = term(sp, lam, geom), term(so, image, moved)
+            assert abs(got - want) <= 1e-11 * abs(want), (term.__name__, mu, got, want)
+            nonzero += want != 0
+    # all but the central term at twice rho_g - rho_k, where zeta_lam(-1) = -1
+    assert nonzero == 5
