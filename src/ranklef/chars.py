@@ -209,8 +209,8 @@ class HCParameter:
     with its Weyl data, shared by every class of one assembly.  This is the
     one place where lambda is paired with a root.
 
-    ``columns`` holds the W(k,t) orbit of lambda (det w in ``signs``), built once by signed
-    permutations of ints, and ``rho_roots`` rho_g and R+(g,t), as ``_Columns`` over ``den``.
+    ``columns`` holds the W(k,t) orbit of lambda (det w in ``signs``), column i from each w's
+    perm and signs in group order, and ``rho_roots`` rho_g and R+(g,t), as ``_Columns`` over ``den``.
     From ``pairings``, the integer dots den^2 <lambda, alpha> over R+(g,t), the constructor
     rejects a lambda not strictly dominant for the compact roots, sets ``regular`` and rejects
     a regular lambda with a negative pairing.
@@ -219,10 +219,12 @@ class HCParameter:
     def __init__(self, rs: RootSystem, lam: Weight):
         self.rs = rs
         self.lam = lam
+        if len(lam.coords) != rs.dim:
+            raise ValueError(f"weight has {len(lam.coords)} coordinates; lambda needs dim t = {rs.dim}")
         (self._row, self._rho), self.den = _ints([lam.coords, rs.rho_g.coords])
         group = weyl_group(rs, "compact")
         self.signs = [w.sign for w in group]
-        self.columns = _Columns(zip(*[w.act(self._row) for w in group]), self.den)  # act checks len(lam)
+        self.columns = _Columns(([s[i] * self._row[p[i]] for p, s, _ in group] for i in range(rs.dim)), self.den)
         self._roots = [tuple(c.numerator * self.den for c in r.coords) for r in rs.positive]
         self.rho_roots = _Columns(zip(self._rho, *self._roots), self.den)
         self.pairings = [rs.form_scale * sum(map(mul, self._row, a)) for a in self._roots]

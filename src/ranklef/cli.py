@@ -41,9 +41,9 @@ EXIT_NONINTEGRAL = 3
 # --n 2000` takes 0.017-0.018 s, three quarters of it the tau table (medians of 11
 # fresh processes in three sets, Python 3.11, 2-vCPU shared host).
 MAX_SL2Z_LEVEL = 2000
-# Largest weight k of `sl2 oracle` and `sl2 compare`, at every level: a
-# k = 1000 trace at n = 2000 has about 1650 digits, below the 4300 Python will
-# print, and `compare` scales it exactly where floats overflow.
+# Largest weight k of every SL(2,Z) command, `lefschetz assemble --k` too.  A k = 1000 trace
+# at n = 2000 has 1650 digits (Python prints 4300), `compare` scales it exactly, and the preset's
+# elliptic term at n = 7 is 3.6e-13 off its exact part (5.4e-11 at k = 1e5, noise past 2^53).
 MAX_SL2Z_WEIGHT = 1000
 # How far the n = 1 preset total may lie from an integer (exit 3 beyond it).
 INTEGRALITY_TOL = 1e-6
@@ -90,8 +90,8 @@ def _emit(report, out_path: str | None) -> None:
         raise CliError("stdout closed before the report was written") from None
 
 
-def _check_sl2z_bounds(n: int, k: int | None = None) -> None:
-    if n > MAX_SL2Z_LEVEL:
+def _check_sl2z_bounds(n: int | None = None, k: int | None = None) -> None:
+    if n is not None and n > MAX_SL2Z_LEVEL:
         raise CliError(f"--n {n} is above the SL(2,Z) level bound {MAX_SL2Z_LEVEL}")
     if k is not None and k > MAX_SL2Z_WEIGHT:
         raise CliError(f"--k {k} is above the SL(2,Z) weight bound {MAX_SL2Z_WEIGHT}")
@@ -141,6 +141,7 @@ def _resolve_mu(args, rs) -> Weight:
         return _parse_mu(args.mu)
     if rs.descriptor.name() != "su(1,1)":
         raise CliError("--k is the sl2r weight dictionary; use --mu for other groups")
+    _check_sl2z_bounds(k=args.k)
     return sl2.mu_from_weight(args.k)
 
 

@@ -25,8 +25,8 @@ from math import prod
 from typing import NamedTuple, Sequence
 
 Vector = tuple[Fraction, ...]
-# Largest dim t accepted: |W| grows factorially; at the bound so(12,1) has 46080
-# elements, and `rootsys show so(12,1)` takes 50-80 ms in-process (Python 3.11, 2 vCPUs).
+# Largest dim t accepted: |W| grows factorially.  At the bound an so(12,1) assembly orbits lambda
+# by 23040 elements of W(k,t), 15-19 ms to generate and 15-28 ms to build (Python 3.11, 2 vCPUs).
 MAX_TORUS_DIM = 6
 
 
@@ -94,12 +94,6 @@ class WeylElement(NamedTuple):
     perm: tuple[int, ...]
     signs: tuple[int, ...]
     sign: int
-
-    def act(self, x: Sequence) -> tuple:
-        """w.x on a coordinate tuple of any number type (Fractions or integer rows)."""
-        if len(x) != len(self.perm):
-            raise ValueError(f"weight has {len(x)} coordinates; the Weyl element acts on {len(self.perm)}")
-        return tuple(x[j] if s == 1 else -x[j] for j, s in zip(self.perm, self.signs))
 
 
 class RootSystem(NamedTuple):

@@ -12,7 +12,9 @@
   e_i -> e_i - <e_i, alpha_v> alpha in the simple roots and multiplied entry
   by entry, so they share no enumeration or product code with the package.
   Integral entries are kept as ints, which multiply far faster than
-  Fractions.
+  Fractions.  ``act`` is the tests' action of one signed permutation on a
+  tuple; ``ranklef`` has none, and reads a group's perms and signs straight
+  into the columns of lambda's orbit.
 * The elliptic orbital term as a full-W_k average, without coset reps.
 * ``geometry_to_dict``, the inverse of ``lefschetz.geometry_from_dict``.
 * 2x2 integer matrix products, adjugates and entries, weight scaling, and
@@ -30,9 +32,9 @@
   geometry and weight moved to so(4,1).
 * The classical oracles by their direct definitions, sharing no code with
   ``ranklef.sl2``: Hurwitz class numbers from ``_reduced_forms``, the trace
-  polynomial by the Chebyshev recursion, the Eichler-Selberg trace built
-  from both, and tau as the 8th power of Jacobi's cube by repeated sparse
-  products.
+  polynomial by the Chebyshev recursion, the Eichler-Selberg trace as the
+  sum of its three parts (``eichler_selberg_parts``) built from both, and
+  tau as the 8th power of Jacobi's cube by repeated sparse products.
 * The Weyl orbit sums of ``ranklef.chars`` at 50 digits over the whole
   orbit: the ones it takes as determinants (``mp_elliptic``, ``mp_omega``)
   and the ones it adds per residue (``mp_singular_elliptic``,
@@ -132,6 +134,14 @@ def dense(w):
 
 def dense_apply(m, weight):
     return Weight(tuple(sum(x * c for x, c in zip(row, weight.coords)) for row in m))
+
+
+def act(w, x):
+    """w.x for a WeylElement w on a coordinate tuple of any number type, read
+    off its signed permutation: coordinate i is signs[i] x[perm[i]]."""
+    if len(x) != len(w.perm):
+        raise ValueError(f"weight has {len(x)} coordinates; the Weyl element acts on {len(w.perm)}")
+    return tuple(x[j] if s == 1 else -x[j] for j, s in zip(w.perm, w.signs))
 
 
 def simple_roots(rs, compact_only=False):
@@ -471,14 +481,27 @@ def trace_polynomial(k, t, n):
     return prev if k == 2 else cur
 
 
+def eichler_selberg_parts(k, n):
+    """The three parts of tr T_n on S_k(SL(2,Z)) that the preset's terms give
+    one each (Zagier's appendix to Lang, *Introduction to Modular Forms*), as
+    Fractions: the t^2 = 4n part -1/2 sum_{t = +-2 sqrt(n)} P_k(t, n) H(0),
+    with H(0) = -1/12 (0 unless n is a square), the t^2 < 4n part
+    -1/2 sum P_k(t, n) H(4n - t^2), and -1/2 sum_{d | n} min(d, n/d)^(k-1)."""
+    root = math.isqrt(4 * n)
+    squares = [t for t in (-root, root) if t * t == 4 * n]
+    central = -Fraction(1, 2) * sum(trace_polynomial(k, t, n) * hurwitz_by_forms(0) for t in squares)
+    elliptic = -Fraction(1, 2) * sum(
+        trace_polynomial(k, t, n) * hurwitz_by_forms(4 * n - t * t) for t in range(-root, root + 1) if t * t < 4 * n
+    )
+    parabolic = -Fraction(1, 2) * sum(min(d, n // d) ** (k - 1) for d in range(1, n + 1) if n % d == 0)
+    return central, elliptic, parabolic
+
+
 def eichler_selberg_by_recursion(k, n):
     """tr T_n on S_k(SL(2,Z)) = -1/2 sum_{t^2 <= 4n} P_k(t, n) H(4n - t^2)
-    - 1/2 sum_{dd' = n} min(d, d')^(k-1), over every t of either sign."""
-    tmax = math.isqrt(4 * n)
-    total = -Fraction(1, 2) * sum(
-        trace_polynomial(k, t, n) * hurwitz_by_forms(4 * n - t * t) for t in range(-tmax, tmax + 1)
-    )
-    total -= Fraction(1, 2) * sum(min(d, n // d) ** (k - 1) for d in range(1, n + 1) if n % d == 0)
+    - 1/2 sum_{dd' = n} min(d, d')^(k-1), over every t of either sign: the
+    sum of ``eichler_selberg_parts``."""
+    total = sum(eichler_selberg_parts(k, n))
     assert total.denominator == 1
     return int(total)
 
@@ -899,7 +922,7 @@ def _float_omega_terms(rs, lam_coords, chamber, group):
     flip = -1 if chamber is Chamber.H_MINUS else 1
     out = []
     for w in group:
-        wl = w.act(lam)
+        wl = act(w, lam)
         s = sum(a * b for a, b in zip(wl, beta0))
         if s:
             c = flip * (-1 if s > 0 else 1)

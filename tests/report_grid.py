@@ -24,7 +24,7 @@ then its name.  The copy committed as ``tests/reports/grid.sha256`` is the
 manifest that ``test_report_grid`` holds every tree to; a change that moves
 report bytes on purpose refreshes it by copying the new file over it.
 
-The grid, 251 commands:
+The grid, 252 commands:
 
 * ``rootsys show`` on fifteen groups, so each family's root builder runs at
   both ends of its range;
@@ -34,7 +34,7 @@ The grid, 251 commands:
 * ``sl2 oracle`` for k = 12 and n in {1, 50, 475};
 * ``lefschetz assemble --preset sl2z --k 12`` for n in {1, 2, 6, 12};
 * the commands pinned in ``tests/reports/`` (``test_cli.PINNED_REPORTS``);
-* seventeen commands that exit 1 with an ``error:`` line (``ERROR_COMMANDS``),
+* eighteen commands that exit 1 with an ``error:`` line (``ERROR_COMMANDS``),
   each cheap on any tree;
 * on the ``rank1-cli`` benchmark inputs of seeds 1-3, ``epstein const`` for
   each group and ``lefschetz assemble --geom`` for each (group, mu);
@@ -131,6 +131,7 @@ ERROR_COMMANDS = {
     "rootsys-show-su(6,1)": ["rootsys", "show", "su(6,1)"],
     "noncentral-k12": ASSEMBLE_NONCENTRAL + ["--k", "12"],
     "noncentral-mu0": ASSEMBLE_NONCENTRAL + ["--mu", "0,0"],
+    "assemble-k1002": ASSEMBLE_SL2Z + ["--k", "1002", "--n", "1"],
 }
 
 

@@ -31,7 +31,7 @@ from ranklef.chars import (
 )
 from ranklef.cli import json_default
 from ranklef.rootsys import GroupDescriptor, Weight, build_root_system
-from reference import character_exp, geometry_to_dict, inner, torus_sl2
+from reference import act, character_exp, geometry_to_dict, inner, torus_sl2
 
 SL2 = build_root_system(GroupDescriptor.from_name("sl2r"))
 SP11 = build_root_system(GroupDescriptor.from_name("sp(1,1)"))
@@ -311,7 +311,7 @@ def test_parabolic_I_su21_dual_interpretation_resummation():
     def resummed(conjugate):
         total = 0.0 + 0.0j
         for w in weyl_group(su21, "compact"):
-            wl = W(w.act(lam.lam.coords))
+            wl = W(act(w, lam.lam.coords))
             pairing = sum(complex(float(c)) * p for c, p in zip(wl.coords, z0))
             term = pairing.conjugate() if conjugate else pairing  # exponent dim_n_eta1 / 2 = 1
             for coords in xi0_roots:

@@ -229,6 +229,27 @@ def test_sl2z_weight_above_bound_exit_one(capsys, command):
     assert err == f"error: --k {k} is above the SL(2,Z) weight bound {cli.MAX_SL2Z_WEIGHT}\n"
 
 
+@pytest.mark.parametrize("source", ["preset", "geom"])
+def test_assemble_weight_bound(capsys, tmp_path, source):
+    # the bound of the sl2 commands holds for `lefschetz assemble --k` from
+    # either geometry source: at k = 10^18 the float turns pass 2^53, and the
+    # total the command printed was rounding noise
+    if source == "preset":
+        argv = ["lefschetz", "assemble", "--preset", "sl2z", "--n", "7"]
+    else:
+        path = tmp_path / "geom.json"
+        path.write_text(json.dumps(geometry_to_dict(sl2.build_geom_sl2z(7))))
+        argv = ["lefschetz", "assemble", "--group", "sl2r", "--geom", str(path)]
+    k = cli.MAX_SL2Z_WEIGHT
+    code, out, err = run(capsys, argv + ["--k", str(k)])
+    assert code == 0, err
+    assert json.loads(out)["provenance"]["mu"] == [f"{k - 1}/2", f"{1 - k}/2"]
+    for k in (cli.MAX_SL2Z_WEIGHT + 2, 10**18):
+        code, out, err = run(capsys, argv + ["--k", str(k)])
+        assert code == 1 and out == ""
+        assert err == f"error: --k {k} is above the SL(2,Z) weight bound {cli.MAX_SL2Z_WEIGHT}\n"
+
+
 def test_group_at_the_torus_dimension_bound(capsys):
     code, out, _ = run(capsys, ["rootsys", "show", "su(5,1)"])
     assert code == 0

@@ -25,6 +25,7 @@ from ranklef.rootsys import (
     weyl_group,
 )
 from reference import (
+    act,
     all_roots,
     coroot_pairing,
     dense,
@@ -330,7 +331,7 @@ def test_weyl_elements_permute_roots_and_multiply_signs(name):
     group = weyl_group(rs, "full")
     coords = {r.coords for r in all_roots(rs)}
     for w in group:
-        assert {w.act(c) for c in coords} == coords
+        assert {act(w, c) for c in coords} == coords
     for w1 in group[:6]:
         for w2 in group[:6]:
             prod = mat_mul(dense(w1), dense(w2))
@@ -396,12 +397,16 @@ def test_too_long_weight_is_rejected_not_truncated():
         HCParameter(rs, mu)
 
 
-def test_weyl_element_rejects_weight_of_wrong_length():
-    rs = build_root_system(GroupDescriptor.from_name("sl2r"))
-    for coords in [(Fraction(1),), (Fraction(1), Fraction(-1), Fraction(5))]:
-        for w in weyl_group(rs, "full"):
-            with pytest.raises(ValueError):
-                w.act(coords)
+@pytest.mark.parametrize("name", UP_TO_THE_BOUND)
+def test_orbit_columns_follow_the_compact_group(name):
+    """lambda's W(k,t) orbit holds, row for row, w.lambda over den with det w,
+    in the order of ``weyl_group(rs, "compact")``, as the reference action gives it."""
+    rs = build_root_system(GroupDescriptor.from_name(name))
+    lam = hc_parameter(rs, rs.rho_g - rs.rho_k)
+    group = weyl_group(rs, "compact")
+    assert lam.signs == [w.sign for w in group]
+    assert len(lam.columns) == rs.dim and all(type(x) is int for col in lam.columns for x in col)
+    assert list(zip(*lam.columns)) == [tuple(c * lam.den for c in act(w, lam.lam.coords)) for w in group]
 
 
 def test_weight_lattice_integrality():
@@ -457,7 +462,7 @@ def test_regularity_stable_on_dominance_preserving_orbit():
     lam = mu + rs.rho_k
     preserving = []
     for w in weyl_group(rs, "compact"):
-        moved = Weight(w.act(lam.coords))
+        moved = Weight(act(w, lam.coords))
         if all(
             inner(rs, moved, Weight(r.coords)) > 0
             for r in rs.positive_roots(RootKind.COMPACT)

@@ -37,6 +37,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from ranklef import chars
 from ranklef.chars import (
     Chamber,
     _Torus,
@@ -66,7 +67,6 @@ from ranklef.rootsys import (
     GroupDescriptor,
     RootKind,
     Weight,
-    WeylElement,
     build_root_system,
     weyl_group,
 )
@@ -75,6 +75,7 @@ from reference import (
     DIGITS,
     _mp,
     _unit_roundoff,
+    act,
     character_exp,
     dense,
     dense_apply,
@@ -517,33 +518,30 @@ def test_sparse_products_equal_the_dense_ones(name):
     weights = [rs.rho_g, Weight(tuple(Fraction(3 * i + 1, i + 2) for i in range(rs.dim)))]
     for w in group:
         for v in weights:
-            assert Weight(w.act(v.coords)) == dense_apply(dense(w), v)
+            assert Weight(act(w, v.coords)) == dense_apply(dense(w), v)
 
 
 # ---------------------------------------------------------------------------
 # Structure: one orbit per assembly, not one per class
 
 
-def test_weyl_orbits_are_built_once_per_assemble(monkeypatch):
+def test_weyl_group_is_looked_up_once_per_assemble(monkeypatch):
+    """The W(k,t) orbit of lambda is built from one lookup of the compact group
+    per assembly, whatever the number of classes (so the count cannot pass at
+    0); Omega is a Laplace expansion and looks up no W(g,t)."""
     rs = _rs("so(8,1)")
     mu = rs.rho_g - rs.rho_k
-    calls = []
-    act = WeylElement.act
+    lookups = []
 
-    def counted(self, row):
-        calls.append(1)
-        return act(self, row)
+    def counted(rs, sub="full"):
+        lookups.append(sub)
+        return weyl_group(rs, sub)
 
-    monkeypatch.setattr(WeylElement, "act", counted)
-    counts = []
+    monkeypatch.setattr(chars, "weyl_group", counted)
     for n_exact, n_float in ((8, 4), (32, 16)):
-        calls.clear()
+        lookups.clear()
         assemble(rs, mu, make_geometry(rs, seed=2, n_exact=n_exact, n_float=n_float))
-        counts.append(len(calls))
-    # the W(k,t) orbit is built (so the count cannot pass at 0), once; Omega
-    # is a Laplace expansion and builds no W(g,t) orbit
-    assert 0 < counts[0] == counts[1]
-    assert counts[0] <= len(weyl_group(rs, "compact"))
+        assert lookups == ["compact"], (n_exact, n_float, lookups)
 
 
 # ---------------------------------------------------------------------------
