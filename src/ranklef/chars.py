@@ -18,8 +18,9 @@ Conventions fixed here and relied on everywhere downstream:
   over a common denominator den.  At all-Fraction angles, scaled to integers
   by the lcm L of their denominators, the dot N = den L <v, q> is reduced to
   a residue r in (-D/2, D/2], D = den L, and the phase is exp(2 pi i r / D),
-  r / D rounded once (a small angle stays small); any float angle sends the
-  element down the float path, where x / den is summed in coordinate order.
+  r / D rounded once (a small angle stays small); any float angle sends the element
+  down the float path, where x / den is summed in coordinate order.  The one test of
+  e^v(t) = 1 is ``_Torus.phase_unless_one``: r = 0, or within UNITY_TOL on floats.
 * Every supported Weyl group is a group of signed permutations, so a sum
   over a whole Weyl group is a determinant (Weyl's character formula in
   determinant form).  At a regular elliptic class, one where no root has
@@ -49,10 +50,6 @@ Angle = Fraction | float
 
 SINGULAR_TOL = 1e-12
 UNITY_TOL = 1e-9
-
-
-class SingularElementError(ValueError):
-    pass
 
 
 def _ints(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[int, ...]], int]:
@@ -381,7 +378,7 @@ def ds_character_Treg(rs: RootSystem, lam: HCParameter, t: TorusElement) -> Char
     """Character value sum_{w in W_k} det(w) e^{w.lam}(t) / Delta_T(t) at regular t."""
     den = weyl_denominator_T(rs, t)
     if abs(den) < SINGULAR_TOL:
-        raise SingularElementError("singular torus element; use elliptic_orbital_term")
+        raise ValueError("singular torus element; use elliptic_orbital_term")
     return CharacterValue(value=_Torus(t.angles, lam.den, rs.dim).sum(lam.signs, lam.columns) / den)
 
 
@@ -533,9 +530,9 @@ def omega(rs: RootSystem, lam: HCParameter, h: NoncompactCartanElement) -> compl
     return half * x[-1] * scaled
 
 
-def central_character(rs: RootSystem, lam: HCParameter, z: TorusElement) -> complex:
-    """zeta_lam(z) = e^{lam - rho_g}(z) on the unit circle; z must be central."""
+def central_character(rs: RootSystem, lam: HCParameter, z: TorusElement) -> complex | None:
+    """zeta_lam(z) = e^{lam - rho_g}(z) at central z, or None where it is 1: exactly, or to UNITY_TOL on floats."""
     torus = _Torus(z.angles, lam.den, rs.dim)
     if any(torus.phase_unless_one(x) is not None for x in torus.turns(lam.rho_roots)[1:]):
         raise ValueError("z is not central: a root is nontrivial on it")
-    return torus.phase(torus.turns(_Columns(zip(map(sub, lam._row, lam._rho)), lam.den))[0])
+    return torus.phase_unless_one(torus.turns(_Columns(zip(map(sub, lam._row, lam._rho)), lam.den))[0])

@@ -49,13 +49,9 @@ MAX_SL2Z_WEIGHT = 1000
 INTEGRALITY_TOL = 1e-6
 
 
-class CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to exit code 2
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def json_default(obj):
@@ -74,43 +70,43 @@ def _emit(report, out_path: str | None) -> None:
     try:
         text = json.dumps(report, default=json_default, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
-        raise CliError(f"the report holds a number that is not finite: {exc}") from exc
+        raise ValueError(f"the report holds a number that is not finite: {exc}") from exc
     if out_path is not None:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            raise CliError(f"cannot write report: {exc}") from exc
+            raise ValueError(f"cannot write report: {exc}") from exc
     try:
         print(text, flush=True)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())  # for the interpreter's flush at exit
         os.close(devnull)
-        raise CliError("stdout closed before the report was written") from None
+        raise ValueError("stdout closed before the report was written") from None
 
 
 def _check_sl2z_bounds(n: int | None = None, k: int | None = None) -> None:
     if n is not None and n > MAX_SL2Z_LEVEL:
-        raise CliError(f"--n {n} is above the SL(2,Z) level bound {MAX_SL2Z_LEVEL}")
+        raise ValueError(f"--n {n} is above the SL(2,Z) level bound {MAX_SL2Z_LEVEL}")
     if k is not None and k > MAX_SL2Z_WEIGHT:
-        raise CliError(f"--k {k} is above the SL(2,Z) weight bound {MAX_SL2Z_WEIGHT}")
+        raise ValueError(f"--k {k} is above the SL(2,Z) weight bound {MAX_SL2Z_WEIGHT}")
 
 
 def _read_json(path: str, parse, what: str):
-    """``parse`` of a JSON file's value; a failure to read or parse it is a CliError after ``what``."""
+    """``parse`` of a JSON file's value; a failure to read or parse it is a ValueError after ``what``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse(json.load(fh, object_pairs_hook=unique_keys))
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
-        raise CliError(f"{what}: {exc}") from exc
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 def _parse_mu(text: str) -> Weight:
     try:
         return Weight(tuple(Fraction(part) for part in text.split(",")))
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad weight coordinates {text!r}: {exc}") from exc
+        raise ValueError(f"bad weight coordinates {text!r}: {exc}") from exc
 
 
 def _cmd_rootsys_show(args) -> int:
@@ -136,32 +132,32 @@ def _cmd_rootsys_show(args) -> int:
 
 def _resolve_mu(args, rs) -> Weight:
     if (args.mu is None) == (args.k is None):
-        raise CliError("give exactly one of --mu or --k")
+        raise ValueError("give exactly one of --mu or --k")
     if args.mu is not None:
         return _parse_mu(args.mu)
     if rs.descriptor.name() != "su(1,1)":
-        raise CliError("--k is the sl2r weight dictionary; use --mu for other groups")
+        raise ValueError("--k is the sl2r weight dictionary; use --mu for other groups")
     _check_sl2z_bounds(k=args.k)
     return sl2.mu_from_weight(args.k)
 
 
 def _cmd_assemble(args) -> int:
     if (args.geom is None) == (args.preset is None):
-        raise CliError("give exactly one geometry source: --geom FILE or --preset sl2z")
+        raise ValueError("give exactly one geometry source: --geom FILE or --preset sl2z")
     if args.preset is not None:
         if args.n is None:
-            raise CliError("--preset sl2z requires --n")
+            raise ValueError("--preset sl2z requires --n")
         _check_sl2z_bounds(args.n)
         rs = build_root_system(GroupDescriptor.from_name(args.group or "sl2r"))
         if rs.descriptor.name() != "su(1,1)":
-            raise CliError(f"--preset sl2z is a geometry for sl2r (su(1,1)), not {rs.descriptor.name()}")
+            raise ValueError(f"--preset sl2z is a geometry for sl2r (su(1,1)), not {rs.descriptor.name()}")
         geom = sl2.build_geom_sl2z(args.n)
         source = {"n": args.n, "preset": "sl2z"}
     else:
         if args.n is not None:
-            raise CliError("--n applies only to --preset sl2z")
+            raise ValueError("--n applies only to --preset sl2z")
         if args.group is None:
-            raise CliError("--geom requires --group")
+            raise ValueError("--geom requires --group")
         rs = build_root_system(GroupDescriptor.from_name(args.group))
         geom = _read_json(args.geom, lef.geometry_from_dict, "cannot read geometry file")
         source = {"file": os.path.basename(args.geom)}
@@ -267,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = PARSER.parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ArithmeticError as exc:

@@ -48,10 +48,6 @@ _HEAD_TERMS = 24
 MAX_EXPONENT_BASE = 100
 
 
-class HurwitzPoleError(ValueError):
-    pass
-
-
 def hurwitz_zeta(s: complex, a: float) -> complex:
     """Analytic continuation of sum_{m>=0} (m+a)^{-s} by Euler-Maclaurin.
 
@@ -67,7 +63,7 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
         raise ValueError("hurwitz_zeta requires a > 0")
     s = complex(s)
     if abs(s - 1.0) < 1e-14:
-        raise HurwitzPoleError("hurwitz_zeta has a pole at s = 1")
+        raise ValueError("hurwitz_zeta has a pole at s = 1")
     if s.real >= -0.5:
         m = max(_HEAD_TERMS, 3 * int(abs(s)) + 16)
     else:

@@ -20,7 +20,6 @@ from operator import neg
 from typing import NamedTuple
 
 from .chars import (
-    UNITY_TOL,
     Chamber,
     HCParameter,
     NoncompactCartanElement,
@@ -33,10 +32,6 @@ from .chars import (
 )
 from .jsonin import Checked, Fields, angles, number
 from .rootsys import RootSystem, Weight
-
-
-class MissingResidueError(ValueError):
-    pass
 
 
 class CentralClass(NamedTuple):
@@ -102,10 +97,11 @@ class LefschetzBreakdown(NamedTuple):
 def central_term(rs: RootSystem, lam: HCParameter, geom: GeometricData) -> complex:
     """delta(mu, Xi) vol(Gamma\\G) d(lambda), scaled by the calibration unit.
 
-    delta counts the central classes when the central character is trivial
-    on every one of them, and is zero otherwise; the term is pinned to zero
-    at a singular lambda, where the residue replaces it.  On either branch a
-    z on which a root is nontrivial raises ValueError naming its entry.
+    delta counts the central classes when the central character is 1 on every
+    one of them (exactly at exact angles, to UNITY_TOL on the float path: where
+    ``central_character`` gives None), and is zero otherwise; it is pinned to zero
+    at a singular lambda, where the residue replaces it.  On either branch a z on
+    which a root is nontrivial raises ValueError naming its entry.
     """
     characters = []
     for i, cc in enumerate(geom.central_classes):
@@ -113,7 +109,7 @@ def central_term(rs: RootSystem, lam: HCParameter, geom: GeometricData) -> compl
             characters.append(central_character(rs, lam, cc.z))
         except ValueError as exc:
             raise ValueError(f"central_classes[{i}].{exc}") from None
-    if not (lam.regular and characters and all(abs(c - 1.0) < UNITY_TOL for c in characters)):
+    if not (lam.regular and characters and all(c is None for c in characters)):
         return 0.0
     return len(characters) * geom.total_vol * formal_degree(rs, lam) * geom.calibration
 
@@ -182,7 +178,7 @@ def parabolic_II_term(rs: RootSystem, lam: HCParameter, geom: GeometricData) -> 
 
 def residue_term(geom: GeometricData) -> complex:
     if geom.residue_scalar is None:
-        raise MissingResidueError("singular mu requires residue data")
+        raise ValueError("singular mu requires residue data")
     return -0.5 * complex(geom.residue_scalar)
 
 

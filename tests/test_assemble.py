@@ -10,7 +10,6 @@ from ranklef.lefschetz import (
     CentralClass,
     EllipticClass,
     GeometricData,
-    MissingResidueError,
     ParabolicIData,
     ParabolicIIData,
     assemble,
@@ -22,6 +21,7 @@ from ranklef.lefschetz import (
     residue_term,
 )
 from ranklef.chars import (
+    UNITY_TOL,
     Chamber,
     NoncompactCartanElement,
     TorusElement,
@@ -35,6 +35,7 @@ from reference import act, character_exp, geometry_to_dict, inner, torus_sl2
 
 SL2 = build_root_system(GroupDescriptor.from_name("sl2r"))
 SP11 = build_root_system(GroupDescriptor.from_name("sp(1,1)"))
+SU21 = build_root_system(GroupDescriptor.from_name("su(2,1)"))
 
 MU12 = Weight((Fraction(11, 2), Fraction(-11, 2)))
 MU11 = Weight((Fraction(5), Fraction(-5)))  # odd-weight dictionary point
@@ -67,6 +68,20 @@ def test_central_counts_classes():
     geom = empty_geom(central_classes=(CentralClass("e", IDENTITY_Z), CentralClass("-e", MINUS_Z)))
     want = 2.0 * formal_degree(SL2, lam)
     assert abs(central_term(SL2, lam, geom) - want) < 1e-14
+
+
+def test_exact_central_class_counts_only_an_exactly_trivial_character():
+    # z = (c, c, c) is central in su(2,1), with zeta_lam(z) = e^{2 pi i 3c} at mu = (2, 1, 0):
+    # exact angles count the class only where the character is exactly 1, and the float
+    # copy of c = 2^-40 counts it, as its character lies within UNITY_TOL of 1
+    lam = hc_parameter(SU21, Weight((Fraction(2), Fraction(1), Fraction(0))))
+    counted = formal_degree(SU21, lam)
+    for c, trivial in ((Fraction(1, 3), True), (Fraction(1, 2**40), False), (2.0**-40, True)):
+        z = TorusElement((c, c, c))
+        ref = character_exp(lam.lam - SU21.rho_g, z)
+        assert (ref == 1 if type(c) is Fraction else abs(ref - 1) < UNITY_TOL) is trivial
+        geom = empty_geom(central_classes=(CentralClass("z", z),))
+        assert central_term(SU21, lam, geom) == (counted if trivial else 0.0), c
 
 
 @pytest.mark.parametrize("mu", [MU11, MU_SING], ids=["regular", "singular"])
@@ -169,7 +184,7 @@ def test_residue_term_values():
     assert residue_term(empty_geom(residue_scalar=2.0)) == -1.0
     m = 5
     assert residue_term(empty_geom(residue_scalar=complex(m))) == -m / 2
-    with pytest.raises(MissingResidueError):
+    with pytest.raises(ValueError, match=r"^singular mu requires residue data$"):
         residue_term(empty_geom())
 
 
@@ -204,7 +219,7 @@ def test_assemble_singular_branch():
 
 
 def test_assemble_singular_requires_residue():
-    with pytest.raises(MissingResidueError):
+    with pytest.raises(ValueError, match=r"^singular mu requires residue data$"):
         assemble(SL2, MU_SING, empty_geom())
 
 

@@ -18,7 +18,6 @@ from ranklef.chars import (
     Chamber,
     HCParameter,
     NoncompactCartanElement,
-    SingularElementError,
     TorusElement,
     _Columns,
     _Torus,
@@ -49,7 +48,7 @@ from reference import (
     scale,
     torus_sl2,
 )
-from test_weyl_tables import GROUPS, make_geometry, mu_choices
+from test_weyl_tables import GROUPS, make_geometry, mu_choices, ref_is_one
 
 SL2 = build_root_system(GroupDescriptor.from_name("sl2r"))
 SU21 = build_root_system(GroupDescriptor.from_name("su(2,1)"))
@@ -134,18 +133,23 @@ def test_mixed_element_evaluates_as_its_float_copy():
     floats = TorusElement(tuple(float(a) for a in mixed.angles))
     assert ds_character_Treg(SU21, lam, mixed).value == ds_character_Treg(SU21, lam, floats).value
     assert elliptic_orbital_term(SU21, lam, mixed) == elliptic_orbital_term(SU21, lam, floats)
-    # a central element: every root is 1 on it, to UNITY_TOL on the float path
-    mixed = TorusElement((Fraction(1, 3), 1 / 3, Fraction(-2, 3)))
-    floats = TorusElement(tuple(float(a) for a in mixed.angles))
-    exact = TorusElement((Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3)))
-    value = central_character(SU21, lam, mixed)
-    assert value == central_character(SU21, lam, floats)
-    assert abs(value - central_character(SU21, lam, exact)) < 1e-12
+    # central elements: every root is 1 on them, to UNITY_TOL on the float path;
+    # the character is 1 on the first at this lambda, a fifth root of unity on the second
+    for lam, c in ((lam, Fraction(1, 3)), (_param(SU21, (4, 2, 0)), Fraction(1, 5))):
+        mixed = TorusElement((c, float(c), c - 1))
+        floats = TorusElement(tuple(float(a) for a in mixed.angles))
+        exact = TorusElement((c, c, c - 1))
+        value = central_character(SU21, lam, mixed)
+        assert value == central_character(SU21, lam, floats)
+        if ref_is_one(lam.lam - SU21.rho_g, exact):
+            assert value is None and central_character(SU21, lam, exact) is None
+        else:
+            assert abs(value - central_character(SU21, lam, exact)) < 1e-12
 
 
 def test_character_rejects_singular_element():
     t = TorusElement((Fraction(0), Fraction(0)))
-    with pytest.raises(SingularElementError):
+    with pytest.raises(ValueError, match=r"^singular torus element; use elliptic_orbital_term$"):
         ds_character_Treg(SL2, LAM11, t)
 
 
@@ -593,19 +597,21 @@ def test_omega_central_compact_part_parity():
 
 
 # ---------------------------------------------------------------------------
-# central character
+# central character: None exactly where the character is 1
 
 
 def test_central_character_identity():
     z = TorusElement((Fraction(0), Fraction(0)))
-    assert abs(central_character(SL2, LAM11, z) - 1.0) < 1e-15
+    assert character_exp(LAM11.lam - SL2.rho_g, z) == 1
+    assert central_character(SL2, LAM11, z) is None
 
 
 def test_central_character_minus_identity_parity():
     z = TorusElement((Fraction(1, 2), Fraction(-1, 2)))
     for k in (4, 8, 12, 20):
         lam = _param(SL2, (Fraction(k - 1, 2), Fraction(-(k - 1), 2)))
-        assert abs(central_character(SL2, lam, z) - 1.0) < 1e-12
+        assert character_exp(lam.lam - SL2.rho_g, z) == 1
+        assert central_character(SL2, lam, z) is None
     for k in (5, 11):
         lam = _param(SL2, (Fraction(k - 1, 2), Fraction(-(k - 1), 2)))
         assert abs(central_character(SL2, lam, z) + 1.0) < 1e-12
@@ -614,8 +620,12 @@ def test_central_character_minus_identity_parity():
 def test_central_character_unitary_inverse():
     z = TorusElement((Fraction(1, 2), Fraction(-1, 2)))
     zinv = TorusElement((Fraction(-1, 2), Fraction(1, 2)))
-    val = central_character(SL2, LAM11, z) * central_character(SL2, LAM11, zinv)
-    assert abs(val - 1.0) < 1e-12
+    assert central_character(SL2, LAM11, z) is None and central_character(SL2, LAM11, zinv) is None
+    lam = _param(SU21, (4, 2, 0))  # zeta_lam(z) = e^{2 pi i 6 c} at z = (c, c, c)
+    z, zinv = TorusElement((Fraction(1, 5),) * 3), TorusElement((Fraction(-1, 5),) * 3)
+    value = central_character(SU21, lam, z)
+    assert abs(value - character_exp(lam.lam - SU21.rho_g, z)) < 1e-15
+    assert abs(value * central_character(SU21, lam, zinv) - 1.0) < 1e-12
 
 
 def test_central_character_rejects_noncentral():

@@ -1,4 +1,4 @@
-"""No test-only API in the package.
+"""No test-only API in the package, and no exception class.
 
 Each public name defined at module level in ``src/ranklef/*.py``, and each
 method or property of a class defined there that is not a dunder and does
@@ -6,7 +6,9 @@ not override a base-class method (``cli._Parser.error`` overrides argparse's),
 must be read somewhere in ``src/`` or ``perfbench/`` outside its own
 definition: as a name, an attribute, or a string that equals it
 (``perfbench/tracing.py`` looks functions up by name).  Code that only the
-tests read belongs in ``tests/reference.py``.
+tests read belongs in ``tests/reference.py``.  Every refused input raises
+``ValueError`` (``cli.main`` maps it to exit 1), so no module defines its own
+exception type.
 """
 
 import ast
@@ -84,3 +86,14 @@ def test_every_public_name_is_read_outside_its_definition():
 def test_every_method_is_read_outside_its_definition():
     unread = _unread(item for path in PACKAGE for item in _methods(path, TREES[path]))
     assert unread == [], f"methods read only by the tests, or by nothing: {unread}"
+
+
+def test_no_module_defines_an_exception_class():
+    defined = [
+        f"{path.stem}.{node.name}"
+        for path in PACKAGE
+        for node in TREES[path].body
+        if isinstance(node, ast.ClassDef)
+        and issubclass(getattr(importlib.import_module(f"ranklef.{path.stem}"), node.name), BaseException)
+    ]
+    assert defined == [], f"refusals raise ValueError, not a class of their own: {defined}"

@@ -6,7 +6,8 @@ and its pairings with the roots as ``HCParameter.pairing_column``, and
 ``chars._Torus`` evaluates them; every Weyl orbit sum goes through
 ``_Torus.sum``.  No other module of ``src/ranklef/`` may name either class,
 the orbit columns or the pairing columns: it asks ``chars`` for the sum
-instead.
+instead.  ``_Torus.phase_unless_one`` is the one test of e^v(t) = 1, so no
+other module names its tolerance ``UNITY_TOL`` either.
 """
 
 import ast
@@ -65,17 +66,24 @@ def test_only_cli_builds_the_full_weyl_group():
     assert not outside, f"W(g,t) built outside cli: {outside}"
 
 
-DETERMINANT = {"_minors", "_det"}
-
-
-def test_only_chars_names_the_determinant_routine():
-    outside = [
+def _named_outside_chars(names):
+    """path:line for each name, attribute or import of one of ``names`` outside ``chars``."""
+    return [
         f"{path.name}:{node.lineno}"
         for path in PACKAGE
         if path.name != "chars.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if (isinstance(node, ast.Name) and node.id in DETERMINANT)
-        or (isinstance(node, ast.Attribute) and node.attr in DETERMINANT)
-        or (isinstance(node, ast.alias) and node.name.rpartition(".")[2] in DETERMINANT)
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.alias) and node.name.rpartition(".")[2] in names)
     ]
+
+
+def test_only_chars_names_the_determinant_routine():
+    outside = _named_outside_chars({"_minors", "_det"})
     assert not outside, f"the determinant routine is private to chars: {outside}"
+
+
+def test_only_chars_names_the_unit_phase_tolerance():
+    outside = _named_outside_chars({"UNITY_TOL"})
+    assert not outside, f"e^v(t) = 1 is decided by chars._Torus.phase_unless_one alone: {outside}"
