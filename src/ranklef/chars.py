@@ -21,10 +21,10 @@ Conventions fixed here and relied on everywhere downstream:
   r / D rounded once (a small angle stays small); any float angle sends the element
   down the float path, where x / den is summed in coordinate order.  The one test of
   e^v(t) = 1 is ``_Torus.phase_unless_one``: r = 0, or within UNITY_TOL on floats.
-* Every supported Weyl group is a group of signed permutations, so a sum
-  over a whole Weyl group is a determinant (Weyl's character formula in
-  determinant form).  At a regular elliptic class, one where no root has
-  e^a(xi) = 1, the numerator sum_{W_k} det(w) e^{w.lam}(xi) is one, and Omega
+  t is regular where no root phase is one; every regular/singular split here reads that.
+* Every supported Weyl group is a group of signed permutations, so a sum over a whole
+  Weyl group is a determinant (Weyl's character formula in determinant form).  At a
+  regular elliptic class the numerator sum_{W_k} det(w) e^{w.lam}(xi) is one, and Omega
   is the Laplace expansion of one along the beta0 rows; both are taken by
   ``_minors``, the one determinant routine, on the phases
   x_ij = e^{lam_j e_i}(t) that ``_Torus`` gives.  Singular classes (over
@@ -48,7 +48,6 @@ from .rootsys import Family, RootKind, RootSystem, Weight, weyl_group
 
 Angle = Fraction | float
 
-SINGULAR_TOL = 1e-12
 UNITY_TOL = 1e-9
 
 
@@ -369,17 +368,17 @@ class CharacterValue(NamedTuple):
 
 
 def weyl_denominator_T(rs: RootSystem, t: TorusElement) -> complex:
-    """prod over R+(g,t) of (e^{b/2} - e^{-b/2})(t); zero exactly on singular t."""
+    """prod over R+(g,t) of (e^{b/2} - e^{-b/2})(t): 0 at an integer half-root turn, ulps at a half-integer."""
     halves = _Columns(zip(*[[c.numerator for c in r.coords] for r in rs.positive]), 2)  # b/2
     return math.prod((e - 1 / e for e in _Torus(t.angles, 2, rs.dim).phases(halves)), start=1.0 + 0.0j)
 
 
 def ds_character_Treg(rs: RootSystem, lam: HCParameter, t: TorusElement) -> CharacterValue:
-    """Character value sum_{w in W_k} det(w) e^{w.lam}(t) / Delta_T(t) at regular t."""
-    den = weyl_denominator_T(rs, t)
-    if abs(den) < SINGULAR_TOL:
+    """sum_{W_k} det(w) e^{w.lam}(t) / Delta_T(t) at regular t: no root phase is one, exactly or to UNITY_TOL."""
+    torus = _Torus(t.angles, lam.den, rs.dim)
+    if None in map(torus.phase_unless_one, torus.turns(lam.rho_roots)[1:]):
         raise ValueError("singular torus element; use elliptic_orbital_term")
-    return CharacterValue(value=_Torus(t.angles, lam.den, rs.dim).sum(lam.signs, lam.columns) / den)
+    return CharacterValue(value=torus.sum(lam.signs, lam.columns) / weyl_denominator_T(rs, t))
 
 
 def _weyl_numerator(rs: RootSystem, lam: HCParameter, torus: _Torus) -> complex:

@@ -12,6 +12,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from ranklef.chars import (
@@ -38,12 +39,14 @@ from ranklef.rootsys import (
     weyl_group,
 )
 from reference import (
+    DIGITS,
     act,
     all_roots,
     c_sign,
     character_exp,
     full_average_orbital_term,
     inner,
+    mp_character,
     omega_orbit,
     scale,
     torus_sl2,
@@ -77,6 +80,14 @@ def test_denominator_identity_is_zero():
     for rs in (SL2, SU21):
         t = TorusElement(tuple(Fraction(0) for _ in range(rs.dim)))
         assert weyl_denominator_T(rs, t) == 0
+
+
+def test_denominator_at_a_half_root_turn_is_a_few_ulps():
+    # at t = (1/2, -1/2) the root turns by 1, singular, but the half-root
+    # turn 1/2 takes the residue D/2, whose phase is -1 + 1.22e-16i: the
+    # product is not exactly 0 (its bits depend on libm)
+    val = weyl_denominator_T(SL2, TorusElement((Fraction(1, 2), Fraction(-1, 2))))
+    assert 0 < abs(val) < 1e-15
 
 
 def test_denominator_matches_eigenvalue_product():
@@ -148,9 +159,24 @@ def test_mixed_element_evaluates_as_its_float_copy():
 
 
 def test_character_rejects_singular_element():
-    t = TorusElement((Fraction(0), Fraction(0)))
-    with pytest.raises(ValueError, match=r"^singular torus element; use elliptic_orbital_term$"):
-        ds_character_Treg(SL2, LAM11, t)
+    # the identity, and (1/2, -1/2), where the denominator is a few ulps, not 0
+    for q in (Fraction(0), Fraction(1, 2)):
+        with pytest.raises(ValueError, match=r"^singular torus element; use elliptic_orbital_term$"):
+            ds_character_Treg(SL2, LAM11, TorusElement((q, -q)))
+
+
+def test_character_evaluates_a_regular_element_near_the_hyperplane():
+    """t = (2^-46, -2^-46) is exactly regular, though the denominator is 1.8e-13
+    in modulus: the character is refused only where a root phase is one, as the
+    elliptic term decides, and reads within 1e-15 relative of its 50-digit value
+    (6.2e-17 measured), inside ``mp_character``'s budget."""
+    q = Fraction(1, 2**46)
+    t = TorusElement((q, -q))
+    got = ds_character_Treg(SL2, LAM11, t).value
+    value, budget = mp_character(SL2, LAM11, t)
+    with mpmath.workdps(DIGITS):
+        error = abs(mpmath.mpc(got) - value)
+        assert error <= budget and error <= 1e-15 * abs(value)
 
 
 def test_numerator_antisymmetry():

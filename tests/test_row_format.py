@@ -7,7 +7,8 @@ and its pairings with the roots as ``HCParameter.pairing_column``, and
 ``_Torus.sum``.  No other module of ``src/ranklef/`` may name either class,
 the orbit columns or the pairing columns: it asks ``chars`` for the sum
 instead.  ``_Torus.phase_unless_one`` is the one test of e^v(t) = 1, so no
-other module names its tolerance ``UNITY_TOL`` either.
+other module names its tolerance ``UNITY_TOL`` either; ``chars`` defines no
+second ``*_TOL`` beside it, and no module names ``SINGULAR_TOL``.
 """
 
 import ast
@@ -66,17 +67,20 @@ def test_only_cli_builds_the_full_weyl_group():
     assert not outside, f"W(g,t) built outside cli: {outside}"
 
 
-def _named_outside_chars(names):
-    """path:line for each name, attribute or import of one of ``names`` outside ``chars``."""
+def _named(names, paths=PACKAGE):
+    """path:line for each name, attribute or import of one of ``names`` in ``paths``."""
     return [
         f"{path.name}:{node.lineno}"
-        for path in PACKAGE
-        if path.name != "chars.py"
+        for path in paths
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if (isinstance(node, ast.Name) and node.id in names)
         or (isinstance(node, ast.Attribute) and node.attr in names)
-        or (isinstance(node, ast.alias) and node.name.rpartition(".")[2] in names)
+        or (isinstance(node, ast.alias) and {node.name.rpartition(".")[2], node.asname} & names)
     ]
+
+
+def _named_outside_chars(names):
+    return _named(names, [path for path in PACKAGE if path.name != "chars.py"])
 
 
 def test_only_chars_names_the_determinant_routine():
@@ -87,3 +91,20 @@ def test_only_chars_names_the_determinant_routine():
 def test_only_chars_names_the_unit_phase_tolerance():
     outside = _named_outside_chars({"UNITY_TOL"})
     assert not outside, f"e^v(t) = 1 is decided by chars._Torus.phase_unless_one alone: {outside}"
+
+
+def _module_level_names(tree):
+    """The names that a module's top-level statements bind."""
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.asname or alias.name.rpartition(".")[2] for alias in node.names)
+        targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+        yield from (leaf.id for target in targets if target for leaf in ast.walk(target) if isinstance(leaf, ast.Name))
+
+
+def test_chars_defines_one_unit_phase_tolerance():
+    chars = ast.parse((ROOT / "src" / "ranklef" / "chars.py").read_text(encoding="utf-8"))
+    extra = [name for name in _module_level_names(chars) if name.endswith("_TOL") and name != "UNITY_TOL"]
+    assert not extra, f"chars decides e^v(t) = 1 by UNITY_TOL alone: {extra}"
+    named = _named({"SINGULAR_TOL"})
+    assert not named, f"SINGULAR_TOL is gone: {named}"

@@ -527,13 +527,22 @@ def test_oracle_and_geometry_keep_their_own_class_counts(function, unnamed):
     assert not _names(node) & unnamed
 
 
+def _names_an_oracle(module):
+    """The oracle and class-count names of ``sl2`` that a test module names or imports."""
+    tree = ast.parse((Path(__file__).parent / module).read_text(encoding="utf-8"))
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    return (_names(tree) | imported) & {"eichler_selberg", "delta_coeffs", "_hurwitz_sixths", "hurwitz_class_number"}
+
+
 def test_term_checks_name_no_oracle_or_class_count():
     # the preset's terms are held against parts that the reference builds on
     # its own, so the module that checks them reads none of sl2's oracles
-    tree = ast.parse((Path(__file__).parent / "test_preset_terms.py").read_text(encoding="utf-8"))
-    imported = {a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
-    unnamed = {"eichler_selberg", "delta_coeffs", "_hurwitz_sixths", "hurwitz_class_number"}
-    assert not (_names(tree) | imported) & unnamed
+    assert not _names_an_oracle("test_preset_terms.py")
+
+
+def test_hecke_checks_name_no_oracle_or_class_count():
+    # the Hecke relations hold the preset's totals against each other alone
+    assert not _names_an_oracle("test_hecke_relations.py")
 
 
 def test_reference_imports_no_enumerator_or_oracle_from_sl2():

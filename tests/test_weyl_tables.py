@@ -19,7 +19,8 @@ of the same sum at 50 digits: ``reference.mp_singular_elliptic`` (the
 and ``reference.mp_character``; and each term within the summed budgets of
 its entries.  ``weyl_denominator_T`` and ``central_character`` take one
 phase each and must agree with the reference exactly (``==``);
-``central_character`` gives None exactly where the reference character is 1.
+``central_character`` gives None exactly where the reference character is 1,
+and ``ds_character_Treg`` refuses t exactly where a reference root is 1 on it.
 
 The elliptic term at a regular class and Omega are determinants in
 ``chars`` (Weyl's character formula in determinant form, and its Laplace
@@ -477,6 +478,7 @@ def test_terms_equal_the_reference_off_the_benchmark_inputs(name):
         # over 2**61 - 1 (four class entries) lie within 1e-15 of the root
         # hyperplane: their values are checked only at the numerator
         assert unbounded == (4 if name == "sl2r" else 0)
+        near = 0
         for t in reps:
             den = ref_weyl_denominator(rs, t)
             assert weyl_denominator_T(rs, t) == den
@@ -486,6 +488,19 @@ def test_terms_equal_the_reference_off_the_benchmark_inputs(name):
                     orbit = [(w.sign, dense_apply(dense(w), lam.lam)) for w in weyl_group(rs, "compact")]
                     assert package_table(torus, lam.signs, lam.columns, 1) == ref_table(t, orbit)
                 assert within(ds_character_Treg(rs, lam, t).value, *mp_character(rs, lam, t))
+            # refused exactly where a root is one on t, as the elliptic term decides
+            if ref_vanishing_roots(rs, t):
+                with pytest.raises(ValueError, match="^singular torus element"):
+                    ds_character_Treg(rs, lam, t)
+                continue
+            got, (value, budget) = ds_character_Treg(rs, lam, t).value, mp_character(rs, lam, t)
+            if budget < mpmath.inf:
+                assert within(got, value, budget), (t, got, budget)
+            else:  # the sl2r classes within 1e-15 of the hyperplane: 1.8e-16 measured
+                near += 1
+                with mpmath.workdps(DIGITS):
+                    assert abs(mpmath.mpc(got) - value) <= 1e-15 * abs(value), (t, got)
+        assert near == (4 if name == "sl2r" else 0)
         for z in central:
             if len(ref_vanishing_roots(rs, z)) == len(rs.positive_roots()):
                 beta = lam.lam - rs.rho_g
