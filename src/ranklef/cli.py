@@ -45,8 +45,6 @@ MAX_SL2Z_LEVEL = 2000
 # at n = 2000 has 1650 digits (Python prints 4300), `compare` scales it exactly, and the preset's
 # elliptic term at n = 7 is 3.6e-13 off its exact part (5.4e-11 at k = 1e5, noise past 2^53).
 MAX_SL2Z_WEIGHT = 1000
-# How far the n = 1 preset total may lie from an integer (exit 3 beyond it).
-INTEGRALITY_TOL = 1e-6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,10 +164,10 @@ def _cmd_assemble(args) -> int:
     provenance = {"group": rs.descriptor.name(), "mu": mu.coords, "source": source}
     _emit({**bd._asdict(), "provenance": provenance}, args.out)
     index_case = args.preset is not None and args.n == 1
-    if index_case and bd.rounding_defect >= INTEGRALITY_TOL:
+    if index_case and bd.rounding_defect >= sl2.MATCH_TOL:
         print(
             f"FAIL: total {bd.total} misses an integer by {bd.rounding_defect:.3g} "
-            f"(tolerance {INTEGRALITY_TOL:g})",
+            f"(tolerance {sl2.MATCH_TOL:g})",
             file=sys.stderr,
         )
         return EXIT_NONINTEGRAL

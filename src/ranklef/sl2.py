@@ -46,6 +46,7 @@ from .rootsys import Family, GroupDescriptor, Weight, build_root_system
 SL2Z_CALIBRATION = 0.25
 SL2Z_TOTAL_VOL = math.pi / 3.0
 
+# How far a preset total may lie from its scaled oracle, or at n = 1 from an integer.
 MATCH_TOL = 1e-6
 
 # The torus angles of +I and -I, the central classes of SL(2,R).
@@ -377,39 +378,22 @@ def lefschetz_sl2z(k: int, n: int) -> LefschetzBreakdown:
     return assemble(rs, mu_from_weight(k), build_geom_sl2z(n))
 
 
-def _scaled_defect(total: float, oracle: int, n: int, j: float) -> float:
-    """|total - oracle * n^j| in floats, or scaled exactly (j is an integer, k
-    being even) where they overflow; inf where the scaled oracle does too."""
-    try:
-        return abs(total - oracle * n ** j)
-    except OverflowError:
-        m = int(j)
-    try:
-        return abs(total - (oracle / n ** -m if m < 0 else float(oracle * n ** m)))
-    except OverflowError:
-        return math.inf
-
-
 def compare(k: int, n: int) -> OracleReport:
     """Lefschetz total against the Eichler-Selberg oracle.
 
-    The coset convention differs from the classical Hecke normalization by a
-    constant power of n; the report records which exponent of the family
-    {-(k-2)/2, 0, +(k-2)/2} matches, and the acceptance suite requires the
-    matching exponent to be the same symbol across all (k, n).
+    The preset's total is tr T_n * n^{-(k-2)/2}, so the defect is
+    |total - oracle * n^{-(k-2)/2}|, scaled exactly (k is even) where the
+    trace overflows a float.
     """
     bd = lefschetz_sl2z(k, n)
     oracle = eichler_selberg(k, n)
-    half = (k - 2) / 2.0
     # the defect is measured on the assembled side, where totals stay O(1);
     # scaling the comparison the other way would amplify double-precision
     # noise by n^{(k-2)/2} against huge exact integers
-    exponents = (("-(k-2)/2", -half), ("0", 0.0), ("+(k-2)/2", half))
-    defects = [(_scaled_defect(bd.total, oracle, n, j), label) for label, j in exponents]
-    # several exponents can match at once (zero traces, n = 1); report the
-    # first matching one in canonical order so the symbol stays constant
-    matching = [(d, label) for d, label in defects if d < MATCH_TOL]
-    defect, label = matching[0] if matching else min(defects, key=lambda p: p[0])
+    try:
+        defect = abs(bd.total - oracle * n ** (-(k - 2) / 2.0))
+    except OverflowError:
+        defect = abs(bd.total - oracle / n ** ((k - 2) // 2))
     return OracleReport(
         k=k,
         n=n,
@@ -417,5 +401,5 @@ def compare(k: int, n: int) -> OracleReport:
         oracle_value=oracle,
         match=defect < MATCH_TOL,
         defect=defect,
-        normalization_exponent=label,
+        normalization_exponent="-(k-2)/2",
     )

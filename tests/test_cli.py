@@ -167,6 +167,26 @@ def test_compare_mismatch_exit_two(capsys, monkeypatch):
     assert code == 2 and "MISMATCH" in err
 
 
+@pytest.mark.parametrize("power", [(12 - 2) // 2, 12 - 2], ids=["n^((k-2)/2)", "n^(k-2)"])
+def test_compare_matches_at_one_normalization_only(capsys, monkeypatch, power):
+    """A preset total off by another power of n is a mismatch: the defect is
+    measured at n^{-(k-2)/2} alone."""
+    preset = sl2.lefschetz_sl2z
+
+    def scaled(k, n):
+        bd = preset(k, n)
+        return bd._replace(total=bd.total * n**power)
+
+    monkeypatch.setattr(sl2, "lefschetz_sl2z", scaled)
+    code, out, err = run(capsys, ["sl2", "compare", "--k", "12", "--n", "2"])
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("MISMATCH: ")
+    data = json.loads(out)
+    total = complex(data["lefschetz_value"]["re"], data["lefschetz_value"]["im"])
+    assert data["defect"] == abs(total - data["oracle_value"] * 2 ** (-(12 - 2) / 2.0))
+    assert data["normalization_exponent"] == "-(k-2)/2" and data["match"] is False
+
+
 def test_assemble_nonintegral_exit_three(capsys, monkeypatch):
     geom = sl2.build_geom_sl2z(1)
     bad = geom._replace(calibration=geom.calibration * 1.07)

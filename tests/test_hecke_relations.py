@@ -9,7 +9,11 @@ algebra (Serre, *A Course in Arithmetic*, ch. VII 5):
 * at k = 24, where dim S_k = 2, lambda(p) and lambda(p^2) give T_p's
   characteristic polynomial x^2 - e_1 x + e_2 in the normalized eigenvalues.
   Its roots are real and lie in [-2, 2] (Deligne), p^(j(k-1)/2) e_j is an
-  integer, and it predicts lambda(p^3).
+  integer, and it predicts lambda(p^3);
+* likewise at k = 36 and 46, where d = dim S_k = 3, and at k = 48, where
+  d = 4: lambda(p^j) for j <= d give the power sums of the normalized
+  eigenvalues through U_j(x/2), Newton's identities give e_1, ..., e_d, and
+  the polynomial predicts lambda(p^(d+1)).
 
 These checks read only ``lefschetz_sl2z``: none of ``ranklef.sl2``'s oracles
 or class counts, which ``tests/test_sl2.py`` checks.  The bounds are fixed
@@ -21,6 +25,7 @@ import math
 import random
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from ranklef.sl2 import lefschetz_sl2z
@@ -42,6 +47,13 @@ CUBE_BOUND = 1e-13
 # cases where that is a real constraint (a distance below a half).  Measured at
 # most 2.0e-14 (tr T_7), margin 5x.
 INTEGER_BOUND = 1e-13
+# At k = 36, 46 and 48, for each p with p^(d+1) <= 2000 (eight cases): the
+# predicted lambda(p^(d+1)) reads at most 5.4e-14 (k = 48, p = 3; margin 9x),
+# and p^(j(k-1)/2) e_j lies at most 3.4e-14 of an integer, relative to its size
+# (tr T_3 at k = 46; margin 9x), in the eight cases where that is a real
+# constraint.  The largest |root| is 1.95 and the closest two are 0.14 apart.
+POWER_BOUND = 5e-13
+HIGHER_INTEGER_BOUND = 3e-13
 
 
 @lru_cache(maxsize=None)
@@ -82,3 +94,39 @@ def test_two_eigenvalues_at_weight_24():
         power_3 = e_1 * power_2 - e_2 * power_1  # Newton's identity, with e_3 = 0
         assert abs(power_3 - 2 * power_1 - lam(k, p**3)) <= CUBE_BOUND, p
     assert integral == 7  # tr T_p at every p, and p^23 det T_p at p = 2 and 3
+
+
+@lru_cache(maxsize=None)
+def chebyshev(j):
+    """U_j(x/2) = x U_(j-1)(x/2) - U_(j-2)(x/2), as its coefficients of 1, x, ..., x^j."""
+    if j < 2:
+        return (1,) if j == 0 else (0, 1)
+    u, v = chebyshev(j - 1), chebyshev(j - 2)
+    return tuple((u[m - 1] if m else 0) - (v[m] if m < len(v) else 0) for m in range(j + 1))
+
+
+@pytest.mark.parametrize("k, d, integral", [(36, 3, 4), (46, 3, 2), (48, 4, 2)])
+def test_characteristic_polynomial_past_two_eigenvalues(k, d, integral):
+    """lambda(p^j) = sum_i U_j(x_i / 2) over the d normalized T_p eigenvalues
+    x_i, so lambda(p^j), j <= d, give the power sums s_j = sum_i x_i^j, and
+    Newton's identities j e_j = sum_(i <= j) (-1)^(i-1) e_(j-i) s_i give T_p's
+    characteristic polynomial; with e_(d+1) = 0 they give s_(d+1) too."""
+    checked = 0
+    for p in (p for p in PRIMES if p ** (d + 1) <= LEVEL):
+        power = [float(d)]
+        for j in range(1, d + 1):
+            power.append(lam(k, p**j) - sum(c * s for c, s in zip(chebyshev(j), power)))
+        e = [1.0]
+        for j in range(1, d + 1):
+            e.append(sum((-1) ** (i - 1) * e[j - i] * power[i] for i in range(1, j + 1)) / j)
+        roots = np.roots([(-1) ** j * e[j] for j in range(d + 1)])
+        assert np.isrealobj(roots) and np.all(np.abs(roots) <= 2), (p, roots)
+        for j in range(1, d + 1):
+            scaled = p ** (j * (k - 1) / 2) * e[j]
+            if HIGHER_INTEGER_BOUND * abs(scaled) < 0.5:
+                assert abs(scaled - round(scaled)) <= HIGHER_INTEGER_BOUND * abs(scaled), (p, j, scaled)
+                checked += 1
+        power.append(sum((-1) ** (i - 1) * e[i] * power[d + 1 - i] for i in range(1, d + 1)))
+        predicted = sum(c * s for c, s in zip(chebyshev(d + 1), power))
+        assert abs(predicted - lam(k, p ** (d + 1))) <= POWER_BOUND, p
+    assert checked == integral

@@ -8,7 +8,9 @@ and its pairings with the roots as ``HCParameter.pairing_column``, and
 the orbit columns or the pairing columns: it asks ``chars`` for the sum
 instead.  ``_Torus.phase_unless_one`` is the one test of e^v(t) = 1, so no
 other module names its tolerance ``UNITY_TOL`` either; ``chars`` defines no
-second ``*_TOL`` beside it, and no module names ``SINGULAR_TOL``.
+second ``*_TOL`` beside it, and no module names ``SINGULAR_TOL``.  The only
+other tolerance in ``src/`` is ``sl2.MATCH_TOL``, which bounds a preset total
+against its scaled oracle and, at n = 1, against an integer.
 """
 
 import ast
@@ -108,3 +110,13 @@ def test_chars_defines_one_unit_phase_tolerance():
     assert not extra, f"chars decides e^v(t) = 1 by UNITY_TOL alone: {extra}"
     named = _named({"SINGULAR_TOL"})
     assert not named, f"SINGULAR_TOL is gone: {named}"
+
+
+def test_src_defines_two_tolerances():
+    defined = sorted(
+        f"{path.stem}.{name}"
+        for path in PACKAGE
+        for name in _module_level_names(ast.parse(path.read_text(encoding="utf-8")))
+        if name.endswith("_TOL")
+    )
+    assert defined == ["chars.UNITY_TOL", "sl2.MATCH_TOL"], defined
