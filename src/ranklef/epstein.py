@@ -49,26 +49,22 @@ MAX_EXPONENT_BASE = 100
 
 
 def hurwitz_zeta(s: complex, a: float) -> complex:
-    """Analytic continuation of sum_{m>=0} (m+a)^{-s} by Euler-Maclaurin.
+    """Analytic continuation of sum_{m>=0} (m+a)^{-s} by Euler-Maclaurin, for Re s >= -1/2.
 
-    At least ``_HEAD_TERMS`` head terms are summed directly; the tail beyond
-    m + a is expanded with the Bernoulli corrections, truncated at the
-    smallest term of the asymptotic series.  Right of the imaginary axis the
-    relative error is below 1e-10 throughout |s| <= 10 and on the real axis
-    up to s = MAX_EXPONENT_BASE; for deeply negative Re(s) the head/tail
-    cancellation limits double precision to the scale of the largest
-    intermediate, which no head length can beat.
+    max(``_HEAD_TERMS``, 3|s| + 16) head terms are summed directly, and the
+    tail beyond them takes all 12 Bernoulli corrections: with that head each
+    correction is smaller than the one before it.  The relative error is below
+    1e-10 throughout |s| <= 10 right of the imaginary axis, and on the real
+    axis up to s = MAX_EXPONENT_BASE.
     """
     if a <= 0:
         raise ValueError("hurwitz_zeta requires a > 0")
     s = complex(s)
+    if s.real < -0.5:
+        raise ValueError("hurwitz_zeta requires Re s >= -1/2")
     if abs(s - 1.0) < 1e-14:
         raise ValueError("hurwitz_zeta has a pole at s = 1")
-    if s.real >= -0.5:
-        m = max(_HEAD_TERMS, 3 * int(abs(s)) + 16)
-    else:
-        # keep intermediates small; the asymptotic tail is truncated optimally
-        m = max(10, int(abs(s.imag)) + 12)
+    m = max(_HEAD_TERMS, 3 * int(abs(s)) + 16)
     head = 0.0 + 0.0j
     for j in range(m):
         head += (a + j) ** (-s)
@@ -76,13 +72,8 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
     tail = x ** (1.0 - s) / (s - 1.0) + 0.5 * x ** (-s)
     rising = s  # s (s+1) ... two more factors per Bernoulli term
     power = x ** (-s - 1.0)
-    last = math.inf
     for r, b in enumerate(_BERNOULLI, start=1):
-        term = (float(b) / math.factorial(2 * r)) * rising * power
-        if abs(term) > last:
-            break
-        tail += term
-        last = abs(term)
+        tail += (float(b) / math.factorial(2 * r)) * rising * power
         rising *= (s + 2 * r - 1) * (s + 2 * r)
         power /= x * x
     return head + tail

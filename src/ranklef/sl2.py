@@ -139,15 +139,14 @@ def hurwitz_class_number(N: int) -> Fraction:
 
     Forms (a,b,c) with b^2 - 4ac = -N, |b| <= a <= c, b >= 0 whenever
     |b| = a or a = c; weight 1/3 for (a,a,a), 1/2 for (a,0,a), else 1.
-    H(0) = -1/12 and H(N) = 0 for N = 1, 2 mod 4.  Read from the sieve table
-    of the smallest power of two >= N, so small levels build small tables.
+    H(0) = -1/12, and H(N) = 0 for N = 1, 2 mod 4, where no form has
+    discriminant -N.  Read from the sieve table of the smallest power of two
+    >= N, so small levels build small tables.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     if N == 0:
         return Fraction(-1, 12)
-    if N % 4 in (1, 2):
-        return Fraction(0)
     return Fraction(_hurwitz_sixths(1 << (N - 1).bit_length())[N], 6)
 
 
@@ -382,18 +381,15 @@ def compare(k: int, n: int) -> OracleReport:
     """Lefschetz total against the Eichler-Selberg oracle.
 
     The preset's total is tr T_n * n^{-(k-2)/2}, so the defect is
-    |total - oracle * n^{-(k-2)/2}|, scaled exactly (k is even) where the
-    trace overflows a float.
+    |total - oracle / n^{(k-2)/2}|, the trace divided exactly (k is even) and
+    rounded once.
     """
     bd = lefschetz_sl2z(k, n)
     oracle = eichler_selberg(k, n)
     # the defect is measured on the assembled side, where totals stay O(1);
     # scaling the comparison the other way would amplify double-precision
     # noise by n^{(k-2)/2} against huge exact integers
-    try:
-        defect = abs(bd.total - oracle * n ** (-(k - 2) / 2.0))
-    except OverflowError:
-        defect = abs(bd.total - oracle / n ** ((k - 2) // 2))
+    defect = abs(bd.total - oracle / n ** ((k - 2) // 2))
     return OracleReport(
         k=k,
         n=n,

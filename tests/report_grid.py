@@ -15,8 +15,9 @@ that differs between them:
 
 or list the moved reports with ``--compare other this``: for each command
 whose digest differs, the largest change of a number relative to the
-report's ``total``, the keys that moved, and whether ``rounded``, ``branch``,
-the exit code or stderr moved (``compare``).
+report's ``total`` (an ``sl2 compare`` report's ``lefschetz_value``), the keys
+that moved, and whether ``rounded``, ``branch``, ``match``, the exit code or
+stderr moved (``compare``).
 
 It also writes ``grid.sha256`` to OUTDIR: one line per command, the SHA-256
 of its stdout, a NUL byte, its stderr, a NUL byte and its ``NAME.exit`` text,
@@ -30,7 +31,7 @@ The grid, 252 commands:
   both ends of its range;
 * ``sl2 compare`` for k in {12, 24, 40} and n in 1..30, 100, 500, 1000 and
   2000, the level bound ``cli.MAX_SL2Z_LEVEL``, and at three points whose
-  scaled trace overflows a float (``OVERFLOW_COMPARES``);
+  trace overflows a float (``OVERFLOW_COMPARES``);
 * ``sl2 oracle`` for k = 12 and n in {1, 50, 475};
 * ``lefschetz assemble --preset sl2z --k 12`` for n in {1, 2, 6, 12};
 * the commands pinned in ``tests/reports/`` (``test_cli.PINNED_REPORTS``);
@@ -297,13 +298,14 @@ def moved_report(old, new):
     """How one command's output moved, from two (stdout, stderr, exit text):
     (largest |change| of a number over |total|, or None where the report has no
     numeric ``total`` or is not JSON; the moved leaf keys; the moved names among
-    ``rounded``, ``branch``, ``exit`` and ``stderr``)."""
+    ``rounded``, ``branch``, ``match``, ``exit`` and ``stderr``).  An ``sl2
+    compare`` report's total is its ``lefschetz_value``."""
     try:
         before, after = (dict(_leaves(json.loads(out))) for out, _, _ in (old, new))
     except ValueError:
         before, after = {}, {}
     keys = sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
-    total = before.get("total")
+    total = before.get("total", before.get("lefschetz_value"))
     rel = None
     if _is_number(total):
         changes = [abs(after[k] - before[k]) for k in keys
@@ -311,7 +313,7 @@ def moved_report(old, new):
         rel = max(changes, default=0.0) / abs(total) if total else math.inf
     if not before and old[0] != new[0]:
         keys = ["stdout"]
-    flags = [k for k in ("rounded", "branch") if k in keys]
+    flags = [k for k in ("rounded", "branch", "match") if k in keys]
     flags += [name for name, i in (("exit", 2), ("stderr", 1)) if old[i] != new[i]]
     return rel, keys, flags
 
@@ -328,7 +330,7 @@ def compare(old_dir, new_dir):
                    for d in (old_dir, new_dir)]
         rel, keys, flags = moved_report(*outputs)
         size = "no total" if rel is None else f"{rel:.2g} of |total|"
-        also = f"; MOVED {', '.join(flags)}" if flags else "; rounded, branch, exit and stderr kept"
+        also = f"; MOVED {', '.join(flags)}" if flags else "; rounded, branch, match, exit and stderr kept"
         print(f"{name}: {size}; keys {', '.join(keys) or 'none'}{also}")
     print(f"{len(names)} of {len(manifests[1])} commands moved", file=sys.stderr)
     return 0

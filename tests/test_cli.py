@@ -183,7 +183,7 @@ def test_compare_matches_at_one_normalization_only(capsys, monkeypatch, power):
     assert len(err.splitlines()) == 1 and err.startswith("MISMATCH: ")
     data = json.loads(out)
     total = complex(data["lefschetz_value"]["re"], data["lefschetz_value"]["im"])
-    assert data["defect"] == abs(total - data["oracle_value"] * 2 ** (-(12 - 2) / 2.0))
+    assert data["defect"] == abs(total - data["oracle_value"] / 2**5)
     assert data["normalization_exponent"] == "-(k-2)/2" and data["match"] is False
 
 
@@ -489,6 +489,32 @@ def test_removed_options_exit_one(capsys, argv, option):
     code, out, err = run(capsys, argv + option)
     assert code == 1 and out == ""
     assert err == f"error: unrecognized arguments: {' '.join(option)}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lefschetz", "assemble", "--preset", "sl2z", "--n", "2", "--mu", "1/0,1"],
+         "bad weight coordinates '1/0,1': Fraction(1, 0)"),
+        (["lefschetz", "assemble", "--group", "sp(2,1)", "--k", "12", "--geom", SP21_GEOMETRY],
+         "--k is the sl2r weight dictionary; use --mu for other groups"),
+        (["lefschetz", "assemble", "--mu", "1,1,0", "--geom", SP21_GEOMETRY], "--geom requires --group"),
+        (["rootsys", "show", "su(0,1)"], "unsupported group descriptor 'su(0,1)'"),
+        (["rootsys", "show", "gl(2,1)"], "unsupported group descriptor 'gl(2,1)'"),
+        (["sl2", "oracle", "--k", "13", "--n", "1"], "weight must be even and >= 4"),
+        (["sl2", "oracle", "--k", "12", "--n", "0"], "n must be >= 1"),
+    ],
+    ids=["mu-zero-denominator", "k-for-sp21", "geom-without-group", "su01", "gl21", "oracle-k13", "oracle-n0"],
+)
+def test_refused_input_exits_one_with_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_json_default_refuses_other_types():
+    with pytest.raises(TypeError, match=r"^object is not JSON serializable$"):
+        cli.json_default(object())
 
 
 @pytest.mark.parametrize(

@@ -83,12 +83,48 @@ def test_hurwitz_pole_and_domain_errors():
         hurwitz_zeta(1.0 + 0j, 1.0)
     with pytest.raises(ValueError):
         hurwitz_zeta(2.0 + 0j, 0.0)
+    for s, a in ((-1 + 0j, 1.0), (-0.6 + 2j, 0.5)):
+        with pytest.raises(ValueError, match=r"^hurwitz_zeta requires Re s >= -1/2$"):
+            hurwitz_zeta(s, a)
+
+
+def _tail_terms_decrease(s, a):
+    """Whether the 12 Euler-Maclaurin tail terms B_2r/(2r)! s(s+1)...(s+2r-2)
+    x^(-s-2r+1) decrease in modulus at x = a + max(24, 3|s| + 16), the point
+    where hurwitz_zeta's head ends: each ratio of consecutive moduli is
+    |B_(2r+2) / B_2r| / ((2r+1)(2r+2)) |(s+2r-1)(s+2r)| / x^2."""
+    x = a + max(24, 3 * int(abs(s)) + 16)
+    return all(
+        abs(mpmath.bernoulli(2 * r + 2) / mpmath.bernoulli(2 * r)) / ((2 * r + 1) * (2 * r + 2))
+        * abs((s + 2 * r - 1) * (s + 2 * r)) / x**2 < 1
+        for r in range(1, 12)
+    )
+
+
+def test_hurwitz_tail_terms_decrease_with_its_head_length():
+    # so the tail needs no cut at its smallest term: every term is smaller
+    # than the one before it on the whole domain that zeta_constant_terms
+    # and the mpmath grid above reach (the largest ratio seen is 0.026)
+    offsets = (0.2, 1 / 3, 0.5, 1.0, 1.5, 2.7)
+    for d in range(2, MAX_EXPONENT_BASE + 1):
+        for a in offsets:
+            assert _tail_terms_decrease(complex(d), a), (d, a)
+    rng = random.Random(35)
+    checked = 0
+    while checked < 2000:
+        s = complex(rng.uniform(-0.5, 10), rng.uniform(-10, 10))
+        if abs(s) <= 10:
+            a = rng.choice(offsets)
+            assert _tail_terms_decrease(s, a), (s, a)
+            checked += 1
 
 
 def test_digamma_values():
     assert abs(digamma(1.0) + float(mpmath.euler)) < 1e-12
     for a in (0.5, 1 / 3, 2.0, 7.5):
         assert abs(digamma(a) - float(mpmath.digamma(a))) < 1e-12
+    with pytest.raises(ValueError, match=r"^digamma requires a > 0$"):
+        digamma(0.0)
 
 
 def test_unit_progression_constant_is_euler_gamma():

@@ -38,11 +38,18 @@ def _report(part_re, total_re, rounded=4):
             "total": {"im": 0.0, "re": total_re}}
 
 
+def _compare_report(defect, match=True):
+    return {"defect": defect, "k": 12, "lefschetz_value": {"im": 0.0, "re": -0.5}, "match": match, "n": 2,
+            "normalization_exponent": "-(k-2)/2", "oracle_value": -24}
+
+
 def test_compare_lists_each_moved_report_with_its_size_and_flags(tmp_path, capsys):
     _write_grid(tmp_path / "old", {
         "kept": (_report(1.0, 4.0), "", 0),
         "nudged": (_report(1.0, 4.0), "", 0),
         "rounded": (_report(1.0, 4.0), "", 0),
+        "compare": (_compare_report(1e-15), "", 0),
+        "flipped": (_compare_report(1e-15), "", 0),
         "error": (None, "error: a\n", 1),
         "gone": (None, "", 0),
     })
@@ -50,13 +57,17 @@ def test_compare_lists_each_moved_report_with_its_size_and_flags(tmp_path, capsy
         "kept": (_report(1.0, 4.0), "", 0),
         "nudged": (_report(1.5, 4.5), "", 0),
         "rounded": (_report(1.0, 5.0, rounded=5), "warning\n", 0),
+        "compare": (_compare_report(2e-15), "", 0),
+        "flipped": (_compare_report(0.25, match=False), "MISMATCH: x\n", 2),
         "error": (None, "error: b\n", 2),
     })
     assert report_grid.main(["--compare", str(tmp_path / "old"), str(tmp_path / "new")]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
-        "nudged: 0.12 of |total|; keys parabolic_I, total; rounded, branch, exit and stderr kept",
+        "nudged: 0.12 of |total|; keys parabolic_I, total; rounded, branch, match, exit and stderr kept",
         "rounded: 0.25 of |total|; keys rounded, total; MOVED rounded, stderr",
+        "compare: 2e-15 of |total|; keys defect; rounded, branch, match, exit and stderr kept",
+        "flipped: 0.5 of |total|; keys defect, match; MOVED match, exit, stderr",
         "error: no total; keys none; MOVED exit, stderr",
         f"gone: only in {tmp_path / 'old'}",
     ]

@@ -251,6 +251,17 @@ def test_unequal_rank_rejected():
         GroupDescriptor.from_name("so(3,1)")
 
 
+def test_group_parameter_below_one_rejected():
+    with pytest.raises(ValueError, match=r"^group parameter must be >= 1$"):
+        build_root_system(GroupDescriptor(Family.SU, 0))
+
+
+def test_weyl_group_rejects_an_unknown_subgroup():
+    rs = build_root_system(GroupDescriptor.from_name("su(2,1)"))
+    with pytest.raises(ValueError, match=r"^sub must be 'full' or 'compact'$"):
+        weyl_group(rs, "half")
+
+
 def test_sl2r_alias():
     assert GroupDescriptor.from_name("sl2r") == GroupDescriptor(Family.SU, 1)
 

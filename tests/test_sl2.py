@@ -46,6 +46,7 @@ from reference import (
     trace_polynomial,
     unfolded_sl2z_elliptic,
 )
+import report_grid
 
 
 def _clear_sl2_caches():
@@ -80,6 +81,21 @@ def test_hecke_reps_counts():
     assert hecke_reps(1) == (IntegerMatrix(1, 0, 0, 1),)
     for n in range(1, 13):
         assert len(hecke_reps(n)) == sigma(n)
+
+
+@pytest.mark.parametrize(
+    "function, arg, message",
+    [
+        (hecke_reps, 0, "n must be >= 1"),
+        (elliptic_classes, 0, "n must be >= 1"),
+        (hurwitz_class_number, -1, "N must be >= 0"),
+        (delta_coeffs, 0, "N must be >= 1"),
+    ],
+    ids=["hecke_reps", "elliptic_classes", "hurwitz_class_number", "delta_coeffs"],
+)
+def test_arguments_below_the_domain_are_refused(function, arg, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        function(arg)
 
 
 def test_hecke_reps_n2_explicit():
@@ -541,8 +557,10 @@ def test_term_checks_name_no_oracle_or_class_count():
 
 
 def test_hecke_checks_name_no_oracle_or_class_count():
-    # the Hecke relations hold the preset's totals against each other alone
-    assert not _names_an_oracle("test_hecke_relations.py")
+    # the Hecke relations hold the preset's totals against each other alone,
+    # in the test suite and in the script that climbs to level 10^5
+    for module in ("test_hecke_relations.py", "hecke_ladder.py"):
+        assert not _names_an_oracle(module), module
 
 
 def test_reference_imports_no_enumerator_or_oracle_from_sl2():
@@ -674,6 +692,11 @@ def test_geom_hyperbolic_injection_is_discarded():
         build_geom_sl2z(2, extra_class_reps=(IntegerMatrix(0, -1, 2, 0),))
 
 
+def test_geom_refuses_extras_of_negative_det():
+    with pytest.raises(ValueError, match=r"^extra class reps need det > 0$"):
+        build_geom_sl2z(2, (IntegerMatrix(1, 0, 0, -1),))
+
+
 def test_geom_has_one_elliptic_entry_per_trace_and_orientation():
     for n in range(1, 31):
         classes = elliptic_classes(n)
@@ -778,6 +801,16 @@ def test_preset_through_so21_matches_eichler_selberg(k):
         got = assemble(rs, mu, _preset_on_so21(n)).total
         want = float(Fraction(eichler_selberg(k, n), n ** ((k - 2) // 2)))
         assert abs(got - want) <= 1e-11, n
+
+
+GRID_COMPARES = [tuple(int(x) for x in argv[3::2]) for _, argv in report_grid.sl2z_commands() if argv[1] == "compare"]
+
+
+@pytest.mark.parametrize("k, n", GRID_COMPARES)
+def test_compare_divides_the_trace_exactly(k, n):
+    # the scaled trace is rounded once, as in the so(2,1) oracle check above
+    rep = compare(k, n)
+    assert rep.defect == abs(rep.lefschetz_value - float(Fraction(eichler_selberg(k, n), n ** ((k - 2) // 2))))
 
 
 # The error budget near the level bound, far inside MATCH_TOL.  With one
